@@ -8,24 +8,17 @@ with input echo, library version, grid sizes, and sha256 checksums.  Exit
 codes: 0 ok, 1 config error, 2 physics error.
 """
 
-# BLAS thread pins must land before numpy is first imported anywhere in the
-# process; keep this block above all scientific imports.
-import os
-
-for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_v, "1")
-
 import argparse
 import hashlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from . import __version__
 from .errors import ConfigError, PhysicsError
 
 __all__ = ["main", "parse_config", "map_ordered"]
-
-VERSION = "0.1.0"
 
 
 def fmt(x):
@@ -222,7 +215,7 @@ class Emitter:
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def finish(self):
-        lines = [f"scenario = {self.scenario}", f"version = {VERSION}"]
+        lines = [f"scenario = {self.scenario}", f"version = {__version__}"]
         for key in sorted(self.cfg):
             if key == "output_dir":
                 continue

@@ -28,5 +28,5 @@ class NoExciton(PhysicsError):
     """No exciton root inside the search bracket (interaction too weak)."""
 
 
-class PropagationError(FloquetForgeError):
-    """Krylov exponential failed to converge; carries a step report."""
+class PropagationError(PhysicsError):
+    """Krylov exponential failed to converge within its subspace limit."""

@@ -23,8 +23,6 @@ __all__ = [
     "hfe_h",
     "spin_exchange",
     "strong_drive_harmonics",
-    "bessel_row",
-    "bessel_j",
 ]
 
 
@@ -217,55 +215,6 @@ def spin_exchange(U, J, g, omega):
             + 4.0 * r * J ** 2 * (1.0 / (U - omega) + 1.0 / (omega + U)))
 
 
-# ---------------------------------------------------------------------------
-# Bessel evaluation (Miller downward recurrence, sum-rule normalized)
-
-
-def bessel_row(A, mmax):
-    """J_0(A) .. J_mmax(A) for A >= 0.
-
-    Downward recurrence from self-consistent seed, normalized against
-    J_0 + 2 sum_{k even} J_k = 1.  Good to ~1e-13 for A <= 20, mmax <= 40.
-    """
-    if A < 0:
-        raise ValueError(f"A must be >= 0, got {A}")
-    if mmax < 0:
-        raise ValueError(f"mmax must be >= 0, got {mmax}")
-    out = np.zeros(mmax + 1)
-    if A == 0.0:
-        out[0] = 1.0
-        return out
-    start = int(max(mmax, A)) + 40
-    if start % 2:
-        start += 1
-    row = np.zeros(start + 2)
-    row[start + 1] = 0.0
-    row[start] = 1e-30
-    for k in range(start, 0, -1):
-        row[k - 1] = (2.0 * k / A) * row[k] - row[k + 1]
-        if abs(row[k - 1]) > 1e250:
-            row[k - 1:] *= 1e-250
-    norm = row[0] + 2.0 * np.sum(row[2::2])
-    out[:] = row[:mmax + 1] / norm
-    return out
-
-
-def bessel_j(m, A):
-    """J_m(A) for integer m of either sign and real A."""
-    m = int(m)
-    sign = 1.0
-    a = float(A)
-    if a < 0.0:
-        a = -a
-        if m % 2:
-            sign = -sign
-    if m < 0:
-        m = -m
-        if m % 2:
-            sign = -sign
-    return sign * float(bessel_row(a, m)[m])
-
-
 def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
                            jmax=10):
     """Harmonics of the chain in the strong-drive (lattice co-moving) frame.
@@ -279,6 +228,9 @@ def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
     Returns a term-valued HarmonicSeries; ``meta['truncation_error']`` bounds
     the spectral weight lost beyond ``jmax`` (worst bond).
     """
+    # scipy.special is slow to import and nothing else in the package needs it
+    from scipy.special import jv
+
     if jmax < 1:
         raise ValueError(f"jmax must be >= 1, got {jmax}")
     if L < 2:
@@ -307,7 +259,7 @@ def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
         for (jto, ifrom) in ((b + 1, b), (b, b + 1)):
             d = complex(profile[jto] - profile[ifrom])
             amp = (2.0 * g / omega) * abs(d)
-            row = bessel_row(amp, jmax)
+            row = jv(np.arange(jmax + 1), amp)
             weight = row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2))
             worst = max(worst, max(0.0, 1.0 - weight))
             for m in range(-jmax, jmax + 1):

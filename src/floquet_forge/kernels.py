@@ -1,12 +1,9 @@
-"""Matvec kernels and the Lanczos exponential used by the propagators.
+"""The Hamiltonian action and the Lanczos exponential used by the propagators.
 
-A compiled kernel performs the fused operation
-``out = A @ x + coef * (diag * x)`` in one CSR pass; a pure numpy/scipy
-fallback is selected automatically when the extension is unavailable.
-``setup.py`` builds the extension from the committed Cython-generated
-``_kernels_cy.c`` with only a C compiler (Cython, if installed, regenerates
-that file from ``_kernels_cy.pyx``); a plain ``PYTHONPATH=src`` checkout
-builds nothing and runs the numpy path.
+``HamiltonianAction`` applies ``H0 @ x + coef * (diag * x)`` with scipy's
+CSR matvec plus one elementwise update for the diagonal drive; profiles
+show the matvec is a small share of a Lanczos step, so this numpy path is
+the only one.
 """
 
 from __future__ import annotations
@@ -16,58 +13,33 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import PropagationError
 
-try:  # compiled fast path
-    from ._kernels_cy import fused_csr_matvec as _fused_cy
-except ImportError:  # pragma: no cover - depends on build environment
-    _fused_cy = None
+# No compiled kernel exists; kept because perfbench/run.py reports it.
+HAVE_COMPILED = False
 
-HAVE_COMPILED = _fused_cy is not None
-
-__all__ = ["HAVE_COMPILED", "HamiltonianAction", "lanczos_expm_multiply"]
+__all__ = ["HamiltonianAction", "lanczos_expm_multiply"]
 
 
 class HamiltonianAction:
     """Callable y = H0 @ x + coef * (diag * x), with a swappable coefficient.
 
     H0 is a CSR matrix (or SparseOperator); diag is an optional diagonal
-    drive.  ``backend`` forces "compiled" or "numpy"; default picks the
-    compiled kernel when present.
+    drive, applied only while ``coef`` is nonzero.  ``matvecs`` counts the
+    calls.
     """
 
-    def __init__(self, h0, diag=None, backend=None):
-        mat = getattr(h0, "matrix", h0).tocsr()
-        self.matrix = mat
-        self._data = np.ascontiguousarray(mat.data, dtype=np.complex128)
-        self._indices = np.ascontiguousarray(mat.indices, dtype=np.int32)
-        self._indptr = np.ascontiguousarray(mat.indptr, dtype=np.int32)
+    def __init__(self, h0, diag=None):
+        self.matrix = getattr(h0, "matrix", h0).tocsr()
         self.diag = (None if diag is None
                      else np.ascontiguousarray(diag, dtype=np.complex128))
         self.coef = 0j
-        self.dim = mat.shape[0]
-        if backend is None:
-            backend = "compiled" if HAVE_COMPILED else "numpy"
-        if backend == "compiled" and not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel requested but not built")
-        if backend not in ("compiled", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.matvecs = 0
-        self._empty = np.zeros(0, dtype=np.complex128)
 
     def set_coef(self, coef):
         self.coef = complex(coef)
 
-    def __call__(self, x, out=None):
+    def __call__(self, x):
         self.matvecs += 1
         x = np.ascontiguousarray(x, dtype=np.complex128)
-        if self.backend == "compiled":
-            if out is None:
-                out = np.empty(self.dim, dtype=np.complex128)
-            use_diag = self.diag is not None and self.coef != 0
-            _fused_cy(self._data, self._indices, self._indptr, x, out,
-                      self.diag if self.diag is not None else self._empty,
-                      self.coef, use_diag)
-            return out
         y = self.matrix @ x
         if self.diag is not None and self.coef != 0:
             y += self.coef * (self.diag * x)

@@ -149,21 +149,21 @@ def _screening_sum(grid: BandGrid, A):
     return grid.U12 / grid.nsites * float(np.sum(grid.occ / A))
 
 
-def screened_detuning(grid: BandGrid, omega, s=0):
+def screened_detuning(grid: BandGrid, omega):
     """Detuning with the interband ladder resummed: Delta = A (1 - S)."""
     A = _hartree_detuning(grid, omega)
     _check_resonant(A)
     return A * (1.0 - _screening_sum(grid, A))
 
 
-def bs_detuning(grid: BandGrid, omega, s=0):
+def bs_detuning(grid: BandGrid, omega):
     """Screened detuning of the counter-rotating partner (shift by +2w)."""
     A = _hartree_detuning(grid, omega) + 2.0 * omega
     _check_resonant(A)
     return A * (1.0 - _screening_sum(grid, A))
 
 
-def t_matrix(grid: BandGrid, omega, s=0):
+def t_matrix(grid: BandGrid, omega):
     """Scalar ladder resummation factor T = 1/(1 - S).
 
     Satisfies Delta * T = A identically.  A screening sum at unity (bound
@@ -178,7 +178,7 @@ def t_matrix(grid: BandGrid, omega, s=0):
     return 1.0 / (1.0 - S)
 
 
-def exciton_frequency(grid: BandGrid, s=0):
+def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
@@ -231,19 +231,19 @@ def _laplacian_t(grid: BandGrid, f):
     return -(d2x + d2y) / 4.0
 
 
-def floquet_band(grid: BandGrid, omega, g, s=0):
+def floquet_band(grid: BandGrid, omega, g):
     """Drive-dressed lower band and its zone-center hopping.
 
     eps_tilde = eps1 - g^2/Delta - g^2/Delta_BS; ``t_tilde`` is the
     zone-center curvature hopping of the dressed band.
     """
-    delta = screened_detuning(grid, omega, s)
-    delta_bs = bs_detuning(grid, omega, s)
+    delta = screened_detuning(grid, omega)
+    delta_bs = bs_detuning(grid, omega)
     eps_t = grid.eps1 - g ** 2 / delta - g ** 2 / delta_bs
     return {"eps_tilde": eps_t, "t_tilde": _laplacian_t(grid, eps_t)}
 
 
-def stark_bs_ratio(grid: BandGrid, omega, g, s=0):
+def stark_bs_ratio(grid: BandGrid, omega, g):
     """Ratio field of the counter- to co-rotating light shifts.
 
     Returns the full BZ field delta_bs/delta (the g-dependence of the two
@@ -252,10 +252,10 @@ def stark_bs_ratio(grid: BandGrid, omega, g, s=0):
     occupied band edge when no bound state exists.  Both ratios are
     positive below resonance and flip sign above it.
     """
-    delta = screened_detuning(grid, omega, s)
-    delta_bs = bs_detuning(grid, omega, s)
+    delta = screened_detuning(grid, omega)
+    delta_bs = bs_detuning(grid, omega)
     try:
-        w_ref = exciton_frequency(grid, s)
+        w_ref = exciton_frequency(grid)
         ref = "exciton"
     except NoExciton:
         occ_mask = grid.occ > 0
@@ -272,17 +272,16 @@ def stark_bs_ratio(grid: BandGrid, omega, g, s=0):
 
 
 def cavity_forward_interaction(grid: BandGrid, cav: CavitySpec, omega,
-                               k, kp, s=0, sp=0):
+                               k, kp):
     """Cavity-mediated forward-scattering interaction between two momenta.
 
     -(g gc0)^2 / (N * delta_c * Delta_k * Delta_k'), with g the drive
     amplitude from ``cav``, Delta the screened detuning and N the grid
     size.  ``k``/``kp`` are grid index pairs.
     """
-    delta = screened_detuning(grid, omega, s)
-    delta_p = delta if sp == s else screened_detuning(grid, omega, sp)
+    delta = screened_detuning(grid, omega)
     dk = delta[k[0], k[1]]
-    dkp = delta_p[kp[0], kp[1]]
+    dkp = delta[kp[0], kp[1]]
     return -(cav.g * cav.gc0) ** 2 / (grid.nsites * cav.delta_c * dk * dkp)
 
 
@@ -296,7 +295,7 @@ def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, g, kF):
     """
     if not 0.0 < kF < math.pi / 4.0:
         raise ValueError(f"kF must be in (0, pi/4), got {kF}")
-    delta = screened_detuning(grid, omega, 0)
+    delta = screened_detuning(grid, omega)
     if np.any(delta <= 0):
         raise BandResonance("screened detuning non-positive somewhere on "
                             "the zone; dressed band undefined")
@@ -305,7 +304,7 @@ def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, g, kF):
                                 * delta[ix, iy] ** 2)
     eta = 4.0 / grid.nsites * (cav.gc0 ** 2 / cav.delta_c) \
         * float(np.sum(1.0 / delta))
-    t_tilde = floquet_band(grid, omega, g, 0)["t_tilde"]
+    t_tilde = floquet_band(grid, omega, g)["t_tilde"]
     t_bare = _laplacian_t(grid, grid.eps1)
     rhs = t_tilde - eta * (t_bare - t_tilde)
     return {"lhs": float(lhs), "rhs": float(rhs), "eta": float(eta),

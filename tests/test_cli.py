@@ -170,6 +170,16 @@ def test_physics_error_exits_2(tmp_path, capsys):
     assert "physics error" in capsys.readouterr().err
 
 
+def test_propagation_failure_exits_2(tmp_path, capsys):
+    # an unreachable Lanczos tolerance exhausts the Krylov subspace on every
+    # step halving; the failure must reach exit code 2, not a traceback
+    code, _ = run_cli(tmp_path, "bench-return-rate",
+                      "units = J\nL = 6\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+                      "t_final = 0.5\ntolerance = 1e-300\n")
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+
+
 def test_bad_order_exits_1(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "derive-hamiltonian",
                       "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"

@@ -9,9 +9,8 @@ from floquet_forge import (HubbardParams, build_hubbard_operators,
                            build_sector_basis, commutator,
                            hubbard_micromotion, spin_exchange)
 from floquet_forge.errors import ResonantDenominator
-from floquet_forge.fswt import (bessel_j, bessel_row, floquet_h2, floquet_h4,
-                                hfe_h, hubbard_harmonics,
-                                strong_drive_harmonics)
+from floquet_forge.fswt import (floquet_h2, floquet_h4, hfe_h,
+                                hubbard_harmonics, strong_drive_harmonics)
 
 
 # -- order-g^2 static block --------------------------------------------------
@@ -126,39 +125,6 @@ def test_dimer_gap_matches_exchange():
     gap2 = ev2[1] - ev2[0]
     assert gap2 == pytest.approx(0.10101965117252845, abs=1e-10)
     assert abs(gap2 - jex) / jex <= 0.10
-
-
-# -- Bessel evaluation -------------------------------------------------------
-
-def test_bessel_row_against_scipy():
-    for A in (0.05, 0.5, 2.0, 7.3, 12.0, 20.0):
-        row = bessel_row(A, 40)
-        assert_allclose(row, scipy.special.jv(np.arange(41), A), atol=1e-13)
-
-
-def test_bessel_row_sum_rule():
-    row = bessel_row(2.0, 40)
-    assert row[0] + 2.0 * np.sum(row[2::2]) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bessel_small_argument_taylor():
-    a = 1e-3
-    assert bessel_row(a, 2)[0] == pytest.approx(1 - a ** 2 / 4, abs=1e-12)
-    assert bessel_row(0.0, 3)[0] == 1.0
-    assert np.all(bessel_row(0.0, 3)[1:] == 0.0)
-
-
-def test_bessel_j_parity():
-    assert bessel_j(-1, 0.5) == pytest.approx(-bessel_j(1, 0.5), abs=1e-15)
-    assert bessel_j(1, -0.5) == pytest.approx(-bessel_j(1, 0.5), abs=1e-15)
-    assert bessel_j(-2, -0.5) == pytest.approx(bessel_j(2, 0.5), abs=1e-15)
-
-
-def test_bessel_guards():
-    with pytest.raises(ValueError):
-        bessel_row(-1.0, 4)
-    with pytest.raises(ValueError):
-        bessel_row(1.0, -1)
 
 
 # -- harmonic decompositions -------------------------------------------------

@@ -1,12 +1,4 @@
-"""Fused matvec kernel (compiled vs numpy path) and the Lanczos exponential."""
-import os
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
+"""The Hamiltonian action and the Lanczos exponential."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -16,10 +8,7 @@ from numpy.testing import assert_allclose
 from floquet_forge import HubbardParams, build_hubbard_operators, \
     build_sector_basis
 from floquet_forge.errors import PropagationError
-from floquet_forge.kernels import (HAVE_COMPILED, HamiltonianAction,
-                                   lanczos_expm_multiply)
-
-ROOT = Path(__file__).resolve().parents[1]
+from floquet_forge.kernels import HamiltonianAction, lanczos_expm_multiply
 
 
 def _random_csr(rng, dim=60, density=0.08):
@@ -31,101 +20,15 @@ def _random_csr(rng, dim=60, density=0.08):
     return sparse.csr_matrix(m)
 
 
-def _have_c_toolchain():
-    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC")
-                     or "")
-    python_h = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    return bool(cc) and shutil.which(cc[0]) is not None and python_h.is_file()
-
-
-def _build_ext(tree, tmp_path, no_ext):
-    """Run the repo's setup.py build_ext on a copy; True if it built the kernel.
-
-    The copy keeps the checkout clean (a Cython install would rewrite the
-    committed C file); the extension lands next to the copied sources.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "FF_NO_EXT"}
-    if no_ext:
-        env["FF_NO_EXT"] = "1"
-    _run([sys.executable, "setup.py", "build_ext",
-          "--build-lib", str(tree / "src"),
-          "--build-temp", str(tmp_path / "obj")],
-         cwd=tree, env=env)
-    built = tree / "src" / "floquet_forge" / (
-        "_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    return built.exists()
-
-
-def _run(cmd, **kwargs):
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
-                          **kwargs)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-_AGREEMENT_CHECK = """
-import numpy as np, scipy.sparse as sparse
-import floquet_forge._kernels_cy as ext
-from floquet_forge.kernels import HAVE_COMPILED, HamiltonianAction
-assert ext.__file__.startswith({src!r}), ext.__file__
-assert HAVE_COMPILED
-rng = np.random.default_rng(7)
-m = sparse.random(60, 60, density=0.08, random_state=42).toarray()
-m = m + 1j * sparse.random(60, 60, density=0.08, random_state=43).toarray()
-mat = sparse.csr_matrix(m + m.conj().T)
-diag = rng.normal(size=60)
-fast = HamiltonianAction(mat, diag=diag)
-slow = HamiltonianAction(mat, diag=diag, backend="numpy")
-assert fast.backend == "compiled"
-for coef in (0j, 1.0 + 0j, -0.8 + 0.3j):
-    fast.set_coef(coef)
-    slow.set_coef(coef)
-    x = rng.normal(size=60) + 1j * rng.normal(size=60)
-    np.testing.assert_allclose(fast(x), slow(x), atol=1e-13, rtol=1e-13)
-"""
-
-
-@pytest.mark.skipif(not _have_c_toolchain(),
-                    reason="no C compiler or Python.h to build the extension")
-def test_compiled_kernel_is_built(tmp_path):
-    # setup.py compiles the committed C source with only a C compiler (no
-    # Cython) and FF_NO_EXT=1 opts out; the built kernel must be picked up
-    # by floquet_forge.kernels and agree with the numpy backend
-    tree = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns(
-        "__pycache__", "*.so", "*.pyd", "*.egg-info"))
-    for name in ("setup.py", "pyproject.toml", "README.md"):
-        shutil.copy2(ROOT / name, tree / name)
-
-    assert not _build_ext(tree, tmp_path, no_ext=True)
-    assert _build_ext(tree, tmp_path, no_ext=False)
-
-    src = str(tree / "src")
-    _run([sys.executable, "-c", _AGREEMENT_CHECK.format(src=src)],
-         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
-
-
 def test_action_matches_plain_matvec(rng):
     mat = _random_csr(rng)
     diag = rng.normal(size=60)
     x = rng.normal(size=60) + 1j * rng.normal(size=60)
-    act = HamiltonianAction(mat, diag=diag, backend="numpy")
+    act = HamiltonianAction(mat, diag=diag)
     act.set_coef(0.37 - 0.11j)
     expect = mat @ x + (0.37 - 0.11j) * (diag * x)
     assert_allclose(act(x), expect, atol=1e-13)
     assert act.matvecs == 1
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-def test_compiled_and_numpy_paths_agree(rng):
-    mat = _random_csr(rng)
-    diag = rng.normal(size=60)
-    fast = HamiltonianAction(mat, diag=diag, backend="compiled")
-    slow = HamiltonianAction(mat, diag=diag, backend="numpy")
-    for coef in (0j, 1.0 + 0j, -0.8 + 0.3j):
-        fast.set_coef(coef)
-        slow.set_coef(coef)
-        x = rng.normal(size=60) + 1j * rng.normal(size=60)
-        assert_allclose(fast(x), slow(x), atol=1e-13, rtol=1e-13)
 
 
 def test_action_without_diag(rng):
@@ -134,11 +37,6 @@ def test_action_without_diag(rng):
     act = HamiltonianAction(mat)
     act.set_coef(5.0)  # no diag registered: coef is inert
     assert_allclose(act(x), mat @ x, atol=1e-13)
-
-
-def test_action_rejects_unknown_backend(rng):
-    with pytest.raises(ValueError):
-        HamiltonianAction(_random_csr(rng), backend="gpu")
 
 
 def test_action_accepts_sparse_operator():

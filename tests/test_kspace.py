@@ -254,10 +254,6 @@ def test_cavity_forward_interaction_structure(paper_grid):
     v_swap = cavity_forward_interaction(paper_grid, cav, 2.0, (20, 12),
                                         (32, 32))
     assert v == pytest.approx(v_swap, rel=1e-14)
-    # spin label is inert on a spin-symmetric grid
-    v_sp = cavity_forward_interaction(paper_grid, cav, 2.0, (32, 32),
-                                      (20, 12), s=0, sp=1)
-    assert v == pytest.approx(v_sp, rel=1e-14)
 
 
 def test_pomeranchuk_triggered_at_reference_point():
