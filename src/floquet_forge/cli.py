@@ -258,7 +258,7 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
     def one(item):
         label, ham = item
         lr = return_rate(evolve_static(ham, psi0, traj.times), psi0)
-        return label, lr, nrmse(lr, l_ex, cfg["t_final"])
+        return label, lr, nrmse(lr, l_ex, traj.times)
 
     results = map_ordered(one, hams, threads)
     curves = {label: lr for label, lr, _ in results}

@@ -81,16 +81,6 @@ def cdw_state(b: SectorBasis):
     return psi
 
 
-def _collapse_harmonics(series: HarmonicSeries):
-    """Sum orders at each harmonic; returns {j: SparseOperator}."""
-    out = {}
-    for (n, j), op in series.terms.items():
-        if not isinstance(op, SparseOperator):
-            raise TypeError("series must be materialized on a sector basis")
-        out[j] = op if j not in out else out[j] + op
-    return out
-
-
 def _krylov_step(action, psi, tau, tol, depth=0):
     try:
         return lanczos_expm_multiply(action, psi, tau, tol=tol)
@@ -104,15 +94,27 @@ def _krylov_step(action, psi, tau, tol, depth=0):
 
 def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
                  sample_dt=None, tol=1e-10):
-    """Propagate under the full time-periodic Hamiltonian.
+    """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
+
+    ``series`` must be materialized on a sector basis and hold harmonics
+    0 and +-1 only, with identical diagonal blocks D at +-1, the form
+    :func:`~floquet_forge.fswt.hubbard_harmonics` builds; any other series
+    raises ``ValueError``.
 
     Midpoint-exponential stepping: each step applies
     exp(-i dt H(t + dt/2)) by a Lanczos exponential with per-step tolerance
     ``tol``.  ``dt`` must resolve the drive (at most a twentieth of the
     period); the default is a fortieth.  Samples are stored every
     ``sample_dt`` (every step when None); t=0 and t=t_final are always
-    included.
+    included, so the last interval is shorter when the sample stride does
+    not divide the step count.  ``t_final``, ``tol`` and, when given, ``dt``
+    and ``sample_dt`` must be finite and positive.
     """
+    for name, value in (("t_final", t_final), ("dt", dt),
+                        ("sample_dt", sample_dt), ("tol", tol)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value}")
     omega = series.omega
     dt_max = 2.0 * math.pi / (20.0 * omega)
     if dt is None:
@@ -120,8 +122,6 @@ def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
     if dt > dt_max * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt:.4g} does not resolve the drive; need <= {dt_max:.4g}")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
     steps = max(1, int(round(t_final / dt)))
     dt_eff = t_final / steps
     if sample_dt is None:
@@ -129,38 +129,27 @@ def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
     else:
         stride = max(1, int(round(sample_dt / dt_eff)))
 
-    byj = _collapse_harmonics(series)
-    h0 = byj.get(0)
-    if h0 is None:
-        raise ValueError("series lacks a static (j=0) harmonic")
-    pos = sorted(j for j in byj if j > 0)
-    neg_ok = all(-j in byj for j in pos) and \
-        all(j > 0 or -j in byj for j in byj)
+    if series.harmonics() != [-1, 0, 1] or not all(
+            isinstance(op, SparseOperator) for op in series.terms.values()):
+        raise ValueError("series must be materialized with harmonics 0 and "
+                         "+-1 only")
+    drive = series.harmonic(1)
+    diag = drive.diagonal()
+    if drive.nnz != np.count_nonzero(diag) or not drive.allclose(
+            series.harmonic(-1), atol=1e-14 * max(drive.max_abs(), 1.0)):
+        raise ValueError("drive harmonics +-1 must be one diagonal block")
 
     psi = np.ascontiguousarray(np.asarray(psi0, dtype=np.complex128))
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"psi0 must be normalized, |psi|={nrm:.12g}")
 
-    fast = (pos == [1] and neg_ok
-            and byj[1].allclose(byj[-1], atol=1e-14 * max(byj[1].max_abs(), 1.0))
-            and byj[1].matrix.nnz == np.count_nonzero(byj[1].diagonal()))
+    action = HamiltonianAction(series.harmonic(0), diag=diag)
     sample_states = [psi.copy()]
     sample_times = [0.0]
-    if fast:
-        action = HamiltonianAction(byj[0].matrix, diag=byj[1].diagonal())
-    else:
-        action = None
     for k in range(steps):
         t_mid = (k + 0.5) * dt_eff
-        if fast:
-            action.set_coef(2.0 * math.cos(omega * t_mid))
-        else:
-            m = byj[0].matrix.copy()
-            for j in pos:
-                ph = np.exp(1j * j * omega * t_mid)
-                m = m + ph * byj[j].matrix + np.conj(ph) * byj[-j].matrix
-            action = HamiltonianAction(m)
+        action.set_coef(2.0 * math.cos(omega * t_mid))
         psi = _krylov_step(action, psi, -1j * dt_eff, tol)
         if (k + 1) % stride == 0 or k + 1 == steps:
             sample_states.append(psi.copy())
@@ -196,23 +185,29 @@ def _trapz(y, x):
     return float(f(y, x)) if f is not None else float(np.trapz(y, x))
 
 
-def nrmse(L_approx, L_exact, t_final):
+def nrmse(L_approx, L_exact, times):
     """Normalized RMS mismatch of two return-rate histories.
 
     sqrt(mean squared deviation) over the mean of the exact signal, both
-    time-averaged by the trapezoid rule on the uniform grid [0, t_final].
+    time-averaged by the trapezoid rule on the sample ``times``, which need
+    not be evenly spaced.
     """
     a = np.asarray(L_approx, dtype=float)
     e = np.asarray(L_exact, dtype=float)
+    x = np.asarray(times, dtype=float)
     if a.shape != e.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length histories with >= 2 samples")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
-    x = np.linspace(0.0, t_final, a.size)
-    mean_ex = _trapz(e, x) / t_final
+    if x.shape != a.shape:
+        raise ValueError(f"need one time per sample, got {x.shape} times "
+                         f"for {a.size} samples")
+    span = x[-1] - x[0]
+    if not span > 0:
+        raise ValueError(f"sample times must span a positive interval, "
+                         f"got {span}")
+    mean_ex = _trapz(e, x) / span
     if mean_ex <= 0:
         raise ValueError("exact signal has non-positive mean")
-    ms = _trapz((a - e) ** 2, x) / t_final
+    ms = _trapz((a - e) ** 2, x) / span
     return math.sqrt(ms) / mean_ex
 
 
@@ -234,7 +229,7 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     for label, H in hams.items():
         st = evolve_static(H, psi0, traj.times)
         curves[label] = return_rate(st, psi0)
-        errors[label] = nrmse(curves[label], L_ex, t_final)
+        errors[label] = nrmse(curves[label], L_ex, traj.times)
     return {"times": traj.times, "L_exact": L_ex, "curves": curves,
             "nrmse": errors, "norm_drift": traj.meta["norm_drift"]}
 

@@ -63,9 +63,11 @@ def popcount_u64(x):
 
 @dataclass(frozen=True)
 class HubbardParams:
-    """Driven open Hubbard chain: H(t) = h + U_op - mu*N + 2*drive*cos(omega*t).
+    """Driven open Hubbard chain: H(t) = h + U_op + 2*drive*cos(omega*t).
 
-    Energies in units of the hopping J unless stated otherwise; hbar = 1.
+    Open boundaries.  No chemical potential: at fixed (n_up, n_down) it would
+    only shift every energy by a constant.  Energies in units of the hopping
+    J unless stated otherwise; hbar = 1.
     """
 
     L: int
@@ -73,8 +75,6 @@ class HubbardParams:
     U: float
     g: float
     omega: float
-    mu: float = 0.0
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.L < 2:
@@ -83,9 +83,7 @@ class HubbardParams:
             raise ValueError(f"L must be <= 16, got {self.L}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.boundary != "open":
-            raise ValueError("only open boundaries are supported")
-        for name in ("J", "U", "g", "mu"):
+        for name in ("J", "U", "g"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -105,8 +103,6 @@ class TwoBandChainParams:
     t2: float
     U11: float
     U12: float
-    g: float = 0.0
-    omega: float = 0.0
 
     def __post_init__(self):
         if self.L < 1:
@@ -265,9 +261,6 @@ class SparseOperator:
         return SparseOperator(self.matrix @ other.matrix,
                               self.basis or other.basis)
 
-    def matvec(self, x):
-        return self.matrix @ x
-
     def diagonal(self):
         return self.matrix.diagonal()
 
@@ -357,9 +350,6 @@ class TermSum:
             out.terms[new] = out.terms.get(new, 0j) + np.conj(c)
         return out
 
-    def hermitized(self):
-        return self + self.dagger()
-
     # -- materialization ------------------------------------------------
     def to_operator(self, basis):
         """Assemble the operator matrix on the given sector basis."""
@@ -431,10 +421,10 @@ def _apply_ops(states, ops, L):
 
 
 def hubbard_terms(p: HubbardParams):
-    """Term lists of the driven Hubbard chain: h, U_op, N_op, drive.
+    """Term lists of the driven Hubbard chain: h, U_op, drive.
 
     The drive is the dipole ramp g * sum_j j*n_j with 1-based site labels,
-    so H(t) = (h + U_op - mu*N_op) + 2*drive*cos(omega*t).
+    so H(t) = (h + U_op) + 2*drive*cos(omega*t).
     """
     h = TermSum()
     for j in range(p.L - 1):
@@ -444,12 +434,11 @@ def hubbard_terms(p: HubbardParams):
     u = TermSum()
     for j in range(p.L):
         u.add(p.U, [("n", j, UP), ("n", j, DN)])
-    n = total_number_terms(p.L)
     drive = TermSum()
     for j in range(p.L):
         for s in (UP, DN):
             drive.add(p.g * (j + 1), [("n", j, s)])
-    return {"h": h, "U_op": u, "N_op": n, "drive": drive}
+    return {"h": h, "U_op": u, "drive": drive}
 
 
 def total_number_terms(L):
@@ -469,7 +458,7 @@ def total_sz_terms(L):
 
 
 def build_hubbard_operators(p: HubbardParams, b: SectorBasis):
-    """Materialize {h, U_op, N_op, drive} on the sector basis."""
+    """Materialize {h, U_op, drive} on the sector basis."""
     if b.L != p.L:
         raise ValueError(f"basis has L={b.L}, params have L={p.L}")
     return {k: t.to_operator(b) for k, t in hubbard_terms(p).items()}

@@ -29,12 +29,12 @@ __all__ = [
 def hubbard_harmonics(p: HubbardParams, basis: SectorBasis = None):
     """Harmonic decomposition of the driven chain: static block and j = +-1.
 
-    Returns a HarmonicSeries with (0,0) -> h + U - mu*N and (1,+-1) -> the
+    Returns a HarmonicSeries with (0,0) -> h + U and (1,+-1) -> the
     drive ramp (identical at both harmonics, so the time dependence is
     2*cos(omega*t)).  Term-valued when ``basis`` is None.
     """
     t = hubbard_terms(p)
-    h0 = t["h"] + t["U_op"] + t["N_op"] * (-p.mu)
+    h0 = t["h"] + t["U_op"]
     series = HarmonicSeries(
         terms={(0, 0): h0, (1, 1): t["drive"], (1, -1): t["drive"]},
         omega=p.omega)
@@ -58,9 +58,9 @@ def floquet_h2_terms(p: HubbardParams, include_J2=False):
     """Static effective Hamiltonian through order g^2 as a term list.
 
     Bandwidth-renormalized hopping -J(1 - g^2/omega^2), the bare interaction
-    and chemical potential, and the density-dressed correlated hopping.  With
-    ``include_J2`` the order-(J^2 g^2) block (doublon exchange plus interior
-    three-site processes) is added.
+    and the density-dressed correlated hopping.  With ``include_J2`` the
+    order-(J^2 g^2) block (doublon exchange plus interior three-site
+    processes) is added.
     """
     beta, gamma, delta = _first_order_ladder(p.U, p.omega)
     t = TermSum()
@@ -71,9 +71,6 @@ def floquet_h2_terms(p: HubbardParams, include_J2=False):
             t.add(ren, [("cdag", j, s), ("c", j + 1, s)])
     for j in range(p.L):
         t.add(p.U, [("n", j, 0), ("n", j, 1)])
-        if p.mu != 0.0:
-            for s in (0, 1):
-                t.add(-p.mu, [("n", j, s)])
     ch = p.J * p.g ** 2 / p.omega ** 2
     half = 0.5 * (beta + gamma)
     for b in range(p.L - 1):
@@ -161,7 +158,7 @@ def floquet_h4(p: HubbardParams, b: SectorBasis):
     block including its J^2 families.
     """
     ops = build_hubbard_operators(p, b)
-    h0 = ops["h"] + ops["U_op"] + (-p.mu) * ops["N_op"]
+    h0 = ops["h"] + ops["U_op"]
     h_m1 = ops["drive"]
     f = hubbard_micromotion(p, b, max_hop_order=2, fswt_order=3)
     hp2 = floquet_h2(p, b, include_J2=True) - h0
@@ -188,7 +185,7 @@ def hfe_h(p: HubbardParams, b: SectorBasis, order=2):
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     ops = build_hubbard_operators(p, b)
-    h0 = ops["h"] + ops["U_op"] + (-p.mu) * ops["N_op"]
+    h0 = ops["h"] + ops["U_op"]
     if order == 1:
         return h0
     drive = ops["drive"]

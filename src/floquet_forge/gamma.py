@@ -150,8 +150,7 @@ def _difference_table(n):
     return (idx[:, None] - idx[None, :]) % n
 
 
-def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega,
-                 allow_large=False):
+def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Vertex matrix at pair momentum labels (k, q).
 
     [G]_{p,p'} = (w + e1_k - e1_{k+q} + e1_{p'+q} - e2_{p'}
@@ -159,16 +158,17 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega,
                  + (1 - delta_{p,p'}) V_{p-p'}/N.
 
     ``k`` is a grid index pair; ``q`` is an index shift (q = (0,0) means zero
-    transfer).
+    transfer).  The matrix is dense, so grids above ``MAX_DENSE`` momenta
+    raise ``ValueError``.
     """
     nx, ny = grid.kx.size, grid.ky.size
     if prof.shape != (nx, ny):
         raise ValueError(f"profile shape {prof.shape} does not match grid "
                          f"({nx}, {ny})")
     n = nx * ny
-    if n > MAX_DENSE and not allow_large:
+    if n > MAX_DENSE:
         raise ValueError(f"dense vertex capped at {MAX_DENSE} momenta, "
-                         f"got {n}; pass allow_large=True to override")
+                         f"got {n}")
     ikx, iky = int(k[0]) % nx, int(k[1]) % ny
     iqx, iqy = int(q[0]) % nx, int(q[1]) % ny
     sum_v = (float(np.sum(prof.Vq)) - float(prof.Vq[0, 0])) / n
@@ -186,11 +186,9 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega,
                        k=(ikx, iky), q=(iqx, iqy), grid_shape=(nx, ny))
 
 
-def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega,
-                    allow_large=False):
+def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega):
     """Zero-transfer vertex; independent of the spectator momentum."""
-    return gamma_matrix(grid, prof, (0, 0), (0, 0), omega,
-                        allow_large=allow_large)
+    return gamma_matrix(grid, prof, (0, 0), (0, 0), omega)
 
 
 def _checked_inverse(m):
@@ -282,7 +280,7 @@ def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
 
 
 def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
-                        k, k1, q, s=0, sp=0):
+                        k, k1, q, s=0):
     """Drive-induced scattering amplitude between pair momenta k and k1.
 
     g^2 sum_{k'} (J_{k',s}/(w + e12_{k'}) - J_{k,s}/(w + e12_k))
@@ -308,15 +306,15 @@ def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
 
 
 def interaction_weight(grid: BandGrid, prof: InteractionProfile, g, omega,
-                       k, k1, q, s=0, sp=0):
+                       k, k1, q, s=0):
     """Hermitized pair-interaction weight.
 
     (1/2)(V_{k,k1,q} J_{k1,s}^* + J_{k,s} V_{k1,k,q}^*); symmetric under
     simultaneous exchange and conjugation by construction.
     """
     nx, ny = grid.kx.size, grid.ky.size
-    v_fwd = scattering_strength(grid, prof, g, omega, k, k1, q, s, sp)
-    v_rev = scattering_strength(grid, prof, g, omega, k1, k, q, s, sp)
+    v_fwd = scattering_strength(grid, prof, g, omega, k, k1, q, s)
+    v_rev = scattering_strength(grid, prof, g, omega, k1, k, q, s)
     jk = complex(prof.Jcoupling[s][int(k[0]) % nx, int(k[1]) % ny])
     jk1 = complex(prof.Jcoupling[s][int(k1[0]) % nx, int(k1[1]) % ny])
     return 0.5 * (v_fwd * np.conj(jk1) + jk * np.conj(v_rev))
@@ -358,6 +356,6 @@ def coulomb_mix_selfenergy(grid: BandGrid, prof: InteractionProfile, g,
         for iy in range(ny):
             qshift = ((ikk_x - ix) % nx, (ikk_y - iy) % ny)
             v = scattering_strength(grid, prof, g, omega, (ix, iy), (ix, iy),
-                                    qshift, 0, 0)
+                                    qshift, 0)
             total += (v * np.conj(j0[ix, iy])).real
     return float(total)

@@ -243,14 +243,14 @@ def floquet_band(grid: BandGrid, omega, g):
     return {"eps_tilde": eps_t, "t_tilde": _laplacian_t(grid, eps_t)}
 
 
-def stark_bs_ratio(grid: BandGrid, omega, g):
+def stark_bs_ratio(grid: BandGrid, omega):
     """Ratio field of the counter- to co-rotating light shifts.
 
-    Returns the full BZ field delta_bs/delta (the g-dependence of the two
-    shifts cancels in the ratio).  Compared against the two-level ratio
-    (w_ref + w)/(w_ref - w) built on the bound-state frequency, or on the
-    occupied band edge when no bound state exists.  Both ratios are
-    positive below resonance and flip sign above it.
+    Returns the full BZ field delta_bs/delta.  Both shifts scale as g^2, so
+    the drive strength cancels and is not an argument.  Compared against
+    the two-level ratio (w_ref + w)/(w_ref - w) built on the bound-state
+    frequency, or on the occupied band edge when no bound state exists.
+    Both ratios are positive below resonance and flip sign above it.
     """
     delta = screened_detuning(grid, omega)
     delta_bs = bs_detuning(grid, omega)

@@ -1,0 +1,37 @@
+"""The package names and signatures the benchmark under ``perfbench/`` uses.
+
+The benchmark imports the package from ``src/`` and calls it directly, so a
+renamed function or a dropped argument breaks it without failing any other
+test.  One traced bz-solve job checks both the calls and their outputs
+against ``perfbench/references.json``.  It runs in a subprocess because
+``tracing.install`` rewraps the package's functions for the whole process.
+"""
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    root, work = Path(sys.argv[1]), Path(sys.argv[2])
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import tracing
+    import workloads
+
+    tracing.install(tracing.Tracer())
+    ctx = workloads.setup("bz-solve", work)
+    job = workloads.candidates()["phase-winding"][0]
+    _, errors = workloads.run_job(ctx, job)
+    assert errors == [], errors
+""")
+
+
+def test_traced_bz_solve_job_matches_references(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -180,6 +180,22 @@ def test_propagation_failure_exits_2(tmp_path, capsys):
     assert "physics error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timing", [
+    "dt = 0.0", "dt = -0.1", "t_final = inf", "sample_dt = inf",
+    "sample_dt = -0.5", "sample_dt = 0.0", "tolerance = -1.0",
+    "tolerance = 0.0",
+])
+def test_bad_timing_key_exits_1(tmp_path, capsys, timing):
+    # each must be a config error, neither a traceback nor a silent run
+    base = "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+    if not timing.startswith("t_final"):
+        base += "t_final = 1.0\n"
+    code, out = run_cli(tmp_path, "bench-return-rate", f"{base}{timing}\n")
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "nrmse.txt").exists()
+
+
 def test_bad_order_exits_1(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "derive-hamiltonian",
                       "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"

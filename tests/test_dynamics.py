@@ -9,7 +9,8 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
                            evolve_static, nrmse, return_rate,
                            return_rate_benchmark)
 from floquet_forge.errors import PropagationError
-from floquet_forge.fswt import floquet_h2, hfe_h, hubbard_harmonics
+from floquet_forge.fswt import (floquet_h2, hfe_h, hubbard_harmonics,
+                                strong_drive_harmonics)
 
 
 # -- initial state and containers -------------------------------------------
@@ -59,6 +60,13 @@ def test_evolve_exact_guards():
         evolve_exact(series, psi0, -1.0)
     with pytest.raises(ValueError):
         evolve_exact(series, 2.0 * psi0, 1.0)
+    # only a materialized H0 + 2cos(omega t) D with a diagonal D propagates:
+    # strong-drive harmonics reach |m| = 3 and hop off the diagonal
+    strong = strong_drive_harmonics(2, 1.0, 3.0, 2.0, 12.0, jmax=3)
+    with pytest.raises(ValueError, match="harmonics 0 and"):
+        evolve_exact(strong.materialize(b), psi0, 1.0)
+    with pytest.raises(ValueError, match="materialized"):
+        evolve_exact(hubbard_harmonics(p), psi0, 1.0)
 
 
 def test_zero_drive_matches_static_propagation():
@@ -102,25 +110,39 @@ def test_norm_drift_stays_tiny():
 # -- mismatch metric ---------------------------------------------------------
 
 def test_nrmse_identity_and_offset():
-    e = 0.5 + 0.1 * np.sin(np.linspace(0.0, 6.0, 200))
-    assert nrmse(e, e, 6.0) == 0.0
-    # constant offset: metric reduces to offset / mean
-    got = nrmse(e + 0.05, e, 6.0)
     x = np.linspace(0.0, 6.0, 200)
+    e = 0.5 + 0.1 * np.sin(x)
+    assert nrmse(e, e, x) == 0.0
+    # constant offset: metric reduces to offset / mean
+    got = nrmse(e + 0.05, e, x)
     mean = np.trapezoid(e, x) / 6.0
     assert got == pytest.approx(0.05 / mean, rel=1e-12)
 
 
+def test_nrmse_weights_uneven_sample_times():
+    # evolve_exact's last interval is short when the sample stride does not
+    # divide the step count; e = 1 + t is linear, so its trapezoid mean over
+    # [0, 2.5] is exactly 2.25, and the lone deviation at t = 2.5 carries
+    # the half-width interval: mean square 0.5 * 0.5 / 2.5 = 0.1
+    t = np.array([0.0, 1.0, 2.0, 2.5])
+    e = 1.0 + t
+    a = e + np.array([0.0, 0.0, 0.0, 1.0])
+    assert nrmse(a, e, t) == pytest.approx(np.sqrt(0.1) / 2.25, rel=1e-14)
+
+
 def test_nrmse_domain_errors():
     e = np.ones(10)
+    t = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ValueError):
-        nrmse(np.ones(9), e, 1.0)
+        nrmse(np.ones(9), e, t)
     with pytest.raises(ValueError):
-        nrmse(e, e, 0.0)
+        nrmse(e, e, np.zeros(10))
     with pytest.raises(ValueError):
-        nrmse(e, np.zeros(10), 1.0)
+        nrmse(e, e, t[:9])
     with pytest.raises(ValueError):
-        nrmse(np.ones(1), np.ones(1), 1.0)
+        nrmse(e, np.zeros(10), t)
+    with pytest.raises(ValueError):
+        nrmse(np.ones(1), np.ones(1), t[:1])
 
 
 # -- benchmark ordering ------------------------------------------------------

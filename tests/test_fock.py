@@ -92,7 +92,8 @@ def test_hubbard_operators_match_oracle():
     h_d, u_d, n_d, d_d = hubbard_dense(3, 0.7, 2.3, 0.0, 1.1)
     assert_allclose(ops["h"].to_dense(), embed_sector(h_d, b), atol=1e-13)
     assert_allclose(ops["U_op"].to_dense(), embed_sector(u_d, b), atol=1e-13)
-    assert_allclose(ops["N_op"].to_dense(), embed_sector(n_d, b), atol=1e-13)
+    assert_allclose(total_number_terms(3).to_operator(b).to_dense(),
+                    embed_sector(n_d, b), atol=1e-13)
     assert_allclose(ops["drive"].to_dense(), embed_sector(d_d, b), atol=1e-13)
 
 
@@ -122,7 +123,7 @@ def test_hubbard_symmetries():
     p = HubbardParams(L=4, J=1.0, U=3.0, g=2.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
     ops = build_hubbard_operators(p, b)
-    n_op = ops["N_op"]
+    n_op = total_number_terms(4).to_operator(b)
     sz = total_sz_terms(4).to_operator(b)
     for k in ("h", "U_op", "drive"):
         assert ops[k].hermitian

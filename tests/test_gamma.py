@@ -155,14 +155,10 @@ def test_gamma_matrix_profile_shape_guard(square6):
         gamma_matrix(grid, wrong, (0, 0), (0, 0), 3.63)
 
 
-def test_dense_cap_and_override(paper_grid):
+def test_dense_cap(paper_grid):
     prof = constant_profile(paper_grid, 1.6)
     with pytest.raises(ValueError, match=str(MAX_DENSE)):
         mf_gamma_matrix(paper_grid, prof, 2.0)
-    big = BandGrid.square(36, 36, **BANDS)
-    gm = mf_gamma_matrix(big, constant_profile(big, 1.6), 2.0,
-                         allow_large=True)
-    assert gm.dim == 36 * 36
 
 
 def test_mf_gamma_matrix_is_zero_transfer(square6):

@@ -152,7 +152,7 @@ def test_t_matrix_grows_toward_bound_state(paper_grid):
 
 def test_stark_ratio_reference_points(paper_grid):
     w_ex = exciton_frequency(paper_grid)
-    out = stark_bs_ratio(paper_grid, w_ex - 0.03, 0.01)
+    out = stark_bs_ratio(paper_grid, w_ex - 0.03)
     assert out["reference"] == "exciton"
     assert out["tla_ratio"] == pytest.approx(178.38829110812947, abs=1e-9)
     r = out["ratio"]
@@ -166,7 +166,7 @@ def test_stark_ratio_reference_points(paper_grid):
 
 def test_stark_ratio_is_even_in_k(paper_grid):
     w_ex = exciton_frequency(paper_grid)
-    r = stark_bs_ratio(paper_grid, w_ex - 0.03, 0.01)["ratio"]
+    r = stark_bs_ratio(paper_grid, w_ex - 0.03)["ratio"]
     n = np.arange(64)
     mirrored = r[(-n) % 64][:, (-n) % 64]
     assert np.abs(r - mirrored).max() <= 1e-10
@@ -176,7 +176,7 @@ def test_stark_ratio_band_edge_fallback():
     # no bound state at U12 = 0; reference falls back to the Hartree-shifted
     # occupied edge 2.9 - U11*nu = 1.3
     g = BandGrid.square(32, 32, 3.7, 0.05, -0.15, 1.6, 0.0)
-    out = stark_bs_ratio(g, 1.0, 0.01)
+    out = stark_bs_ratio(g, 1.0)
     assert out["reference"] == "band-edge"
     assert out["tla_ratio"] == pytest.approx((1.3 + 1.0) / (1.3 - 1.0))
 
