@@ -18,6 +18,8 @@ __version__ = "0.1.0"
 _SUBMODULES = ("errors", "fock", "kernels", "sylvester", "fswt", "dynamics",
                "kspace", "gamma", "cli")
 
+# name -> submodule, the union of the submodules' __all__ (a test keeps the
+# two equal); names resolve lazily so that importing the package stays cheap
 _EXPORTS = {
     # errors
     "FloquetForgeError": "errors", "ConfigError": "errors",
@@ -29,20 +31,29 @@ _EXPORTS = {
     "SectorBasis": "fock", "build_sector_basis": "fock",
     "SparseOperator": "fock", "TermSum": "fock", "commutator": "fock",
     "build_hubbard_operators": "fock", "build_two_band_chain": "fock",
+    "hubbard_terms": "fock", "two_band_terms": "fock",
+    "total_number_terms": "fock", "total_sz_terms": "fock",
+    "popcount_u64": "fock",
+    # kernels
+    "HamiltonianAction": "kernels", "lanczos_expm_multiply": "kernels",
     # sylvester
     "HarmonicSeries": "sylvester", "MicroMotion": "sylvester",
     "HopExpansionCoeffs": "sylvester", "solve_dense": "sylvester",
     "green_rule_solve": "sylvester", "sylvester_residual": "sylvester",
-    "hubbard_micromotion": "sylvester", "solve_order2": "sylvester",
+    "hubbard_micromotion": "sylvester",
+    "hubbard_micromotion_terms": "sylvester", "solve_order2": "sylvester",
+    "default_resonance_tol": "sylvester",
     # fswt
-    "hubbard_harmonics": "fswt", "floquet_h2": "fswt", "floquet_h4": "fswt",
-    "hfe_h": "fswt", "spin_exchange": "fswt",
+    "hubbard_harmonics": "fswt", "floquet_h2": "fswt",
+    "floquet_h2_terms": "fswt", "floquet_h4": "fswt",
+    "floquet_h4_terms_j1": "fswt", "hfe_h": "fswt", "spin_exchange": "fswt",
     "strong_drive_harmonics": "fswt",
     # dynamics
     "Trajectory": "dynamics", "cdw_state": "dynamics",
     "evolve_exact": "dynamics", "evolve_static": "dynamics",
     "return_rate": "dynamics", "nrmse": "dynamics",
-    "return_rate_benchmark": "dynamics", "absorbance_ed": "dynamics",
+    "return_rate_benchmark": "dynamics", "dipole_excitations": "dynamics",
+    "absorbance_ed": "dynamics",
     # kspace
     "BandGrid": "kspace", "CavitySpec": "kspace", "bare_detuning": "kspace",
     "screened_detuning": "kspace", "bs_detuning": "kspace",
@@ -53,10 +64,13 @@ _EXPORTS = {
     "InteractionProfile": "gamma", "constant_profile": "gamma",
     "valley_dip_profile": "gamma", "phase_winding_profile": "gamma",
     "GammaMatrix": "gamma", "gamma_matrix": "gamma",
-    "mf_gamma_matrix": "gamma", "series_vs_inverse": "gamma",
-    "eigen_sign_analysis": "gamma", "mf_screened_denominator": "gamma",
-    "scattering_strength": "gamma", "interaction_weight": "gamma",
-    "cavity_global_interaction": "gamma", "coulomb_mix_selfenergy": "gamma",
+    "mf_gamma_matrix": "gamma", "rpa_kernel": "gamma",
+    "series_vs_inverse": "gamma", "eigen_sign_analysis": "gamma",
+    "mf_screened_denominator": "gamma", "scattering_strength": "gamma",
+    "interaction_weight": "gamma", "cavity_global_interaction": "gamma",
+    "coulomb_mix_selfenergy": "gamma",
+    # cli
+    "main": "cli", "parse_config": "cli", "map_ordered": "cli",
 }
 
 __all__ = ["__version__"] + list(_SUBMODULES) + sorted(_EXPORTS)

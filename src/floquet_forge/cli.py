@@ -10,6 +10,7 @@ codes: 0 ok, 1 config error, 2 physics error.
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -77,10 +78,13 @@ def _coerce(key, raw, typ):
             raise ConfigError(f"key {key!r}: expected true/false, got {raw!r}")
         return low == "true"
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as "
                           f"{typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
+    return value
 
 
 # key -> (type, required, default); units/output_dir are handled globally

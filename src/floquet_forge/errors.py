@@ -3,6 +3,16 @@
 ConfigError maps to CLI exit code 1, PhysicsError subclasses to exit code 2.
 """
 
+__all__ = [
+    "FloquetForgeError",
+    "ConfigError",
+    "PhysicsError",
+    "ResonantDenominator",
+    "BandResonance",
+    "NoExciton",
+    "PropagationError",
+]
+
 
 class FloquetForgeError(Exception):
     """Base class for package errors."""

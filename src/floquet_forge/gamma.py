@@ -6,6 +6,13 @@ From it: the mean-field screened denominator, an RPA-style geometric series
 check against the exact inverse, the bound-state eigenproblem, scattering
 strengths between dressed pairs, the cavity-mediated global interaction, and
 the Coulomb-mixing self-energy.
+
+The functions that need the whole vertex (``gamma_matrix``,
+``series_vs_inverse``, ``eigen_sign_analysis``) build it densely and are
+capped at ``MAX_DENSE`` momenta.  The solve-based functions read the inverse
+only through ``_vertex_solver``: for a constant V_q the vertex is a diagonal
+plus a rank-one term, solved by Sherman-Morrison in O(N) without forming the
+matrix and without a size cap; any other V_q takes the capped dense inverse.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ class InteractionProfile:
         j = np.asarray(self.Jcoupling, dtype=np.complex128)
         if v.ndim != 2:
             raise ValueError(f"Vq must be 2-d, got shape {v.shape}")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(j))):
+            raise ValueError("Vq and Jcoupling must be finite")
         if j.shape == v.shape:
             j = np.stack([j, j])
         if j.shape != (2,) + v.shape:
@@ -150,6 +159,22 @@ def _difference_table(n):
     return (idx[:, None] - idx[None, :]) % n
 
 
+def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
+    """Vertex diagonal at (k, q) as an (Nx, Ny) array, with wrapped k and q."""
+    nx, ny = grid.kx.size, grid.ky.size
+    if prof.shape != (nx, ny):
+        raise ValueError(f"profile shape {prof.shape} does not match grid "
+                         f"({nx}, {ny})")
+    ikx, iky = int(k[0]) % nx, int(k[1]) % ny
+    iqx, iqy = int(q[0]) % nx, int(q[1]) % ny
+    sum_v = (float(np.sum(prof.Vq)) - float(prof.Vq[0, 0])) / (nx * ny)
+    eps1_shift = np.roll(np.roll(grid.eps1, -iqx, axis=0), -iqy, axis=1)
+    diag = (omega + grid.eps1[ikx, iky]
+            - grid.eps1[(ikx + iqx) % nx, (iky + iqy) % ny]
+            + eps1_shift - grid.eps2 - sum_v)
+    return diag, (ikx, iky), (iqx, iqy)
+
+
 def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Vertex matrix at pair momentum labels (k, q).
 
@@ -159,23 +184,15 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
 
     ``k`` is a grid index pair; ``q`` is an index shift (q = (0,0) means zero
     transfer).  The matrix is dense, so grids above ``MAX_DENSE`` momenta
-    raise ``ValueError``.
+    raise ``ValueError``; the solve-based functions below do not need it
+    when V_q is constant.
     """
-    nx, ny = grid.kx.size, grid.ky.size
-    if prof.shape != (nx, ny):
-        raise ValueError(f"profile shape {prof.shape} does not match grid "
-                         f"({nx}, {ny})")
+    diag, kk, qq = _vertex_diagonal(grid, prof, k, q, omega)
+    nx, ny = diag.shape
     n = nx * ny
     if n > MAX_DENSE:
         raise ValueError(f"dense vertex capped at {MAX_DENSE} momenta, "
                          f"got {n}")
-    ikx, iky = int(k[0]) % nx, int(k[1]) % ny
-    iqx, iqy = int(q[0]) % nx, int(q[1]) % ny
-    sum_v = (float(np.sum(prof.Vq)) - float(prof.Vq[0, 0])) / n
-    eps1_shift = np.roll(np.roll(grid.eps1, -iqx, axis=0), -iqy, axis=1)
-    diag = (omega + grid.eps1[ikx, iky]
-            - grid.eps1[(ikx + iqx) % nx, (iky + iqy) % ny]
-            + eps1_shift - grid.eps2 - sum_v)
     dif_x = _difference_table(nx)
     dif_y = _difference_table(ny)
     m = prof.Vq[dif_x[:, None, :, None],
@@ -183,7 +200,7 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     np.fill_diagonal(m, 0.0)
     m[np.diag_indices(n)] += diag.ravel()
     return GammaMatrix(matrix=m, omega=float(omega),
-                       k=(ikx, iky), q=(iqx, iqy), grid_shape=(nx, ny))
+                       k=kk, q=qq, grid_shape=(nx, ny))
 
 
 def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega):
@@ -201,6 +218,69 @@ def _checked_inverse(m):
             or np.max(np.abs(inv)) * np.finfo(float).eps * diag_scale > 1e-3:
         raise BandResonance("vertex matrix is numerically singular")
     return inv
+
+
+def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
+    """Return ``solve`` with solve(b) = Gamma^{-1} b for the vertex at (k, q).
+
+    An integer ``b`` stands for the unit vector e_b, so ``solve(b)`` is
+    column b of the inverse.  The singularity verdict is that of
+    ``_checked_inverse`` and is given here, before any solve.
+
+    With a constant V_q = U the vertex is diag(D) + c 11^T with c = U/N and
+    D = diag(Gamma) - c, a diagonal plus a rank-one term, whose inverse
+    Sherman-Morrison gives in O(N) without forming the matrix.  It is used
+    in a pivoted form: with j the smallest |D_j|, every row p != j of
+    Gamma x = b gives x_p = (b_p - b_j + D_j x_j)/D_p, and row j gives
+    x_j = (b_j - c sum_{p != j} (b_p - b_j)/D_p) / (D_j + c (1 + D_j s)),
+    s = sum_{p != j} 1/D_p.  Nothing divides by D_j, so an exactly zero
+    D_j needs no special case.  The largest |Gamma^{-1}| entry has a closed
+    form too, so the verdict costs O(N).  Any other V_q takes the dense
+    inverse, and its ``MAX_DENSE`` cap.
+    """
+    if not np.all(prof.Vq == prof.Vq[0, 0]):
+        inv = _checked_inverse(gamma_matrix(grid, prof, k, q, omega).matrix)
+
+        def dense_solve(b):
+            # b @ inv is inv @ b for the symmetric vertex
+            return inv[:, b] if isinstance(b, int) else b @ inv
+        return dense_solve
+
+    a = _vertex_diagonal(grid, prof, k, q, omega)[0].ravel()
+    n = a.size
+    c = float(prof.Vq[0, 0]) / n
+    d = a - c
+    j = int(np.argmin(np.abs(d)))
+    rest = np.arange(n) != j
+    dj = d[j]
+    w = np.zeros(n)
+    if np.any(d[rest] == 0.0):
+        raise BandResonance("vertex matrix is singular: two equal rows")
+    w[rest] = 1.0 / d[rest]
+    s = float(np.sum(w))
+    den = dj + c * (1.0 + dj * s)
+    if den == 0.0:
+        raise BandResonance("vertex matrix is singular: rank-one pole")
+    # Gamma^{-1} = diag(w) - gam w w^T on p, p' != j; column j is
+    # -c w/den off the diagonal and (1 + c s)/den on it.
+    gam = c * dj / den
+    r = np.partition(np.abs(np.append(w, 0.0)), -2)[-2:]  # two largest |w_p|
+    largest = max(float(np.max(np.abs(w - gam * w * w))),
+                  abs(gam) * r[0] * r[1], abs(c / den) * r[1],
+                  abs((1.0 + c * s) / den))
+    scale = max(1.0, float(np.max(np.abs(a))), abs(c) if n > 1 else 0.0)
+    if not math.isfinite(largest) \
+            or largest * np.finfo(float).eps * scale > 1e-3:
+        raise BandResonance("vertex matrix is numerically singular")
+
+    def solve(b):
+        if isinstance(b, int):
+            b = np.eye(1, n, b)[0]
+        xj = (b[j] - c * (w @ (b - b[j]))) / den
+        x = w * (b - b[j] + dj * xj)
+        x[j] = xj
+        return x
+    return solve
 
 
 def rpa_kernel(gm: GammaMatrix):
@@ -257,18 +337,25 @@ def eigen_sign_analysis(gm: GammaMatrix):
             "negative_count": int(np.sum(energies < 0.0))}
 
 
+def _check_spins(*labels):
+    for s in labels:
+        if not (isinstance(s, (int, np.integer)) and s in (0, 1)):
+            raise ValueError(f"spin label must be 0 or 1, got {s!r}")
+
+
 def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
     """Pair-screened detuning per final momentum and spin.
 
     1/Delta_kf = sum_k J12_{k,s} [Gamma_MF^{-1}]_{k,kf}; returns shape
-    (2, Nx, Ny), cast to real when the couplings allow it.
+    (2, Nx, Ny), cast to real when the couplings allow it.  One vertex solve
+    per spin: O(N) with no size cap for a constant V_q, a dense inverse
+    capped at ``MAX_DENSE`` momenta otherwise.
     """
-    gm = mf_gamma_matrix(grid, prof, omega)
-    inv = _checked_inverse(gm.matrix)
-    nx, ny = gm.grid_shape
+    solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
+    nx, ny = grid.kx.size, grid.ky.size
     out = np.empty((2, nx * ny), dtype=np.complex128)
     for s in (0, 1):
-        v = prof.Jcoupling[s].ravel() @ inv
+        v = solve(prof.Jcoupling[s].ravel())
         scale = max(1.0, float(np.max(np.abs(v))))
         if np.any(np.abs(v) < 1e-14 * scale):
             raise BandResonance("pair screening sum vanishes at some "
@@ -284,11 +371,13 @@ def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
     """Drive-induced scattering amplitude between pair momenta k and k1.
 
     g^2 sum_{k'} (J_{k',s}/(w + e12_{k'}) - J_{k,s}/(w + e12_k))
-    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}.
+    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}.  Reads one column of the
+    inverse: O(N) with no size cap for a constant V_q, a dense inverse
+    capped at ``MAX_DENSE`` momenta otherwise.  ``s`` is 0 or 1.
     """
+    _check_spins(s)
     nx, ny = grid.kx.size, grid.ky.size
-    gm = gamma_matrix(grid, prof, k, q, omega)
-    inv = _checked_inverse(gm.matrix)
+    solve = _vertex_solver(grid, prof, k, q, omega)
     den = omega + (grid.eps1 - grid.eps2).ravel()
     scale = max(1.0, float(np.max(np.abs(den))))
     if np.min(np.abs(den)) < 1e-9 * scale:
@@ -302,7 +391,7 @@ def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
                    (np.arange(ny)[None, :] - iky) % ny].ravel()
     diff = ratio - ratio[kf]
     k1f = _flat(grid, k1)
-    return complex(g ** 2 * np.sum(diff * vrow / (nx * ny) * inv[:, k1f]))
+    return complex(g ** 2 * np.sum(diff * vrow / (nx * ny) * solve(k1f)))
 
 
 def interaction_weight(grid: BandGrid, prof: InteractionProfile, g, omega,
@@ -310,7 +399,9 @@ def interaction_weight(grid: BandGrid, prof: InteractionProfile, g, omega,
     """Hermitized pair-interaction weight.
 
     (1/2)(V_{k,k1,q} J_{k1,s}^* + J_{k,s} V_{k1,k,q}^*); symmetric under
-    simultaneous exchange and conjugation by construction.
+    simultaneous exchange and conjugation by construction.  Two
+    ``scattering_strength`` calls, so O(N) for a constant V_q.  ``s`` is 0
+    or 1.
     """
     nx, ny = grid.kx.size, grid.ky.size
     v_fwd = scattering_strength(grid, prof, g, omega, k, k1, q, s)
@@ -325,17 +416,20 @@ def cavity_global_interaction(grid: BandGrid, prof: InteractionProfile,
     """Cavity-mediated interaction between dressed pairs at kf and kf'.
 
     -(g^2 gc0^2/(N delta_c)) Re[(sum_k [X]_{k,kf} J_{k,s}) J_{kf',sp}^*]
-    * sum_{k'} [X]_{k',kf'}, with X the inverse zero-transfer vertex.
+    * sum_{k'} [X]_{k',kf'}, with X the inverse zero-transfer vertex.  Reads
+    two columns of X: O(N) with no size cap for a constant V_q, a dense
+    inverse capped at ``MAX_DENSE`` momenta otherwise.  ``s`` and ``sp``
+    are 0 or 1.
     """
-    gm = mf_gamma_matrix(grid, prof, omega)
-    inv = _checked_inverse(gm.matrix)
-    n = gm.dim
+    _check_spins(s, sp)
+    solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
+    n = grid.kx.size * grid.ky.size
     kf_f = _flat(grid, kf)
     kfp_f = _flat(grid, kfp)
     js = prof.Jcoupling[s].ravel()
     jsp = prof.Jcoupling[sp].ravel()
-    weighted = complex(inv[:, kf_f] @ js)
-    plain = float(np.sum(inv[:, kfp_f]))
+    weighted = complex(solve(kf_f) @ js)
+    plain = float(np.sum(solve(kfp_f)))
     re_part = (weighted * np.conj(jsp[kfp_f])).real
     return -(cav.g ** 2 * cav.gc0 ** 2 / (n * cav.delta_c)) \
         * re_part * plain
@@ -346,7 +440,8 @@ def coulomb_mix_selfenergy(grid: BandGrid, prof: InteractionProfile, g,
     """Coulomb-mixing self-energy at total momentum index K.
 
     sum_k Re[V_{k,k,K-k} J_{k}^*]; nonzero through neighboring couplings
-    even where J vanishes at K itself.
+    even where J vanishes at K itself.  One ``scattering_strength`` per grid
+    momentum, each O(N) for a constant V_q, so O(N^2) in all.
     """
     nx, ny = grid.kx.size, grid.ky.size
     ikk_x, ikk_y = int(K[0]) % nx, int(K[1]) % ny

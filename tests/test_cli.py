@@ -196,6 +196,21 @@ def test_bad_timing_key_exits_1(tmp_path, capsys, timing):
     assert not (out / "nrmse.txt").exists()
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("U_coulomb", "nan"), ("U_coulomb", "inf"), ("omega", "nan"),
+    ("eps21", "inf"),
+])
+def test_non_finite_float_exits_1(tmp_path, capsys, key, bad):
+    # these used to exit 0 with an all-NaN eigen.csv and a valid manifest
+    cfg_text, _ = CONFIGS["gamma-scan"]
+    lines = [f"{key} = {bad}" if ln.split(" = ")[0] == key else ln
+             for ln in cfg_text.splitlines()]
+    code, out = run_cli(tmp_path, "gamma-scan", "\n".join(lines) + "\n")
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "eigen.csv").exists()
+
+
 def test_bad_order_exits_1(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "derive-hamiltonian",
                       "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"

@@ -6,6 +6,9 @@ silent regressions in the vertex conventions (index wrapping, 1/N
 normalization, Hartree-style diagonal subtraction).
 """
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from floquet_forge.gamma import (
     GammaMatrix,
     InteractionProfile,
     _checked_inverse,
+    _vertex_diagonal,
+    _vertex_solver,
     cavity_global_interaction,
     constant_profile,
     coulomb_mix_selfenergy,
@@ -31,6 +36,7 @@ from floquet_forge.gamma import (
     valley_dip_profile,
 )
 from floquet_forge.kspace import cavity_forward_interaction, screened_detuning
+from oracles import dense_vertex
 
 BANDS = dict(eps21=3.7, t1=0.05, t2=-0.15, U11=1.6, U12=0.8)
 
@@ -78,6 +84,17 @@ def test_profile_validation():
         InteractionProfile(Vq=asym, Jcoupling=ones)
     with pytest.raises(ValueError, match="exceed 1"):
         InteractionProfile(Vq=ones, Jcoupling=1.5 * ones)
+
+
+@pytest.mark.parametrize("field", ["Vq", "Jcoupling"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_rejects_non_finite(field, bad):
+    # a NaN V_q used to pass the V_q = V_{-q} check (NaN compares False)
+    # and then surface as a BandResonance; a NaN coupling ran silently
+    args = {"Vq": np.ones((4, 4)), "Jcoupling": np.ones((4, 4))}
+    args[field][1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        InteractionProfile(**args)
 
 
 def test_valley_dip_profile_zero_at_center():
@@ -355,3 +372,204 @@ def test_winding_suppresses_coulomb_mixing():
     assert abs(wound) < abs(plain)
     assert abs(wound) / abs(plain) == pytest.approx(0.15472552225108624,
                                                     abs=1e-9)
+
+
+def test_spin_labels_validated(square6):
+    grid, prof = square6
+    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
+    args = (grid, prof, 0.02, 3.63, (1, 2), (4, 5), (2, 1))
+    for bad in (-1, 2, 0.0):
+        with pytest.raises(ValueError, match="spin"):
+            scattering_strength(*args, s=bad)
+        with pytest.raises(ValueError, match="spin"):
+            interaction_weight(*args, s=bad)
+        with pytest.raises(ValueError, match="spin"):
+            cavity_global_interaction(grid, prof, cav, 3.63, (1, 2), (4, 5),
+                                      s=bad)
+        with pytest.raises(ValueError, match="spin"):
+            cavity_global_interaction(grid, prof, cav, 3.63, (1, 2), (4, 5),
+                                      sp=bad)
+    # both labels of a spin-resolved profile are legal
+    assert cavity_global_interaction(grid, prof, cav, 3.63, (1, 2), (4, 5),
+                                     s=1, sp=1) != 0.0
+
+
+# ------------------------------------------------ vertex solves, rank-one path
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))
+                 / np.max(np.abs(np.asarray(b))))
+
+
+def _profiles(grid):
+    n = grid.kx.size
+    return {
+        "constant": constant_profile(grid, 1.6),
+        "valley-dip": valley_dip_profile(grid, 1.6, (n // 2, n // 3), 0.6),
+        "phase-winding": phase_winding_profile(grid, 1.6, (n // 2, n // 3),
+                                               (1, n - 2), 0.6),
+    }
+
+
+@pytest.fixture(scope="module")
+def square16():
+    return BandGrid.square(16, 16, **BANDS)
+
+
+@pytest.mark.parametrize("kind, omega_se", [("constant", 1.8),
+                                            ("valley-dip", 2.1),
+                                            ("phase-winding", 2.4)])
+def test_solves_match_dense_oracle(square16, kind, omega_se):
+    """Every solve-based function against the independent dense inverse."""
+    grid = square16
+    prof = _profiles(grid)[kind]
+    data = (grid.eps1, grid.eps2, prof.Vq, prof.Jcoupling)
+    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
+    k, k1, q = (1, 2), (14, 3), (2, 15)
+    for omega in (1.8, 2.1, 2.4):
+        assert _rel(mf_screened_denominator(grid, prof, omega),
+                    dense_vertex.mf_denominator(*data, omega)) < 1e-12
+        assert _rel(scattering_strength(grid, prof, 0.02, omega, k, k1, q,
+                                        s=1),
+                    dense_vertex.scattering(*data, 0.02, omega, k, k1, q,
+                                            s=1)) < 1e-12
+        assert _rel(interaction_weight(grid, prof, 0.02, omega, k, k1, q),
+                    dense_vertex.weight(*data, 0.02, omega, k, k1, q)) \
+            < 1e-12
+        assert _rel(cavity_global_interaction(grid, prof, cav, omega, (2, 3),
+                                              (15, 1), s=1, sp=0),
+                    dense_vertex.cavity_global(*data, cav.g, cav.gc0,
+                                               cav.delta_c, omega, (2, 3),
+                                               (15, 1), s=1, sp=0)) < 1e-12
+    assert _rel(coulomb_mix_selfenergy(grid, prof, 0.02, omega_se, (8, 5)),
+                dense_vertex.selfenergy(*data, 0.02, omega_se, (8, 5))) \
+        < 1e-12
+
+
+def test_non_constant_vq_keeps_dense_path():
+    """A q-dependent V_q reads the dense inverse exactly as it always did."""
+    grid = BandGrid.square(6, 6, **BANDS)
+    d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
+    vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
+    wind = phase_winding_profile(grid, 1.6, (3, 3), (0, 0), 0.6)
+    prof = InteractionProfile(Vq=vq, Jcoupling=wind.Jcoupling)
+    omega = 2.1
+    inv0 = _checked_inverse(mf_gamma_matrix(grid, prof, omega).matrix)
+    invk = _checked_inverse(gamma_matrix(grid, prof, (1, 2), (2, 1),
+                                         omega).matrix)
+    # the dense reads, written out bit for bit
+    den = np.stack([1.0 / (prof.Jcoupling[s].ravel() @ inv0)
+                    for s in (0, 1)])
+    assert np.array_equal(mf_screened_denominator(grid, prof, omega),
+                          den.reshape(2, 6, 6))
+    ratio = prof.Jcoupling[0].ravel() / (omega + (grid.eps1
+                                                  - grid.eps2).ravel())
+    vrow = vq[(np.arange(6)[:, None] - 1) % 6,
+              (np.arange(6)[None, :] - 2) % 6].ravel()
+    ref = complex(0.02 ** 2 * np.sum((ratio - ratio[8]) * vrow / 36
+                                     * invk[:, 4 * 6 + 5]))
+    assert scattering_strength(grid, prof, 0.02, omega, (1, 2), (4, 5),
+                               (2, 1)) == ref
+    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
+    j = prof.Jcoupling[0].ravel()
+    ref = -(cav.g ** 2 * cav.gc0 ** 2 / (36 * cav.delta_c)) \
+        * (complex(inv0[:, 17] @ j) * np.conj(j[7])).real \
+        * float(np.sum(inv0[:, 7]))
+    assert cavity_global_interaction(grid, prof, cav, omega, (2, 5),
+                                     (1, 1)) == ref
+    # and the dense path is still the documented vertex
+    data = (grid.eps1, grid.eps2, vq, prof.Jcoupling)
+    assert _rel(coulomb_mix_selfenergy(grid, prof, 0.02, omega, (3, 3)),
+                dense_vertex.selfenergy(*data, 0.02, omega, (3, 3))) < 1e-12
+
+
+def _verdict(fn):
+    try:
+        fn()
+    except BandResonance:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("k, q", [((0, 0), (0, 0)), ((2, 1), (1, 4))])
+def test_bound_state_scan_verdicts_agree(square6, k, q):
+    grid, prof = square6
+    e0 = eigen_sign_analysis(gamma_matrix(grid, prof, k, q,
+                                          3.63))["energies"][0]
+    detunings = np.logspace(-16, -1, 200)
+    dense, solved = [], []
+    for omega in np.concatenate([e0 - detunings, e0 + detunings]):
+        dense.append(_verdict(lambda: _checked_inverse(
+            gamma_matrix(grid, prof, k, q, omega).matrix)))
+        solved.append(_verdict(lambda: _vertex_solver(grid, prof, k, q,
+                                                      omega)))
+    assert dense == solved
+    # the scan crosses the verdict threshold on both sides of the pole
+    assert 0 < sum(dense) < len(dense)
+
+
+def test_solve_residual_near_pole(square6):
+    """At cond ~ 2.5e12 the rank-one inverse is as accurate as LU's."""
+    grid, prof = square6
+    e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 3.63))["energies"][0]
+    m = mf_gamma_matrix(grid, prof, e0 - 1e-12).matrix
+    assert np.linalg.cond(m) > 1e12
+    solve = _vertex_solver(grid, prof, (0, 0), (0, 0), e0 - 1e-12)
+    x = np.column_stack([solve(p) for p in range(36)])
+
+    def residual(x):
+        return np.linalg.norm(m @ x - np.eye(36), 2) \
+            / (np.linalg.norm(m, 2) * np.linalg.norm(x, 2))
+
+    assert residual(x) < 1e-15
+    assert residual(x) < 10 * residual(np.linalg.inv(m))
+
+
+def _staircase(eps2):
+    """A 1-d grid with flat band 1 and chosen band-2 energies (exact floats)."""
+    n = len(eps2)
+    return BandGrid(kx=np.arange(n), ky=np.zeros(1), eps1=np.zeros((n, 1)),
+                    eps2=np.array(eps2, dtype=float)[:, None],
+                    occ=np.zeros((n, 1)), U11=0.0, U12=0.0)
+
+
+def test_exact_zero_of_rank_one_diagonal():
+    # U = 1 on 4 momenta: c = 1/4, Hartree 3/4, so D = 3 - eps2 - 1 exactly
+    grid = _staircase([1.0, 2.0, 3.0, 4.0])
+    prof = constant_profile(grid, 1.0)
+    d = _vertex_diagonal(grid, prof, (0, 0), (0, 0), 3.0)[0].ravel() - 0.25
+    assert list(d) == [1.0, 0.0, -1.0, -2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve = _vertex_solver(grid, prof, (0, 0), (0, 0), 3.0)
+        x = np.column_stack([solve(p) for p in range(4)])
+        b = np.array([0.3, -1.0, 2.0, 0.5 + 1j])
+        xb = solve(b)
+    inv = _checked_inverse(mf_gamma_matrix(grid, prof, 3.0).matrix)
+    assert np.max(np.abs(x - inv)) < 1e-14
+    assert np.max(np.abs(xb - inv @ b)) < 1e-14
+
+    # two exact zeros make two equal rows: singular on both paths
+    grid = _staircase([1.0, 2.0, 2.0, 4.0])
+    prof = constant_profile(grid, 1.0)
+    with pytest.raises(BandResonance, match="singular"):
+        _vertex_solver(grid, prof, (0, 0), (0, 0), 3.0)
+    with pytest.raises(BandResonance, match="singular"):
+        _checked_inverse(mf_gamma_matrix(grid, prof, 3.0).matrix)
+
+
+def test_solve_paths_run_on_paper_grid(paper_grid):
+    """64^2 = 4096 momenta, four times the dense cap, in well under 1 s."""
+    prof = constant_profile(paper_grid, 1.6)
+    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
+    t0 = time.process_time()
+    den = mf_screened_denominator(paper_grid, prof, 2.0)
+    glob = cavity_global_interaction(paper_grid, prof, cav, 2.0, (3, 5),
+                                     (40, 60))
+    w = interaction_weight(paper_grid, prof, 0.02, 2.0, (1, 2), (50, 7),
+                           (9, 33))
+    assert time.process_time() - t0 < 1.0
+    assert den.shape == (2, 64, 64) and np.all(np.isfinite(den))
+    assert np.isfinite(glob) and np.isfinite(w)
+    with pytest.raises(ValueError, match=str(MAX_DENSE)):
+        gamma_matrix(paper_grid, prof, (1, 2), (9, 33), 2.0)
