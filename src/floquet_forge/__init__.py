@@ -38,11 +38,9 @@ _EXPORTS = {
     "HamiltonianAction": "kernels", "lanczos_expm_multiply": "kernels",
     # sylvester
     "HarmonicSeries": "sylvester", "MicroMotion": "sylvester",
-    "HopExpansionCoeffs": "sylvester", "solve_dense": "sylvester",
-    "green_rule_solve": "sylvester", "sylvester_residual": "sylvester",
+    "HopExpansionCoeffs": "sylvester", "sylvester_residual": "sylvester",
     "hubbard_micromotion": "sylvester",
-    "hubbard_micromotion_terms": "sylvester", "solve_order2": "sylvester",
-    "default_resonance_tol": "sylvester",
+    "hubbard_micromotion_terms": "sylvester",
     # fswt
     "hubbard_harmonics": "fswt", "floquet_h2": "fswt",
     "floquet_h2_terms": "fswt", "floquet_h4": "fswt",

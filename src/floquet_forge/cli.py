@@ -240,8 +240,8 @@ class Emitter:
 
 
 def run_bench_return_rate(cfg, em: Emitter, threads):
-    from .dynamics import (cdw_state, evolve_exact, evolve_static, nrmse,
-                           return_rate)
+    from .dynamics import (MAX_STATIC_DIM, cdw_state, evolve_exact,
+                           evolve_static, nrmse, return_rate)
     from .fock import HubbardParams, build_sector_basis
     from .fswt import floquet_h2, hfe_h, hubbard_harmonics
 
@@ -249,6 +249,11 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
                       omega=cfg["omega"])
     n = (p.L + 1) // 2
     b = build_sector_basis(p.L, n, n)
+    # evolve_static would refuse this sector only after minutes of exact
+    # propagation
+    if b.dim > MAX_STATIC_DIM:
+        raise ConfigError(f"L = {p.L}: sector dim {b.dim} exceeds the dense "
+                          f"static propagation cap {MAX_STATIC_DIM}")
     em.note_grid("L", p.L)
     em.note_grid("sector_dim", b.dim)
     psi0 = cdw_state(b)
@@ -257,7 +262,7 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
                         tol=cfg["tolerance"])
     l_ex = return_rate(traj, psi0)
     hams = [("fswt", floquet_h2(p, b, include_J2=True)),
-            ("hfe", hfe_h(p, b, order=2))]
+            ("hfe", hfe_h(p, b))]
 
     def one(item):
         label, ham = item

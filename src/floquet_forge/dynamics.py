@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
+# largest sector that evolve_static diagonalizes densely
+MAX_STATIC_DIM = 8192
 
 
 @dataclass
@@ -161,9 +163,9 @@ def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
 
 def evolve_static(H: SparseOperator, psi0, times):
     """Propagate under a static Hamiltonian by dense diagonalization."""
-    if H.dim > 8192:
-        raise ValueError(f"dense static propagation capped at dim 8192, "
-                         f"got {H.dim}")
+    if H.dim > MAX_STATIC_DIM:
+        raise ValueError(f"dense static propagation capped at dim "
+                         f"{MAX_STATIC_DIM}, got {H.dim}")
     if not H.hermitian:
         raise ValueError("static Hamiltonian must be Hermitian")
     times = np.asarray(times, dtype=float)

@@ -175,7 +175,7 @@ class SparseOperator:
     """
 
     HERM_RTOL = 1e-13
-    __slots__ = ("matrix", "basis", "_herm", "_aherm")
+    __slots__ = ("matrix", "basis", "_herm")
 
     def __init__(self, matrix, basis=None):
         m = sparse.csr_matrix(matrix, dtype=np.complex128, copy=True)
@@ -187,17 +187,11 @@ class SparseOperator:
         self.matrix = m
         self.basis = basis
         self._herm = None
-        self._aherm = None
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zeros(cls, dim, basis=None):
         return cls(sparse.csr_matrix((dim, dim), dtype=np.complex128), basis)
-
-    @classmethod
-    def identity(cls, dim, basis=None):
-        return cls(sparse.identity(dim, dtype=np.complex128, format="csr"),
-                   basis)
 
     # -- structure ----------------------------------------------------
     @property
@@ -216,23 +210,14 @@ class SparseOperator:
             return 0.0
         return float(np.sqrt(np.sum(np.abs(self.matrix.data) ** 2)))
 
-    def _deviation(self, sign):
-        d = self.matrix - sign * self.matrix.getH()
-        dev = float(np.abs(d.data).max()) if d.nnz else 0.0
-        scale = self.max_abs()
-        return dev <= self.HERM_RTOL * (scale if scale > 0 else 1.0)
-
     @property
     def hermitian(self):
         if self._herm is None:
-            self._herm = self._deviation(+1.0)
+            d = self.matrix - self.matrix.getH()
+            dev = float(np.abs(d.data).max()) if d.nnz else 0.0
+            scale = self.max_abs()
+            self._herm = dev <= self.HERM_RTOL * (scale if scale > 0 else 1.0)
         return self._herm
-
-    @property
-    def anti_hermitian(self):
-        if self._aherm is None:
-            self._aherm = self._deviation(-1.0)
-        return self._aherm
 
     # -- algebra ------------------------------------------------------
     def dagger(self):

@@ -174,20 +174,15 @@ def floquet_h4(p: HubbardParams, b: SectorBasis):
     return out
 
 
-def hfe_h(p: HubbardParams, b: SectorBasis, order=2):
-    """High-frequency-expansion reference Hamiltonian.
+def hfe_h(p: HubbardParams, b: SectorBasis):
+    """High-frequency-expansion reference Hamiltonian through 1/omega^2.
 
-    ``order`` = 1 keeps terms through 1/omega (the j = +-1 commutator of
-    identical drive harmonics vanishes, leaving the static block); ``order``
-    = 2 adds the 1/omega^2 double commutators, which reduce to a pure
-    bandwidth renormalization for the linear density ramp.
+    The 1/omega term, the j = +-1 commutator of identical drive harmonics,
+    vanishes; the 1/omega^2 double commutators reduce to a pure bandwidth
+    renormalization for the linear density ramp.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
     ops = build_hubbard_operators(p, b)
     h0 = ops["h"] + ops["U_op"]
-    if order == 1:
-        return h0
     drive = ops["drive"]
     x = commutator(commutator(drive, h0), drive)
     corr = 0.5 * (x + x.dagger())

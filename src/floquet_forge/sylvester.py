@@ -1,12 +1,10 @@
-"""Operator-valued Sylvester solvers.
+"""Operator-valued Sylvester equations of the driven Hubbard chain.
 
-Three routes to f solving  source + [f, H0] - shift*f = 0:
-
-* :func:`solve_dense` — eigenbasis of H0, exact at desk scale;
-* :func:`green_rule_solve` — closed-form prefactor for quadratic, diagonal H0;
-* :func:`hubbard_micromotion` — analytic hopping-order expansion of the
-  driven Hubbard chain's micro-motion, assembled term-by-term from closed
-  forms (densities dressed by beta/gamma/delta coefficient ladders).
+The micro-motion f solves  source + [f, H0] - shift*f = 0  at each order and
+harmonic.  :func:`hubbard_micromotion` assembles it in closed form as a
+hopping-order expansion (densities dressed by beta/gamma/delta coefficient
+ladders); :func:`sylvester_residual` measures how well an operator solves
+the equation.
 """
 
 from __future__ import annotations
@@ -23,19 +21,10 @@ __all__ = [
     "HarmonicSeries",
     "MicroMotion",
     "HopExpansionCoeffs",
-    "solve_dense",
-    "green_rule_solve",
     "sylvester_residual",
     "hubbard_micromotion",
     "hubbard_micromotion_terms",
-    "solve_order2",
-    "default_resonance_tol",
 ]
-
-
-def default_resonance_tol(shift):
-    """Default resonance tolerance: 1e-8 relative to the shift scale."""
-    return 1e-8 * max(abs(shift), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +139,7 @@ class MicroMotion:
 
 
 # ---------------------------------------------------------------------------
-# dense eigenbasis route
-
-
-def solve_dense(H0: SparseOperator, source: SparseOperator, shift,
-                tol=None):
-    """Solve source + [f, H0] - shift*f = 0 in the eigenbasis of H0.
-
-    In the eigenbasis, f_{l,l'} = source_{l,l'} / (shift - (e_{l'} - e_l)).
-    A denominator smaller than ``tol`` under a nonzero source element raises
-    ResonantDenominator listing the offending level pairs.
-    """
-    if tol is None:
-        tol = default_resonance_tol(shift)
-    eps, V = np.linalg.eigh(H0.to_dense())
-    S = V.conj().T @ source.to_dense() @ V
-    denom = shift - (eps[None, :] - eps[:, None])
-    floor = 1e-12 * max(np.abs(S).max(), 1e-300)
-    small = np.abs(denom) < tol
-    bad = small & (np.abs(S) > floor)
-    if bad.any():
-        pairs = np.argwhere(bad)
-        msg = ", ".join(
-            f"(l={l}, l'={lp}, e_l={eps[l]:.6g}, e_l'={eps[lp]:.6g}, "
-            f"denom={denom[l, lp]:.3e})"
-            for l, lp in pairs[:8])
-        raise ResonantDenominator(
-            f"shift {shift:.6g} resonant with {len(pairs)} level pair(s): {msg}")
-    F = np.where(small, 0.0, S / np.where(small, 1.0, denom))
-    f = V @ F @ V.conj().T
-    return SparseOperator(f, basis=H0.basis or source.basis)
-
-
-def green_rule_solve(mode_energies, source_monomial, shift, tol=None):
-    """Green-function prefactor for a monomial source over a quadratic H0.
-
-    ``source_monomial`` is (created, annihilated): index lists into
-    ``mode_energies``.  Returns 1/(shift + sum(eps created) - sum(eps
-    annihilated)).
-    """
-    if tol is None:
-        tol = default_resonance_tol(shift)
-    eps = np.asarray(mode_energies, dtype=float)
-    created, annihilated = source_monomial
-    den = shift + sum(eps[i] for i in created) - sum(eps[j] for j in annihilated)
-    if abs(den) < tol:
-        raise ResonantDenominator(
-            f"green rule denominator {den:.3e} below tol {tol:.3e} "
-            f"for monomial (created={list(created)}, "
-            f"annihilated={list(annihilated)})")
-    return 1.0 / complex(den)
+# defining equation
 
 
 def sylvester_residual(f: SparseOperator, H0: SparseOperator,
@@ -517,29 +457,3 @@ def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2,
         terms[(n, j)] = op
         terms[(n, -j)] = -op.dagger()
     return MicroMotion(terms=terms, omega=p.omega)
-
-
-def solve_order2(H0: SparseOperator, H_series: HarmonicSeries,
-                 f1: MicroMotion, j, tol=None):
-    """Order-2 micro-motion at harmonic j by the dense route.
-
-    Builds the source H(2)_j + (1/2) sum_{j' != 0} [f(1)_{j'}, H(1)_{j-j'}]
-    + (1/2) [f(1)_j, H(1)_0] and solves against H0 at shift j*omega.
-    """
-    dim = H0.dim
-    source = SparseOperator.zeros(dim, H0.basis)
-    if (2, j) in H_series.terms:
-        source = source + H_series.terms[(2, j)]
-    for (n, jp), f_op in f1.terms.items():
-        if n != 1 or jp == 0:
-            continue
-        h_op = H_series.terms.get((1, j - jp))
-        if h_op is not None:
-            source = source + 0.5 * commutator(f_op, h_op)
-    h0_first = H_series.terms.get((1, 0))
-    f_j = f1.terms.get((1, j))
-    if h0_first is not None and f_j is not None:
-        source = source + 0.5 * commutator(f_j, h0_first)
-    if source.nnz == 0:
-        return source
-    return solve_dense(H0, source, j * H_series.omega, tol)

@@ -196,6 +196,23 @@ def test_bad_timing_key_exits_1(tmp_path, capsys, timing):
     assert not (out / "nrmse.txt").exists()
 
 
+def test_static_cap_exits_1_before_propagating(tmp_path, monkeypatch,
+                                               capsys):
+    # L=9 has sector dim 15876, above the dense static cap: the run must
+    # stop before the (minutes-long) exact propagation, not after it
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("evolve_exact called above the static cap")
+
+    monkeypatch.setattr("floquet_forge.dynamics.evolve_exact", no_propagation)
+    code, out = run_cli(tmp_path, "bench-return-rate",
+                        "units = J\nL = 9\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+                        "t_final = 0.5\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "8192" in err
+    assert not (out / "nrmse.txt").exists()
+
+
 @pytest.mark.parametrize("key, bad", [
     ("U_coulomb", "nan"), ("U_coulomb", "inf"), ("omega", "nan"),
     ("eps21", "inf"),

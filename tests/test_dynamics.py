@@ -155,7 +155,7 @@ def test_effective_hamiltonian_ladder_is_monotone():
     ops = build_hubbard_operators(p, b)
     hams = {
         "h0": ops["h"] + ops["U_op"],
-        "hfe": hfe_h(p, b, order=2),
+        "hfe": hfe_h(p, b),
         "fswt": floquet_h2(p, b, include_J2=True),
     }
     out = return_rate_benchmark(p, b, hams, t_final=60.0)

@@ -1,9 +1,11 @@
-"""The package's lazy export table against the submodules' ``__all__``.
+"""The package's lazy export table against the submodules' ``__all__``,
+and the independence of the test oracles from the package.
 
 ``floquet_forge`` resolves ``floquet_forge.<name>`` through ``_EXPORTS``
 instead of importing every layer up front, so the table is a second copy of
 each submodule's public names and can drift from it.
 """
+import ast
 import importlib
 import os
 import subprocess
@@ -36,3 +38,18 @@ def test_package_import_loads_no_layer():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that reuses package code is no independent check of it
+    for path in sorted((Path(__file__).parent / "oracles").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "floquet_forge", (
+                    f"{path.name} imports {name}")

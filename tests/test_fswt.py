@@ -9,8 +9,9 @@ from floquet_forge import (HubbardParams, build_hubbard_operators,
                            build_sector_basis, commutator,
                            hubbard_micromotion, spin_exchange)
 from floquet_forge.errors import ResonantDenominator
-from floquet_forge.fswt import (floquet_h2, floquet_h4, hfe_h,
-                                hubbard_harmonics, strong_drive_harmonics)
+from floquet_forge.fswt import (floquet_h2, floquet_h4, floquet_h4_terms_j1,
+                                hfe_h, hubbard_harmonics,
+                                strong_drive_harmonics)
 
 
 # -- order-g^2 static block --------------------------------------------------
@@ -63,8 +64,26 @@ def test_h4_is_hermitian_and_small():
     h4 = floquet_h4(p, b)
     assert h4.hermitian
     # order g^4/omega^4 << the g^2 block
-    h2corr = floquet_h2(p, b) - (hfe_h(p, b, order=1))
+    ops = build_hubbard_operators(p, b)
+    h2corr = floquet_h2(p, b) - ops["h"] - ops["U_op"]
     assert h4.fro_norm() < 0.1 * h2corr.fro_norm()
+
+
+@pytest.mark.parametrize("L,n_up,n_dn,U,g,omega", [(4, 2, 2, 3.0, 3.0, 12.0),
+                                                   (5, 3, 2, 2.5, 5.0, 20.0)])
+def test_h4_terms_j1_is_linear_part_of_h4(L, n_up, n_dn, U, g, omega):
+    # floquet_h4 is a polynomial of degree 6 in J (the top term is
+    # f(1,1) f(1,-1) Hp2 at J^2 * J^2 * J^2), so a degree-6 fit through 12
+    # values is exact and its J^1 coefficient is the leading-J closed form
+    b = build_sector_basis(L, n_up, n_dn)
+    Js = np.linspace(-0.4, 0.4, 12)
+    h4 = [floquet_h4(HubbardParams(L=L, J=J, U=U, g=g, omega=omega),
+                     b).to_dense().ravel() for J in Js]
+    linear = np.polynomial.polynomial.polyfit(Js, np.array(h4), 6)[1]
+    want = floquet_h4_terms_j1(HubbardParams(L=L, J=1.0, U=U, g=g,
+                                             omega=omega)).to_operator(b)
+    dev = np.abs(linear.reshape(b.dim, b.dim) - want.to_dense()).max()
+    assert dev <= 1e-12 * want.max_abs()
 
 
 # -- high-frequency reference ------------------------------------------------
@@ -74,13 +93,10 @@ def test_hfe_orders():
     b = build_sector_basis(3, 2, 1)
     ops = build_hubbard_operators(p, b)
     h0 = ops["h"] + ops["U_op"]
-    assert (hfe_h(p, b, order=1) - h0).max_abs() == 0.0
     # the double commutator of a linear ramp reduces to a pure bandwidth
     # renormalization: H0 - (g/omega)^2 h
     expect = h0 + (-(p.g ** 2 / p.omega ** 2)) * ops["h"]
-    assert (hfe_h(p, b, order=2) - expect).max_abs() <= 1e-13
-    with pytest.raises(ValueError):
-        hfe_h(p, b, order=3)
+    assert (hfe_h(p, b) - expect).max_abs() <= 1e-13
 
 
 def test_hfe_misses_interaction_dressing_at_omega_minus_4():
@@ -90,7 +106,7 @@ def test_hfe_misses_interaction_dressing_at_omega_minus_4():
     d = {}
     for w in (20.0, 40.0):
         p = HubbardParams(L=4, J=1.0, U=3.0, g=2.0, omega=w)
-        d[w] = (hfe_h(p, b, order=2) - floquet_h2(p, b)).fro_norm()
+        d[w] = (hfe_h(p, b) - floquet_h2(p, b)).fro_norm()
     assert abs(d[20.0] / d[40.0] - 16.0) <= 0.15 * 16.0
 
 
