@@ -21,6 +21,9 @@ from .errors import ConfigError, PhysicsError
 
 __all__ = ["main", "parse_config", "map_ordered"]
 
+# rows formatted per block by Emitter.write_csv
+CSV_BLOCK = 1 << 16
+
 
 def fmt(x):
     """Canonical float formatting used in every emitted file."""
@@ -212,11 +215,26 @@ class Emitter:
         self.files.append(name)
         return path
 
-    def write_csv(self, name, header, rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(v) for v in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+    def write_csv(self, name, header, columns):
+        """Write equal-length columns, each value formatted as ``fmt`` does.
+
+        An integer column is written with ``str``, any other with ``.17g``.
+        Rows are formatted from ``tolist()`` slices and streamed to the file
+        in blocks, so a million-row table never sits in memory as text.
+        """
+        import numpy as np
+
+        cols = [np.asarray(c) for c in columns]
+        row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}"
+                       for c in cols) + "\n"
+        path = self.outdir / name
+        with path.open("w") as f:
+            f.write(",".join(header) + "\n")
+            for start in range(0, len(cols[0]), CSV_BLOCK):
+                block = [c[start:start + CSV_BLOCK].tolist() for c in cols]
+                f.write("".join(map(row.format, *block)))
+        self.files.append(name)
+        return path
 
     def finish(self):
         lines = [f"scenario = {self.scenario}", f"version = {__version__}"]
@@ -271,9 +289,8 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
 
     results = map_ordered(one, hams, threads)
     curves = {label: lr for label, lr, _ in results}
-    rows = [(traj.times[i], l_ex[i], curves["fswt"][i], curves["hfe"][i])
-            for i in range(traj.times.size)]
-    em.write_csv("return_rate.csv", ["t", "L_exact", "L_fswt", "L_hfe"], rows)
+    em.write_csv("return_rate.csv", ["t", "L_exact", "L_fswt", "L_hfe"],
+                 [traj.times, l_ex, curves["fswt"], curves["hfe"]])
     em.write_text("nrmse.txt",
                   "".join(f"{label} = {fmt(err)}\n"
                           for label, _, err in results))
@@ -305,6 +322,8 @@ def _grid_from_cfg(cfg):
 
 
 def run_kspace_map(cfg, em: Emitter, threads):
+    import numpy as np
+
     from .kspace import (bare_detuning, bs_detuning, floquet_band,
                          screened_detuning)
 
@@ -326,9 +345,9 @@ def run_kspace_map(cfg, em: Emitter, threads):
     else:
         raise ConfigError(f"quantity must be bare/screened/bs/dressed, "
                           f"got {q!r}")
-    rows = [(grid.kx[ix], grid.ky[iy], value[ix, iy])
-            for ix in range(grid.kx.size) for iy in range(grid.ky.size)]
-    em.write_csv("kspace_map.csv", ["kx", "ky", "value"], rows)
+    em.write_csv("kspace_map.csv", ["kx", "ky", "value"],
+                 [np.repeat(grid.kx, grid.ky.size),
+                  np.tile(grid.ky, grid.kx.size), np.ravel(value)])
 
 
 def run_exciton(cfg, em: Emitter, threads):
@@ -342,6 +361,8 @@ def run_exciton(cfg, em: Emitter, threads):
 
 
 def run_gamma_scan(cfg, em: Emitter, threads):
+    import numpy as np
+
     from .gamma import (constant_profile, eigen_sign_analysis, gamma_matrix,
                         phase_winding_profile, valley_dip_profile)
 
@@ -370,13 +391,13 @@ def run_gamma_scan(cfg, em: Emitter, threads):
                           f"phase-winding, got {name!r}")
     gm = gamma_matrix(grid, prof, (cfg["kx_index"], cfg["ky_index"]),
                       (cfg["qx_index"], cfg["qy_index"]), cfg["omega"])
-    rows = [(i, j, gm.matrix[i, j], 0.0)
-            for i in range(gm.dim) for j in range(gm.dim)]
+    idx = np.arange(gm.dim)
     em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
-                 rows)
-    eig = eigen_sign_analysis(gm)
+                 [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),
+                  gm.matrix.ravel(), np.zeros(gm.dim ** 2)])
+    energies = eigen_sign_analysis(gm)["energies"]
     em.write_csv("eigen.csv", ["j", "E_j"],
-                 [(j, e) for j, e in enumerate(eig["energies"])])
+                 [np.arange(len(energies)), energies])
 
 
 def run_absorbance_ed(cfg, em: Emitter, threads):
@@ -394,8 +415,7 @@ def run_absorbance_ed(cfg, em: Emitter, threads):
     em.note_grid("L", p.L)
     wgrid = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["n_omega"])
     alpha = absorbance_ed(p, wgrid, cfg["gamma_broadening"])
-    em.write_csv("spectrum.csv", ["omega", "alpha"],
-                 list(zip(wgrid, alpha)))
+    em.write_csv("spectrum.csv", ["omega", "alpha"], [wgrid, alpha])
 
 
 def run_pomeranchuk(cfg, em: Emitter, threads):

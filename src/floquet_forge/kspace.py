@@ -182,7 +182,9 @@ def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
-    1e-10.  Raises NoExciton when no root exists in (0, edge).
+    1e-10.  Raises NoExciton when no root exists in (0, edge), or when the
+    screened detuning does not close there to 1e-6 * U12, which happens when
+    the root lies within the bisection resolution of the edge.
     """
     occ_mask = grid.occ > 0
     if not occ_mask.any():
@@ -210,9 +212,12 @@ def exciton_frequency(grid: BandGrid):
         else:
             hi = mid
     w_ex = 0.5 * (lo + hi)
-    delta = (a0 - w_ex) * (1.0 - ssum(w_ex))
-    assert float(np.max(np.abs(delta))) <= 1e-6 * grid.U12, \
-        "screened detuning fails to close at the bound-state frequency"
+    residual = float(np.max(np.abs((a0 - w_ex) * (1.0 - ssum(w_ex)))))
+    if residual > 1e-6 * grid.U12:
+        raise NoExciton(f"screened detuning does not close at the root "
+                        f"{w_ex:.6g} (residual {residual:.3e}); the bound "
+                        f"state sits within the bisection resolution of the "
+                        f"continuum edge {edge:.6g}")
     return w_ex
 
 

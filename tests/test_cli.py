@@ -170,6 +170,18 @@ def test_physics_error_exits_2(tmp_path, capsys):
     assert "physics error" in capsys.readouterr().err
 
 
+def test_exciton_unclosed_root_exits_2(tmp_path, capsys):
+    # a weak U12 binds just below the continuum edge, within the bisection
+    # resolution, so the screened detuning cannot close to 1e-6 * U12 there;
+    # this used to escape as an AssertionError (and pass silently under -O)
+    code, out = run_cli(tmp_path, "exciton",
+                        "units = eV\nNx = 8\nNy = 8\neps21 = 3.7\nt1 = 0.05\n"
+                        "t2 = -0.15\nU11 = 1.6\nU12 = 0.001\n")
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+    assert not (out / "exciton.txt").exists()
+
+
 def test_propagation_failure_exits_2(tmp_path, capsys):
     # an unreachable Lanczos tolerance exhausts the Krylov subspace on every
     # step halving; the failure must reach exit code 2, not a traceback

@@ -1,6 +1,8 @@
 """Exact propagation, return rates, the mismatch metric, and ED absorbance."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
 from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
@@ -8,7 +10,9 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
                            build_sector_basis, cdw_state, evolve_exact,
                            evolve_static, nrmse, return_rate,
                            return_rate_benchmark)
-from floquet_forge.errors import PropagationError
+from floquet_forge import dynamics
+from floquet_forge.errors import PhysicsError, PropagationError
+from floquet_forge.fock import SparseOperator
 from floquet_forge.fswt import (floquet_h2, hfe_h, hubbard_harmonics,
                                 strong_drive_harmonics)
 
@@ -87,6 +91,29 @@ def test_evolve_static_guards():
         HubbardParams(L=2, J=1.0, U=3.0, g=1.0, omega=12.0), b)
     with pytest.raises(ValueError):  # drive ramp alone is fine, but check herm
         evolve_static(1j * ops["h"], cdw_state(b), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_evolve_static_matches_expm(imaginary):
+    # a real H takes the float64 eigensolve, one with imaginary
+    # off-diagonals the complex128 one; both must match the matrix
+    # exponential
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    H = floquet_h2(p, b, include_J2=True)
+    psi0 = cdw_state(b)
+    if imaginary:
+        a = sparse.random(b.dim, b.dim, density=0.05, random_state=7)
+        H = H + SparseOperator(0.3j * (a - a.T))
+        psi0 = (psi0 + 1j * np.roll(psi0, 5)) / np.sqrt(2.0)
+    assert H.hermitian
+    assert bool(H.matrix.data.imag.any()) == imaginary
+    times = np.linspace(0.0, 3.0, 7)
+    traj = evolve_static(H, psi0, times)
+    dense = H.to_dense()
+    for t, state in zip(times, traj.states):
+        assert_allclose(state, sla.expm(-1j * t * dense) @ psi0, rtol=0,
+                        atol=1e-12)
 
 
 def test_return_rate_starts_at_unity():
@@ -208,6 +235,25 @@ def test_absorbance_dispersive_peak_near_bound_line():
     gamma = 0.1
     alpha = absorbance_ed(p, w, gamma)
     assert abs(w[np.argmax(alpha)] - 2.8273307037832867) <= gamma
+
+
+def test_dipole_excitations_rejects_impure_ground_state(monkeypatch):
+    # couple the filled lower band to another state: it is no longer an
+    # eigenstate, which must be a PhysicsError (exit 2), not an assert
+    p = TwoBandChainParams(L=2, t1=0.0, t2=0.0, eps21=3.0, U11=1.0, U12=0.5)
+    build = dynamics.build_two_band_chain
+
+    def coupled(p, b):
+        ops = build(p, b)
+        g = b.position(dynamics._lower_band_product_state(p.L))
+        o = (g + 1) % b.dim
+        x = sparse.csr_matrix(([0.1, 0.1], ([g, o], [o, g])),
+                              shape=(b.dim, b.dim))
+        return {**ops, "H0": ops["H0"] + SparseOperator(x)}
+
+    monkeypatch.setattr(dynamics, "build_two_band_chain", coupled)
+    with pytest.raises(PhysicsError, match="not an eigenstate"):
+        dynamics.dipole_excitations(p)
 
 
 def test_absorbance_mass_matches_total_weight():

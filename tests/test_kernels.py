@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from floquet_forge import HubbardParams, build_hubbard_operators, \
     build_sector_basis
 from floquet_forge.errors import PropagationError
-from floquet_forge.kernels import HamiltonianAction, lanczos_expm_multiply
+from floquet_forge.kernels import (HamiltonianAction, _tridiagonal_eigh,
+                                   lanczos_expm_multiply)
 
 
 def _random_csr(rng, dim=60, density=0.08):
@@ -83,3 +84,21 @@ def test_lanczos_raises_when_subspace_exhausted(rng):
     v = rng.normal(size=40) + 0j
     with pytest.raises(PropagationError):
         lanczos_expm_multiply(lambda x: m @ x, v, -80.0j, tol=1e-14, m_max=5)
+
+
+def test_lanczos_non_finite_recurrence_raises():
+    v = np.ones(6, dtype=np.complex128)
+    with pytest.raises(PropagationError, match="not finite"):
+        lanczos_expm_multiply(lambda x: np.full_like(x, np.nan), v, -0.1j)
+
+
+def test_tridiagonal_eigh_equals_scipy_wrapper(rng):
+    # the Lanczos stopping test reads these eigenpairs, so equality with
+    # eigh_tridiagonal, to the last bit, keeps every stopping iteration
+    for m in range(1, 41):
+        alphas = rng.normal(size=m)
+        betas = rng.normal(size=m)
+        theta, S = _tridiagonal_eigh(alphas, betas)
+        ref_theta, ref_S = sla.eigh_tridiagonal(alphas, betas[:m - 1])
+        assert np.array_equal(theta, ref_theta), m
+        assert np.array_equal(S, ref_S), m
