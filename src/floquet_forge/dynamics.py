@@ -165,8 +165,8 @@ def _eigh(H: SparseOperator):
     """Dense eigenpairs of a Hermitian operator.
 
     An operator with no imaginary part is diagonalized in float64, built
-    straight from the real part of its CSR data, so V is real; this is
-    several times faster than complex128 (0.36 against 2.39 s at dim 1225).
+    straight from the real part of its CSR data, so V is real; at dim 1225
+    (L=7) that is 0.46 against 2.6 s in complex128 on a 2-core Xeon VM.
     Otherwise eigh runs in complex128.
     """
     if H.matrix.data.imag.any():
