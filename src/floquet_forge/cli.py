@@ -91,11 +91,16 @@ def _coerce(key, raw, typ):
 
 
 # key -> (type, required, default); units/output_dir are handled globally
+_CHAIN_KEYS = {"L": (int, True, None), "U": (float, True, None),
+               "g": (float, True, None), "omega": (float, True, None)}
+_BAND_KEYS = {"Nx": (int, True, None), "Ny": (int, True, None),
+              "eps21": (float, True, None), "t1": (float, True, None),
+              "t2": (float, True, None), "U11": (float, True, None),
+              "U12": (float, True, None)}
 SCHEMAS = {
     "bench-return-rate": {
         "units": "J",
-        "keys": {"L": (int, True, None), "U": (float, True, None),
-                 "g": (float, True, None), "omega": (float, True, None),
+        "keys": {**_CHAIN_KEYS,
                  "t_final": (float, False, 60.0),
                  "dt": (float, False, None),
                  "sample_dt": (float, False, 0.1),
@@ -103,33 +108,23 @@ SCHEMAS = {
     },
     "derive-hamiltonian": {
         "units": "J",
-        "keys": {"L": (int, True, None), "U": (float, True, None),
-                 "g": (float, True, None), "omega": (float, True, None),
+        "keys": {**_CHAIN_KEYS,
                  "order": (int, False, 2),
                  "include_J2": (bool, False, False)},
     },
     "kspace-map": {
         "units": "eV",
-        "keys": {"Nx": (int, True, None), "Ny": (int, True, None),
-                 "eps21": (float, True, None), "t1": (float, True, None),
-                 "t2": (float, True, None), "U11": (float, True, None),
-                 "U12": (float, True, None), "omega": (float, True, None),
+        "keys": {**_BAND_KEYS, "omega": (float, True, None),
                  "g": (float, False, 0.0), "kF": (float, False, None),
                  "quantity": (str, False, "screened")},
     },
     "exciton": {
         "units": "eV",
-        "keys": {"Nx": (int, True, None), "Ny": (int, True, None),
-                 "eps21": (float, True, None), "t1": (float, True, None),
-                 "t2": (float, True, None), "U11": (float, True, None),
-                 "U12": (float, True, None), "kF": (float, False, None)},
+        "keys": {**_BAND_KEYS, "kF": (float, False, None)},
     },
     "gamma-scan": {
         "units": "eV",
-        "keys": {"Nx": (int, True, None), "Ny": (int, True, None),
-                 "eps21": (float, True, None), "t1": (float, True, None),
-                 "t2": (float, True, None), "U11": (float, True, None),
-                 "U12": (float, True, None), "omega": (float, True, None),
+        "keys": {**_BAND_KEYS, "omega": (float, True, None),
                  "U_coulomb": (float, True, None),
                  "profile": (str, False, "constant"),
                  "width": (float, False, None),
@@ -150,18 +145,13 @@ SCHEMAS = {
     },
     "pomeranchuk": {
         "units": "eV",
-        "keys": {"Nx": (int, True, None), "Ny": (int, True, None),
-                 "eps21": (float, True, None), "t1": (float, True, None),
-                 "t2": (float, True, None), "U11": (float, True, None),
-                 "U12": (float, True, None), "omega": (float, True, None),
+        "keys": {**_BAND_KEYS, "omega": (float, True, None),
                  "g": (float, True, None), "gc0": (float, True, None),
                  "delta_c": (float, True, None), "kF": (float, True, None)},
     },
     "strong-drive": {
         "units": "J",
-        "keys": {"L": (int, True, None), "U": (float, True, None),
-                 "g": (float, True, None), "omega": (float, True, None),
-                 "jmax": (int, False, 10)},
+        "keys": {**_CHAIN_KEYS, "jmax": (int, False, 10)},
     },
 }
 
@@ -258,7 +248,7 @@ class Emitter:
 
 
 def run_bench_return_rate(cfg, em: Emitter, threads):
-    from .dynamics import (MAX_STATIC_DIM, cdw_state, evolve_exact,
+    from .dynamics import (_check_static_dim, cdw_state, evolve_exact,
                            evolve_static, nrmse, return_rate)
     from .fock import HubbardParams, build_sector_basis
     from .fswt import floquet_h2, hfe_h, hubbard_harmonics
@@ -269,9 +259,7 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
     b = build_sector_basis(p.L, n, n)
     # evolve_static would refuse this sector only after minutes of exact
     # propagation
-    if b.dim > MAX_STATIC_DIM:
-        raise ConfigError(f"L = {p.L}: sector dim {b.dim} exceeds the dense "
-                          f"static propagation cap {MAX_STATIC_DIM}")
+    _check_static_dim(b.dim)
     em.note_grid("L", p.L)
     em.note_grid("sector_dim", b.dim)
     psi0 = cdw_state(b)

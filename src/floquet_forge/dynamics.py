@@ -188,11 +188,16 @@ def _apply(A, z):
     return y.reshape((A.shape[0],) + z.shape[1:])
 
 
+def _check_static_dim(dim):
+    """Refuse a sector too large for dense static propagation."""
+    if dim > MAX_STATIC_DIM:
+        raise ValueError(f"dense static propagation capped at dim "
+                         f"{MAX_STATIC_DIM}, got {dim}")
+
+
 def evolve_static(H: SparseOperator, psi0, times):
     """Propagate under a static Hamiltonian by dense diagonalization."""
-    if H.dim > MAX_STATIC_DIM:
-        raise ValueError(f"dense static propagation capped at dim "
-                         f"{MAX_STATIC_DIM}, got {H.dim}")
+    _check_static_dim(H.dim)
     if not H.hermitian:
         raise ValueError("static Hamiltonian must be Hermitian")
     times = np.asarray(times, dtype=float)
@@ -254,9 +259,12 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
 
     ``hams`` maps labels to static SparseOperators.  Returns times, the
     exact return rate, per-label return rates, and per-label mismatch.
+    Raises ``ValueError`` before propagating when the sector exceeds
+    ``MAX_STATIC_DIM``.
     """
     from .fswt import hubbard_harmonics
 
+    _check_static_dim(b.dim)
     psi0 = cdw_state(b)
     series = hubbard_harmonics(p, b)
     traj = evolve_exact(series, psi0, t_final, dt=dt, sample_dt=sample_dt,

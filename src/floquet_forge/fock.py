@@ -125,14 +125,19 @@ class SectorBasis:
     n_up: int
     n_down: int
     states: np.ndarray  # uint64, strictly ascending
-    index: dict  # int(state) -> ordinal
 
     @property
     def dim(self):
         return len(self.states)
 
     def position(self, state):
-        return self.index[int(state)]
+        """Ordinal of ``state``; KeyError if it lies outside the sector."""
+        state = int(state)
+        # reduced mod 2**64 only to search; the comparison uses the int
+        pos = int(np.searchsorted(self.states, np.uint64(state % (1 << 64))))
+        if pos == self.dim or int(self.states[pos]) != state:
+            raise KeyError(state)
+        return pos
 
 
 def _spin_patterns(L, n):
@@ -158,9 +163,7 @@ def build_sector_basis(L, n_up, n_down):
     states = np.sort(np.array(
         [(dn << L) | up for dn in dns for up in ups], dtype=np.uint64))
     assert len(states) == comb(L, n_up) * comb(L, n_down)
-    index = {int(s): i for i, s in enumerate(states)}
-    return SectorBasis(L=L, n_up=n_up, n_down=n_down, states=states,
-                       index=index)
+    return SectorBasis(L=L, n_up=n_up, n_down=n_down, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +178,9 @@ class SparseOperator:
     """
 
     HERM_RTOL = 1e-13
-    __slots__ = ("matrix", "basis", "_herm")
+    __slots__ = ("matrix", "_herm")
 
-    def __init__(self, matrix, basis=None):
+    def __init__(self, matrix):
         m = sparse.csr_matrix(matrix, dtype=np.complex128, copy=True)
         m.sum_duplicates()
         m.eliminate_zeros()
@@ -185,13 +188,12 @@ class SparseOperator:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got {m.shape}")
         self.matrix = m
-        self.basis = basis
         self._herm = None
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zeros(cls, dim, basis=None):
-        return cls(sparse.csr_matrix((dim, dim), dtype=np.complex128), basis)
+    def zeros(cls, dim):
+        return cls(sparse.csr_matrix((dim, dim), dtype=np.complex128))
 
     # -- structure ----------------------------------------------------
     @property
@@ -221,30 +223,27 @@ class SparseOperator:
 
     # -- algebra ------------------------------------------------------
     def dagger(self):
-        return SparseOperator(self.matrix.getH(), self.basis)
+        return SparseOperator(self.matrix.getH())
 
     def __add__(self, other):
-        return SparseOperator(self.matrix + other.matrix,
-                              self.basis or other.basis)
+        return SparseOperator(self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return SparseOperator(self.matrix - other.matrix,
-                              self.basis or other.basis)
+        return SparseOperator(self.matrix - other.matrix)
 
     def __neg__(self):
-        return SparseOperator(-self.matrix, self.basis)
+        return SparseOperator(-self.matrix)
 
     def __mul__(self, scalar):
-        return SparseOperator(self.matrix * complex(scalar), self.basis)
+        return SparseOperator(self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return SparseOperator(self.matrix / complex(scalar), self.basis)
+        return SparseOperator(self.matrix / complex(scalar))
 
     def __matmul__(self, other):
-        return SparseOperator(self.matrix @ other.matrix,
-                              self.basis or other.basis)
+        return SparseOperator(self.matrix @ other.matrix)
 
     def diagonal(self):
         return self.matrix.diagonal()
@@ -356,12 +355,12 @@ class TermSum:
             cols.append(np.nonzero(alive)[0])
             vals.append(coeff * amp[alive])
         if not rows:
-            return SparseOperator.zeros(dim, basis)
+            return SparseOperator.zeros(dim)
         mat = sparse.coo_matrix(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(dim, dim))
-        return SparseOperator(mat, basis)
+        return SparseOperator(mat)
 
     # -- dump -----------------------------------------------------------
     def dump_lines(self):

@@ -18,7 +18,7 @@ matrix and without a size cap; any other V_q takes the capped dense inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class GammaMatrix:
     k: tuple
     q: tuple
     grid_shape: tuple
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)

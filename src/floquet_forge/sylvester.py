@@ -162,6 +162,30 @@ def _corner_extract(fn):
     return f00, beta, gamma, delta
 
 
+def _guard_resonance(U, omega, dens):
+    """Raise ResonantDenominator if some n*omega + s*U nearly vanishes.
+
+    ``dens`` lists the (n, s) pairs of the denominators a closed form
+    divides by; the tolerance is 1e-8 * max(|omega|, 1).
+    """
+    tol = 1e-8 * max(abs(omega), 1.0)
+    for n, s in dens:
+        den = n * omega + s * U
+        if abs(den) < tol:
+            raise ResonantDenominator(
+                f"resonant denominator {n}*omega {'+' if s > 0 else '-'} U "
+                f"= {den:.3g} (U={U}, omega={omega})")
+
+
+def _ladder(U, omega, n=1):
+    """(beta, gamma, delta) of the density-dressed hop at n*omega."""
+    _guard_resonance(U, omega, ((n, -1), (n, 1)))
+    w = n * omega
+    beta = -U / (w + U)
+    gamma = U / (w - U)
+    return beta, gamma, -beta - gamma
+
+
 @dataclass(frozen=True)
 class HopExpansionCoeffs:
     """Density-dressing coefficients of the hopping expansion.
@@ -188,25 +212,11 @@ class HopExpansionCoeffs:
     delta4: float
 
     @classmethod
-    def from_model(cls, U, omega, tol=None):
+    def from_model(cls, U, omega):
         if not omega > 0:
             raise ValueError(f"omega must be positive, got {omega}")
-        if tol is None:
-            tol = 1e-8 * omega
-        for den, label in ((omega - U, "omega = U"),
-                           (omega + U, "omega = -U"),
-                           (2 * omega - U, "omega = U/2"),
-                           (2 * omega + U, "omega = -U/2")):
-            if abs(den) < tol:
-                raise ResonantDenominator(
-                    f"coefficient ladder diverges near {label} "
-                    f"(U={U}, omega={omega})")
-        beta = -U / (omega + U)
-        gamma = U / (omega - U)
-        delta = -beta - gamma
-        beta_dd = -U / (2 * omega + U)
-        gamma_dd = U / (2 * omega - U)
-        delta_dd = -beta_dd - gamma_dd
+        beta, gamma, delta = _ladder(U, omega)
+        beta_dd, gamma_dd, delta_dd = _ladder(U, omega, 2)
 
         beta2 = beta + beta_dd + beta * beta_dd
         gamma2 = gamma + gamma_dd + gamma * gamma_dd
@@ -277,6 +287,24 @@ def _directed_bonds(L):
     return out
 
 
+def _dressed_hops(t, L, pref, coeffs, signed=False):
+    """Add the density-dressed nearest-neighbour hop to ``t`` and return it.
+
+    Each directed bond i -> j and spin s gets pref * c^dag_{j,s} c_{i,s}
+    times (c0 + a n_{j,-s} + b n_{i,-s} + d n_{j,-s} n_{i,-s}) for
+    ``coeffs`` = (c0, a, b, d), and a further -1 on the bonds with
+    i = j - 1 when ``signed``.
+    """
+    c0, a, b, d = coeffs
+    for (jto, ifrom, sign) in _directed_bonds(L):
+        coeff = sign * pref if signed else pref
+        for s in (0, 1):
+            sb = 1 - s
+            _attach(t, coeff, (("cdag", jto, s), ("c", ifrom, s)),
+                    _dressing(a, b, d, (jto, sb), (ifrom, sb), const=c0))
+    return t
+
+
 def y0_terms(p: HubbardParams):
     """Zeroth hop order: the drive ramp itself divided by omega."""
     t = TermSum()
@@ -288,15 +316,8 @@ def y0_terms(p: HubbardParams):
 
 def y1_terms(p: HubbardParams, c: HopExpansionCoeffs):
     """First hop order: dressed antisymmetric hopping, prefactor J*g/omega^2."""
-    t = TermSum()
-    pref = p.J * p.g / p.omega ** 2
-    for (jto, ifrom, sign) in _directed_bonds(p.L):
-        for s in (0, 1):
-            sb = 1 - s
-            poly = _dressing(c.beta, c.gamma, c.delta, (jto, sb), (ifrom, sb))
-            _attach(t, sign * pref,
-                    (("cdag", jto, s), ("c", ifrom, s)), poly)
-    return t
+    return _dressed_hops(TermSum(), p.L, p.J * p.g / p.omega ** 2,
+                         (1.0, c.beta, c.gamma, c.delta), signed=True)
 
 
 def y2_terms(p: HubbardParams, c: HopExpansionCoeffs):
@@ -387,28 +408,15 @@ def y2_terms(p: HubbardParams, c: HopExpansionCoeffs):
 
 def z1_terms(p: HubbardParams, c: HopExpansionCoeffs):
     """Two-photon component: symmetric dressed hopping, J*g^2/(4 omega^3)."""
-    t = TermSum()
-    pref = p.J * p.g ** 2 / (4.0 * p.omega ** 3)
-    for (jto, ifrom, _sign) in _directed_bonds(p.L):
-        for s in (0, 1):
-            sb = 1 - s
-            poly = _dressing(c.beta2, c.gamma2, c.delta2,
-                             (jto, sb), (ifrom, sb))
-            _attach(t, pref, (("cdag", jto, s), ("c", ifrom, s)), poly)
-    return t
+    return _dressed_hops(TermSum(), p.L, p.J * p.g ** 2 / (4.0 * p.omega ** 3),
+                         (1.0, c.beta2, c.gamma2, c.delta2))
 
 
 def f31_terms(p: HubbardParams, c: HopExpansionCoeffs):
     """Order-g^3 single-photon component at leading hop order, J*g^3/omega^4."""
-    t = TermSum()
-    pref = p.J * p.g ** 3 / p.omega ** 4
-    for (jto, ifrom, sign) in _directed_bonds(p.L):
-        for s in (0, 1):
-            sb = 1 - s
-            poly = _dressing(c.beta3, c.gamma3, c.delta3,
-                             (jto, sb), (ifrom, sb), const=-11.0 / 24.0)
-            _attach(t, sign * pref, (("cdag", jto, s), ("c", ifrom, s)), poly)
-    return t
+    return _dressed_hops(TermSum(), p.L, p.J * p.g ** 3 / p.omega ** 4,
+                         (-11.0 / 24.0, c.beta3, c.gamma3, c.delta3),
+                         signed=True)
 
 
 def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2,
@@ -425,10 +433,8 @@ def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2,
         raise ValueError(f"fswt_order must be 1..3, got {fswt_order}")
     c = HopExpansionCoeffs.from_model(p.U, p.omega)
     if fswt_order >= 3:
-        tol = 1e-8 * p.omega
-        if abs(3 * p.omega - p.U) < tol:
-            raise ResonantDenominator(
-                f"omega = U/3 resonance at order 3 (U={p.U}, omega={p.omega})")
+        # 3*omega - U alone: no f(3,1) coefficient divides by 3*omega + U
+        _guard_resonance(p.U, p.omega, ((3, -1),))
     y = y0_terms(p)
     if max_hop_order >= 1:
         y = y + y1_terms(p, c)

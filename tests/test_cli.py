@@ -170,6 +170,18 @@ def test_physics_error_exits_2(tmp_path, capsys):
     assert "physics error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_ladder_resonance_same_at_every_order(tmp_path, capsys, order):
+    # omega - U = -5e-9: inside the ladder tolerance 1e-8 * max(omega, 1),
+    # so both orders must refuse it rather than divide by it
+    code, out = run_cli(tmp_path, "derive-hamiltonian",
+                        "units = J\nL = 3\nU = 0.100000005\ng = 0.05\n"
+                        f"omega = 0.1\norder = {order}\n")
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+    assert not (out / "hamiltonian_terms.txt").exists()
+
+
 def test_exciton_unclosed_root_exits_2(tmp_path, capsys):
     # a weak U12 binds just below the continuum edge, within the bisection
     # resolution, so the screened detuning cannot close to 1e-6 * U12 there;

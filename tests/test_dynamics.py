@@ -197,6 +197,19 @@ def test_effective_hamiltonian_ladder_is_monotone():
     assert out["norm_drift"] <= 1e-9
 
 
+def test_benchmark_refuses_static_cap_before_propagating(monkeypatch):
+    # L=9 has sector dim 15876, above the dense static cap: the benchmark
+    # must refuse before the exact propagation, not after it
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("evolve_exact called above the static cap")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", no_propagation)
+    p = HubbardParams(L=9, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(9, 5, 5)
+    with pytest.raises(ValueError, match="8192"):
+        return_rate_benchmark(p, b, hams={}, t_final=0.5)
+
+
 def test_propagation_dt_convergence():
     # halving dt moves the sampled return rate by less than 1e-4
     p = HubbardParams(L=6, J=1.0, U=3.0, g=4.0, omega=16.0)

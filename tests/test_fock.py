@@ -41,6 +41,16 @@ def test_sector_states_sorted_and_indexed():
         assert bin((int(s) >> 4) & 0b1111).count("1") == 1
 
 
+def test_position_rejects_out_of_sector_state():
+    b = build_sector_basis(4, 2, 1)
+    # other sectors: (3, 1), empty, (0, 1), one past the last state, and
+    # integers that are no 64-bit state at all
+    for state in (0b0001_0111, 0, 1 << 7, int(b.states[-1]) + 1, -1,
+                  (1 << 64) + int(b.states[0])):
+        with pytest.raises(KeyError):
+            b.position(state)
+
+
 def test_sector_rejects_overfilled():
     with pytest.raises(ValueError):
         build_sector_basis(2, 3, 0)
