@@ -68,7 +68,7 @@ _EXPORTS = {
     "interaction_weight": "gamma", "cavity_global_interaction": "gamma",
     "coulomb_mix_selfenergy": "gamma",
     # cli
-    "main": "cli", "parse_config": "cli", "map_ordered": "cli",
+    "main": "cli", "parse_config": "cli",
 }
 
 __all__ = ["__version__"] + list(_SUBMODULES) + sorted(_EXPORTS)

@@ -13,13 +13,12 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, PhysicsError
 
-__all__ = ["main", "parse_config", "map_ordered"]
+__all__ = ["main", "parse_config"]
 
 # rows formatted per block by Emitter.write_csv
 CSV_BLOCK = 1 << 16
@@ -32,19 +31,6 @@ def fmt(x):
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.17g}"
-
-
-def map_ordered(fn, items, threads):
-    """Apply fn across items, joining results in input order.
-
-    Sharding is at the Python level only; BLAS stays single-threaded, so
-    outputs are identical for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -248,40 +234,27 @@ class Emitter:
 
 
 def run_bench_return_rate(cfg, em: Emitter, threads):
-    from .dynamics import (_check_static_dim, cdw_state, evolve_exact,
-                           evolve_static, nrmse, return_rate)
+    from .dynamics import return_rate_benchmark
     from .fock import HubbardParams, build_sector_basis
-    from .fswt import floquet_h2, hfe_h, hubbard_harmonics
+    from .fswt import floquet_h2, hfe_h
 
     p = HubbardParams(L=cfg["L"], J=1.0, U=cfg["U"], g=cfg["g"],
                       omega=cfg["omega"])
     n = (p.L + 1) // 2
     b = build_sector_basis(p.L, n, n)
-    # evolve_static would refuse this sector only after minutes of exact
-    # propagation
-    _check_static_dim(b.dim)
     em.note_grid("L", p.L)
     em.note_grid("sector_dim", b.dim)
-    psi0 = cdw_state(b)
-    traj = evolve_exact(hubbard_harmonics(p, b), psi0, cfg["t_final"],
-                        dt=cfg.get("dt"), sample_dt=cfg["sample_dt"],
-                        tol=cfg["tolerance"])
-    l_ex = return_rate(traj, psi0)
-    hams = [("fswt", floquet_h2(p, b, include_J2=True)),
-            ("hfe", hfe_h(p, b))]
-
-    def one(item):
-        label, ham = item
-        lr = return_rate(evolve_static(ham, psi0, traj.times), psi0)
-        return label, lr, nrmse(lr, l_ex, traj.times)
-
-    results = map_ordered(one, hams, threads)
-    curves = {label: lr for label, lr, _ in results}
+    hams = {"fswt": floquet_h2(p, b, include_J2=True), "hfe": hfe_h(p, b)}
+    res = return_rate_benchmark(p, b, hams, cfg["t_final"], dt=cfg.get("dt"),
+                                sample_dt=cfg["sample_dt"],
+                                tol=cfg["tolerance"], threads=threads)
+    curves = res["curves"]
     em.write_csv("return_rate.csv", ["t", "L_exact", "L_fswt", "L_hfe"],
-                 [traj.times, l_ex, curves["fswt"], curves["hfe"]])
+                 [res["times"], res["L_exact"], curves["fswt"],
+                  curves["hfe"]])
     em.write_text("nrmse.txt",
                   "".join(f"{label} = {fmt(err)}\n"
-                          for label, _, err in results))
+                          for label, err in res["nrmse"].items()))
 
 
 def run_derive_hamiltonian(cfg, em: Emitter, threads):
@@ -301,12 +274,15 @@ def run_derive_hamiltonian(cfg, em: Emitter, threads):
                   "\n".join(terms.dump_lines()) + "\n")
 
 
-def _grid_from_cfg(cfg):
+def _grid_from_cfg(cfg, em: Emitter):
     from .kspace import BandGrid
 
-    return BandGrid.square(cfg["Nx"], cfg["Ny"], cfg["eps21"], cfg["t1"],
+    grid = BandGrid.square(cfg["Nx"], cfg["Ny"], cfg["eps21"], cfg["t1"],
                            cfg["t2"], cfg["U11"], cfg["U12"],
                            kF=cfg.get("kF"))
+    em.note_grid("Nx", grid.kx.size)
+    em.note_grid("Ny", grid.ky.size)
+    return grid
 
 
 def run_kspace_map(cfg, em: Emitter, threads):
@@ -315,9 +291,7 @@ def run_kspace_map(cfg, em: Emitter, threads):
     from .kspace import (bare_detuning, bs_detuning, floquet_band,
                          screened_detuning)
 
-    grid = _grid_from_cfg(cfg)
-    em.note_grid("Nx", grid.kx.size)
-    em.note_grid("Ny", grid.ky.size)
+    grid = _grid_from_cfg(cfg, em)
     q = cfg["quantity"]
     if q == "bare":
         value = bare_detuning(grid, cfg["omega"])
@@ -341,9 +315,7 @@ def run_kspace_map(cfg, em: Emitter, threads):
 def run_exciton(cfg, em: Emitter, threads):
     from .kspace import exciton_frequency
 
-    grid = _grid_from_cfg(cfg)
-    em.note_grid("Nx", grid.kx.size)
-    em.note_grid("Ny", grid.ky.size)
+    grid = _grid_from_cfg(cfg, em)
     w = exciton_frequency(grid)
     em.write_text("exciton.txt", f"omega_ex = {fmt(w)}\nunits = eV\n")
 
@@ -354,9 +326,7 @@ def run_gamma_scan(cfg, em: Emitter, threads):
     from .gamma import (constant_profile, eigen_sign_analysis, gamma_matrix,
                         phase_winding_profile, valley_dip_profile)
 
-    grid = _grid_from_cfg({**cfg, "kF": None})
-    em.note_grid("Nx", grid.kx.size)
-    em.note_grid("Ny", grid.ky.size)
+    grid = _grid_from_cfg(cfg, em)
     name = cfg["profile"]
     if name == "constant":
         prof = constant_profile(grid, cfg["U_coulomb"])
@@ -409,9 +379,7 @@ def run_absorbance_ed(cfg, em: Emitter, threads):
 def run_pomeranchuk(cfg, em: Emitter, threads):
     from .kspace import CavitySpec, pomeranchuk_check
 
-    grid = _grid_from_cfg(cfg)
-    em.note_grid("Nx", grid.kx.size)
-    em.note_grid("Ny", grid.ky.size)
+    grid = _grid_from_cfg(cfg, em)
     cav = CavitySpec(g=cfg["g"], gc0=cfg["gc0"], delta_c=cfg["delta_c"])
     res = pomeranchuk_check(grid, cav, cfg["omega"], cfg["g"], cfg["kF"])
     em.write_text("pomeranchuk.txt",

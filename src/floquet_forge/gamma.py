@@ -134,7 +134,6 @@ class GammaMatrix:
     omega: float
     k: tuple
     q: tuple
-    grid_shape: tuple
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -198,8 +197,7 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
                 dif_y[None, :, None, :]].reshape(n, n) / n
     np.fill_diagonal(m, 0.0)
     m[np.diag_indices(n)] += diag.ravel()
-    return GammaMatrix(matrix=m, omega=float(omega),
-                       k=kk, q=qq, grid_shape=(nx, ny))
+    return GammaMatrix(matrix=m, omega=float(omega), k=kk, q=qq)
 
 
 def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega):

@@ -432,9 +432,6 @@ def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2,
     if fswt_order not in (1, 2, 3):
         raise ValueError(f"fswt_order must be 1..3, got {fswt_order}")
     c = HopExpansionCoeffs.from_model(p.U, p.omega)
-    if fswt_order >= 3:
-        # 3*omega - U alone: no f(3,1) coefficient divides by 3*omega + U
-        _guard_resonance(p.U, p.omega, ((3, -1),))
     y = y0_terms(p)
     if max_hop_order >= 1:
         y = y + y1_terms(p, c)

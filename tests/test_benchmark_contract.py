@@ -5,6 +5,9 @@ renamed function or a dropped argument breaks it without failing any other
 test.  One traced bz-solve job checks both the calls and their outputs
 against ``perfbench/references.json``.  It runs in a subprocess because
 ``tracing.install`` rewraps the package's functions for the whole process.
+A second subprocess makes the calls of the chain workloads: the run
+environment, the chain warm-up, the ladder margin and a small
+``bench-return-rate`` through the CLI.
 """
 import subprocess
 import sys
@@ -33,5 +36,30 @@ SCRIPT = textwrap.dedent("""
 def test_traced_bz_solve_job_matches_references(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+CHAIN_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    root, work = Path(sys.argv[1]), Path(sys.argv[2])
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import run
+    import workloads
+
+    run.environment({})
+    ctx = workloads.setup("chain-drive", work)
+    workloads.chain_margin(12.0)
+    errors, nrmse = workloads.return_rate_job(ctx, 4, 12.0, 1.0)
+    assert errors == [], errors
+    assert sorted(nrmse) == ["fswt", "hfe"], nrmse
+""")
+
+
+def test_chain_workload_calls_run(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHAIN_SCRIPT, str(ROOT), str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

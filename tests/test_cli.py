@@ -237,6 +237,21 @@ def test_static_cap_exits_1_before_propagating(tmp_path, monkeypatch,
     assert not (out / "nrmse.txt").exists()
 
 
+def test_resonant_candidate_exits_2_before_propagating(tmp_path, monkeypatch,
+                                                      capsys):
+    # U = omega is a pole of the fswt candidate: the candidates are built
+    # first, so the refusal costs no exact propagation
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("evolve_exact called for a resonant candidate")
+
+    monkeypatch.setattr("floquet_forge.dynamics.evolve_exact", no_propagation)
+    code, out = run_cli(tmp_path, "bench-return-rate",
+                        "units = J\nL = 6\nU = 12.0\ng = 3.0\nomega = 12.0\n")
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+    assert not (out / "nrmse.txt").exists()
+
+
 @pytest.mark.parametrize("key, bad", [
     ("U_coulomb", "nan"), ("U_coulomb", "inf"), ("omega", "nan"),
     ("eps21", "inf"),

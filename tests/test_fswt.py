@@ -206,6 +206,27 @@ def test_strong_drive_hop_mask_cuts_bond():
     assert abs(m0[b.position(4), b.position(2)]) == 0.0
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.1])
+def test_strong_drive_complex_profile_rotates_harmonics(theta):
+    # a ramp rotated by exp(i theta) moves every bond phase by theta (or
+    # theta - pi, absorbed by the Bessel sign), so harmonic m picks up
+    # exp(i m theta) against the real ramp
+    jmax = 6
+    ramp = strong_drive_harmonics(3, 1.0, 2.0, 3.0, 12.0, jmax=jmax)
+    rotated = strong_drive_harmonics(3, 1.0, 2.0, 3.0, 12.0,
+                                     profile=np.arange(3) * np.exp(1j * theta),
+                                     jmax=jmax)
+    for m in range(-jmax, jmax + 1):
+        want = ramp.terms[(1, m)].terms
+        got = rotated.terms[(1, m)].terms
+        assert set(got) == set(want)
+        phase = np.exp(1j * m * theta)
+        for ops, c in want.items():
+            assert abs(got[ops] - phase * c) <= 1e-15
+    b = build_sector_basis(3, 1, 1)
+    rotated.materialize(b)  # checks the harmonics pair as adjoints
+
+
 def test_strong_drive_guards():
     with pytest.raises(ValueError):
         strong_drive_harmonics(2, 1.0, 0.0, 1.0, 10.0, jmax=0)

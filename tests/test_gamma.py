@@ -161,8 +161,7 @@ def test_gamma_matrix_rejects_asymmetric_input():
     m = np.eye(3)
     m[0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
-        GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0),
-                    grid_shape=(3, 1))
+        GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0))
 
 
 def test_gamma_matrix_profile_shape_guard(square6):
@@ -198,8 +197,7 @@ def test_rpa_kernel_split_reconstructs_vertex(square6):
 
 def test_rpa_kernel_vanishing_diagonal_raises():
     m = np.diag([1.0, 0.0, 2.0])
-    gm = GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0),
-                     grid_shape=(3, 1))
+    gm = GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0))
     with pytest.raises(BandResonance, match="diagonal"):
         rpa_kernel(gm)
 

@@ -10,6 +10,7 @@ from floquet_forge import (HarmonicSeries, HopExpansionCoeffs, HubbardParams,
                            build_sector_basis, commutator, hubbard_micromotion,
                            sylvester_residual)
 from floquet_forge.errors import ResonantDenominator
+from floquet_forge.fswt import floquet_h4
 from floquet_forge.sylvester import (f31_terms, hubbard_micromotion_terms,
                                      y0_terms, y1_terms, y2_terms, z1_terms)
 
@@ -184,11 +185,19 @@ def test_micromotion_term_orders_validate(cascade):
 
 
 def test_micromotion_third_order_resonance():
+    # f(3,1) uses only the ladders at omega and 2*omega, so U = 3*omega is a
+    # pole of no coefficient: the component is built there, and the g^4
+    # block is finite and continuous through it
     p = HubbardParams(L=2, J=1.0, U=36.0, g=1.0, omega=12.0)
-    with pytest.raises(ResonantDenominator):
-        hubbard_micromotion_terms(p, fswt_order=3)
-    # the lower orders stay clear of the 3-photon denominator
+    assert (3, 1) in hubbard_micromotion_terms(p, fswt_order=3)
     assert (1, 1) in hubbard_micromotion_terms(p, fswt_order=2)
+    b = build_sector_basis(4, 2, 2)
+    h4 = {U: floquet_h4(HubbardParams(L=4, J=1.0, U=U, g=1.0, omega=12.0), b)
+          for U in (36.0 - 1e-6, 36.0, 36.0 + 1e-6)}
+    mid = h4[36.0]
+    assert np.all(np.isfinite(mid.to_dense()))
+    for U in (36.0 - 1e-6, 36.0 + 1e-6):
+        assert (h4[U] - mid).max_abs() <= 1e-6 * mid.max_abs()
 
 
 def test_f31_single_component_not_antihermitian(cascade):
