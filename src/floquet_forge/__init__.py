@@ -8,7 +8,8 @@ cavity-coupled model on momentum grids.
 # Deterministic linear algebra: pin BLAS threading before numpy ever loads.
 import os as _os
 
-for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _v in _BLAS_PINS:
     _os.environ.setdefault(_v, "1")
 
 import importlib as _importlib
@@ -37,12 +38,11 @@ _EXPORTS = {
     # kernels
     "HamiltonianAction": "kernels", "lanczos_expm_multiply": "kernels",
     # sylvester
-    "HarmonicSeries": "sylvester", "MicroMotion": "sylvester",
     "HopExpansionCoeffs": "sylvester", "sylvester_residual": "sylvester",
     "hubbard_micromotion": "sylvester",
     "hubbard_micromotion_terms": "sylvester",
     # fswt
-    "hubbard_harmonics": "fswt", "floquet_h2": "fswt",
+    "DrivenChain": "fswt", "hubbard_harmonics": "fswt", "floquet_h2": "fswt",
     "floquet_h2_terms": "fswt", "floquet_h4": "fswt",
     "floquet_h4_terms_j1": "fswt", "hfe_h": "fswt", "spin_exchange": "fswt",
     "strong_drive_harmonics": "fswt",

@@ -257,7 +257,7 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
                           for label, err in res["nrmse"].items()))
 
 
-def run_derive_hamiltonian(cfg, em: Emitter, threads):
+def run_derive_hamiltonian(cfg, em: Emitter):
     from .fock import HubbardParams
     from .fswt import floquet_h2_terms, floquet_h4_terms_j1
 
@@ -285,7 +285,7 @@ def _grid_from_cfg(cfg, em: Emitter):
     return grid
 
 
-def run_kspace_map(cfg, em: Emitter, threads):
+def run_kspace_map(cfg, em: Emitter):
     import numpy as np
 
     from .kspace import (bare_detuning, bs_detuning, floquet_band,
@@ -312,7 +312,7 @@ def run_kspace_map(cfg, em: Emitter, threads):
                   np.tile(grid.ky, grid.kx.size), np.ravel(value)])
 
 
-def run_exciton(cfg, em: Emitter, threads):
+def run_exciton(cfg, em: Emitter):
     from .kspace import exciton_frequency
 
     grid = _grid_from_cfg(cfg, em)
@@ -320,7 +320,7 @@ def run_exciton(cfg, em: Emitter, threads):
     em.write_text("exciton.txt", f"omega_ex = {fmt(w)}\nunits = eV\n")
 
 
-def run_gamma_scan(cfg, em: Emitter, threads):
+def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
     from .gamma import (constant_profile, eigen_sign_analysis, gamma_matrix,
@@ -358,7 +358,7 @@ def run_gamma_scan(cfg, em: Emitter, threads):
                  [np.arange(len(energies)), energies])
 
 
-def run_absorbance_ed(cfg, em: Emitter, threads):
+def run_absorbance_ed(cfg, em: Emitter):
     import numpy as np
 
     from .dynamics import absorbance_ed
@@ -376,7 +376,7 @@ def run_absorbance_ed(cfg, em: Emitter, threads):
     em.write_csv("spectrum.csv", ["omega", "alpha"], [wgrid, alpha])
 
 
-def run_pomeranchuk(cfg, em: Emitter, threads):
+def run_pomeranchuk(cfg, em: Emitter):
     from .kspace import CavitySpec, pomeranchuk_check
 
     grid = _grid_from_cfg(cfg, em)
@@ -387,21 +387,18 @@ def run_pomeranchuk(cfg, em: Emitter, threads):
                           for key in ("lhs", "rhs", "eta", "triggered")))
 
 
-def run_strong_drive(cfg, em: Emitter, threads):
+def run_strong_drive(cfg, em: Emitter):
     from .fswt import strong_drive_harmonics
 
-    series = strong_drive_harmonics(cfg["L"], 1.0, cfg["U"], cfg["g"],
-                                    cfg["omega"], jmax=cfg["jmax"])
+    static, harmonics, trunc = strong_drive_harmonics(
+        cfg["L"], 1.0, cfg["U"], cfg["g"], cfg["omega"], jmax=cfg["jmax"])
     em.note_grid("L", cfg["L"])
-    blocks = ["# static"]
-    blocks.extend(series.terms[(0, 0)].dump_lines())
-    for m in range(-cfg["jmax"], cfg["jmax"] + 1):
+    blocks = ["# static"] + static.dump_lines()
+    for m, tsum in harmonics.items():
         blocks.append(f"# harmonic {m}")
-        blocks.extend(series.terms[(1, m)].dump_lines())
+        blocks.extend(tsum.dump_lines())
     em.write_text("harmonics.txt", "\n".join(blocks) + "\n")
-    em.write_text("truncation.txt",
-                  f"truncation_error = "
-                  f"{fmt(series.meta['truncation_error'])}\n")
+    em.write_text("truncation.txt", f"truncation_error = {fmt(trunc)}\n")
 
 
 RUNNERS = {
@@ -457,7 +454,11 @@ def main(argv=None):
         outdir = Path(args.out if args.out is not None
                       else cfg.get("output_dir", "."))
         em = Emitter(outdir, args.scenario, cfg)
-        RUNNERS[args.scenario](cfg, em, threads)
+        # only the benchmark shards its work; no other runner takes threads
+        if args.scenario == "bench-return-rate":
+            run_bench_return_rate(cfg, em, threads)
+        else:
+            RUNNERS[args.scenario](cfg, em)
         em.finish()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

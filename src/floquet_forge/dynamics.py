@@ -18,7 +18,6 @@ from .errors import PhysicsError, PropagationError
 from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
                    build_sector_basis, build_two_band_chain)
 from .kernels import HamiltonianAction, lanczos_expm_multiply
-from .sylvester import HarmonicSeries
 
 __all__ = [
     "Trajectory",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-# largest sector that evolve_static diagonalizes densely
+# largest sector diagonalized densely (evolve_static, dipole_excitations)
 MAX_STATIC_DIM = 8192
 
 
@@ -95,14 +94,13 @@ def _krylov_step(action, psi, tau, tol, depth=0):
         return _krylov_step(action, mid, half, tol, depth + 1)
 
 
-def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
-                 sample_dt=None, tol=1e-10):
+def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
 
-    ``series`` must be materialized on a sector basis and hold harmonics
-    0 and +-1 only, with identical diagonal blocks D at +-1, the form
-    :func:`~floquet_forge.fswt.hubbard_harmonics` builds; any other series
-    raises ``ValueError``.
+    ``chain`` is the :class:`~floquet_forge.fswt.DrivenChain` that
+    :func:`~floquet_forge.fswt.hubbard_harmonics` builds: a Hermitian static
+    block H0, a real diagonal drive D and omega; any other input raises
+    ``ValueError``.
 
     Midpoint-exponential stepping: each step applies
     exp(-i dt H(t + dt/2)) by a Lanczos exponential with per-step tolerance
@@ -110,15 +108,20 @@ def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
     period); the default is a fortieth.  Samples are stored every
     ``sample_dt`` (every step when None); t=0 and t=t_final are always
     included, so the last interval is shorter when the sample stride does
-    not divide the step count.  ``t_final``, ``tol`` and, when given, ``dt``
-    and ``sample_dt`` must be finite and positive.
+    not divide the step count.  ``omega``, ``t_final``, ``tol`` and, when
+    given, ``dt`` and ``sample_dt`` must be finite and positive.
     """
-    for name, value in (("t_final", t_final), ("dt", dt),
+    static, drive, omega = chain
+    for name, value in (("omega", omega), ("t_final", t_final), ("dt", dt),
                         ("sample_dt", sample_dt), ("tol", tol)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value}")
-    omega = series.omega
+    if not static.hermitian:
+        raise ValueError("static block must be Hermitian")
+    diag = drive.diagonal()
+    if drive.nnz != np.count_nonzero(diag) or diag.imag.any():
+        raise ValueError("drive must be a real diagonal operator")
     dt_max = 2.0 * math.pi / (20.0 * omega)
     if dt is None:
         dt = dt_max / 2.0
@@ -132,22 +135,12 @@ def evolve_exact(series: HarmonicSeries, psi0, t_final, dt=None,
     else:
         stride = max(1, int(round(sample_dt / dt_eff)))
 
-    if series.harmonics() != [-1, 0, 1] or not all(
-            isinstance(op, SparseOperator) for op in series.terms.values()):
-        raise ValueError("series must be materialized with harmonics 0 and "
-                         "+-1 only")
-    drive = series.harmonic(1)
-    diag = drive.diagonal()
-    if drive.nnz != np.count_nonzero(diag) or not drive.allclose(
-            series.harmonic(-1), atol=1e-14 * max(drive.max_abs(), 1.0)):
-        raise ValueError("drive harmonics +-1 must be one diagonal block")
-
     psi = np.ascontiguousarray(np.asarray(psi0, dtype=np.complex128))
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"psi0 must be normalized, |psi|={nrm:.12g}")
 
-    action = HamiltonianAction(series.harmonic(0), diag=diag)
+    action = HamiltonianAction(static, diag=diag)
     sample_states = [psi.copy()]
     sample_times = [0.0]
     for k in range(steps):
@@ -190,9 +183,9 @@ def _apply(A, z):
 
 
 def _check_static_dim(dim):
-    """Refuse a sector too large for dense static propagation."""
+    """Refuse a sector too large for a dense eigensolve."""
     if dim > MAX_STATIC_DIM:
-        raise ValueError(f"dense static propagation capped at dim "
+        raise ValueError(f"dense eigensolve capped at dim "
                          f"{MAX_STATIC_DIM}, got {dim}")
 
 
@@ -305,8 +298,10 @@ def dipole_excitations(p: TwoBandChainParams):
     The fully filled band-1 product state is an exact eigenstate (interband
     kinetic terms are absent and band-1 hopping is Pauli blocked); this is
     checked before diagonalizing, and ``PhysicsError`` is raised otherwise.
-    Returns (E_n - E_G, |<n|d|G>|^2) arrays.
+    Returns (E_n - E_G, |<n|d|G>|^2) arrays.  Raises ``ValueError`` before
+    enumerating the basis when the (L, L) sector exceeds ``MAX_STATIC_DIM``.
     """
+    _check_static_dim(math.comb(2 * p.L, p.L) ** 2)
     b = build_sector_basis(2 * p.L, p.L, p.L)
     ops = build_two_band_chain(p, b)
     H, d = ops["H0"], ops["dipole"]

@@ -7,14 +7,17 @@ decomposition.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
-                   build_hubbard_operators, commutator, hubbard_terms)
-from .sylvester import (HarmonicSeries, HopExpansionCoeffs, _dressed_hops,
-                        _guard_resonance, _ladder, hubbard_micromotion)
+                   build_hubbard_operators, commutator)
+from .sylvester import (HopExpansionCoeffs, _dressed_hops, _guard_resonance,
+                        _ladder, hubbard_micromotion)
 
 __all__ = [
+    "DrivenChain",
     "hubbard_harmonics",
     "floquet_h2",
     "floquet_h2_terms",
@@ -26,19 +29,22 @@ __all__ = [
 ]
 
 
-def hubbard_harmonics(p: HubbardParams, basis: SectorBasis = None):
-    """Harmonic decomposition of the driven chain: static block and j = +-1.
+class DrivenChain(NamedTuple):
+    """The driven chain H(t) = static + 2*cos(omega*t)*drive on one sector."""
 
-    Returns a HarmonicSeries with (0,0) -> h + U and (1,+-1) -> the
-    drive ramp (identical at both harmonics, so the time dependence is
-    2*cos(omega*t)).  Term-valued when ``basis`` is None.
+    static: SparseOperator
+    drive: SparseOperator
+    omega: float
+
+
+def hubbard_harmonics(p: HubbardParams, b: SectorBasis):
+    """Fourier components of the driven chain on a sector basis.
+
+    The static block is h + U and the drive is the diagonal density ramp,
+    identical at harmonics +-1, so the time dependence is 2*cos(omega*t).
     """
-    t = hubbard_terms(p)
-    h0 = t["h"] + t["U_op"]
-    series = HarmonicSeries(
-        terms={(0, 0): h0, (1, 1): t["drive"], (1, -1): t["drive"]},
-        omega=p.omega)
-    return series.materialize(basis) if basis is not None else series
+    ops = build_hubbard_operators(p, b)
+    return DrivenChain(ops["h"] + ops["U_op"], ops["drive"], p.omega)
 
 
 # the name perfbench's chain_margin calls
@@ -185,8 +191,9 @@ def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
     A = (2g/omega)|phi_to - phi_from|, B = arg(phi_to - phi_from) and r the
     bond mask.  ``profile`` defaults to the linear ramp phi_j = j.
 
-    Returns a term-valued HarmonicSeries; ``meta['truncation_error']`` bounds
-    the spectral weight lost beyond ``jmax`` (worst bond).
+    Returns (static, harmonics, truncation_error): the static TermSum,
+    {m: TermSum} for m = -jmax..jmax, and a bound on the spectral weight
+    lost beyond ``jmax`` (worst bond).
     """
     # scipy.special is slow to import and nothing else in the package needs it
     from scipy.special import jv
@@ -237,8 +244,4 @@ def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
                     continue
                 for s in (0, 1):
                     kin[m].add(-J * alpha, [("cdag", jto, s), ("c", ifrom, s)])
-    terms = {(0, 0): static}
-    for m, tsum in kin.items():
-        terms[(1, m)] = tsum
-    return HarmonicSeries(terms=terms, omega=omega,
-                          meta={"jmax": jmax, "truncation_error": worst})
+    return static, kin, worst

@@ -98,7 +98,7 @@ def lanczos_expm_multiply(apply_h, v, tau, tol=1e-10, m_max=60):
         if j > 0:
             w = w - betas[j - 1] * V[j - 1]
         # full reorthogonalization (one pass)
-        proj = V[:j + 1].conj() @ w
+        proj = np.conj(V[:j + 1] @ w.conj())
         w = w - V[:j + 1].T @ proj
         alphas[j] = alpha
         beta = float(np.linalg.norm(w))

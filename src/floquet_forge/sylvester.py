@@ -9,133 +9,18 @@ the equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ResonantDenominator
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
                    commutator)
 
 __all__ = [
-    "HarmonicSeries",
-    "MicroMotion",
     "HopExpansionCoeffs",
     "sylvester_residual",
     "hubbard_micromotion",
     "hubbard_micromotion_terms",
 ]
-
-
-# ---------------------------------------------------------------------------
-# harmonic containers
-
-
-def _is_operator(v):
-    return isinstance(v, SparseOperator)
-
-
-def _pairing_dev(op_minus, op_plus_dagger, sign):
-    d = op_minus.matrix - sign * op_plus_dagger.matrix
-    return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-
-@dataclass
-class HarmonicSeries:
-    """Fourier components of a driven Hamiltonian: (order n, harmonic j) -> op.
-
-    Values are SparseOperators, or TermSums for basis-free assembly (call
-    :meth:`materialize` to obtain operators; Hermiticity validation of
-    term-valued series happens at that point).
-    """
-
-    terms: dict
-    omega: float
-    meta: dict = field(default_factory=dict)
-
-    HERM_TOL = 1e-13
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        for (n, j) in self.terms:
-            if n < 0:
-                raise ValueError(f"order must be >= 0, got {n}")
-            if n == 0 and j != 0:
-                raise ValueError("order-0 entry exists only at j=0, "
-                                 f"got harmonic {j}")
-        if all(_is_operator(v) for v in self.terms.values()):
-            self._check_hermitian_pairs()
-
-    def _check_hermitian_pairs(self):
-        for (n, j), op in self.terms.items():
-            scale = max(op.max_abs(), 1.0)
-            if j == 0:
-                if not op.hermitian:
-                    raise ValueError(f"harmonic (n={n}, j=0) must be Hermitian")
-                continue
-            partner = self.terms.get((n, -j))
-            if partner is None:
-                raise ValueError(f"harmonic (n={n}, j={j}) lacks its "
-                                 f"(n={n}, j={-j}) Hermitian partner")
-            if _pairing_dev(partner, op.dagger(), +1.0) > self.HERM_TOL * scale:
-                raise ValueError(
-                    f"harmonics (n={n}, j=+-{abs(j)}) are not mutually adjoint")
-
-    def materialize(self, basis: SectorBasis):
-        out = {}
-        for key, v in self.terms.items():
-            out[key] = v if _is_operator(v) else v.to_operator(basis)
-        return HarmonicSeries(terms=out, omega=self.omega,
-                              meta=dict(self.meta))
-
-    def harmonic(self, j):
-        """Sum all orders at harmonic j (operator-valued series only)."""
-        ops = [v for (n, jj), v in self.terms.items() if jj == j]
-        if not ops:
-            raise KeyError(f"no entries at harmonic {j}")
-        total = ops[0]
-        for op in ops[1:]:
-            total = total + op
-        return total
-
-    def harmonics(self):
-        return sorted({j for (_, j) in self.terms})
-
-
-@dataclass
-class MicroMotion:
-    """Micro-motion Fourier components: (order n >= 1, harmonic j != 0) -> op.
-
-    Anti-Hermitian pairing f(n,j) = -f(n,-j)^dagger is enforced at 1e-12
-    relative tolerance.
-    """
-
-    terms: dict
-    omega: float
-
-    ANTIHERM_TOL = 1e-12
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        for (n, j), op in self.terms.items():
-            if n < 1:
-                raise ValueError(f"micro-motion order must be >= 1, got {n}")
-            if j == 0:
-                raise ValueError("micro-motion has no static (j=0) part")
-            partner = self.terms.get((n, -j))
-            if partner is None:
-                raise ValueError(f"micro-motion (n={n}, j={j}) lacks its "
-                                 f"(n={n}, j={-j}) partner")
-            scale = max(op.max_abs(), 1.0)
-            if _pairing_dev(partner, op.dagger(), -1.0) > self.ANTIHERM_TOL * scale:
-                raise ValueError(
-                    f"micro-motion (n={n}, j=+-{abs(j)}) breaks "
-                    f"f(n,j) = -f(n,-j)^dagger")
-
-    def __getitem__(self, key):
-        return self.terms[key]
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +334,16 @@ def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2,
                         fswt_order=3):
     """Assemble the analytic micro-motion on a sector basis.
 
-    f(1,1) = y0 + y1 + y2 truncated at ``max_hop_order``; f(2,2) is the
-    two-photon component; f(3,1) the order-g^3 single-photon component;
-    f(2,+-1) and f(3,+-2) vanish identically for this model and are omitted.
+    Returns {(n, j): SparseOperator} at both signs of each harmonic, the
+    negative one built as f(n,-j) = -f(n,j)^dagger.  f(1,1) = y0 + y1 + y2
+    truncated at ``max_hop_order``; f(2,2) is the two-photon component;
+    f(3,1) the order-g^3 single-photon component; f(2,+-1) and f(3,+-2)
+    vanish identically for this model and are omitted.
     """
-    pos = hubbard_micromotion_terms(p, max_hop_order, fswt_order)
     terms = {}
-    for (n, j), tsum in pos.items():
+    for (n, j), tsum in hubbard_micromotion_terms(
+            p, max_hop_order, fswt_order).items():
         op = tsum.to_operator(b)
         terms[(n, j)] = op
         terms[(n, -j)] = -op.dagger()
-    return MicroMotion(terms=terms, omega=p.omega)
+    return terms

@@ -98,7 +98,7 @@ def test_criterion_04_free_limit_and_strong_drive():
     # zeroth harmonic of the strong-drive expansion is Bessel-weighted
     sd = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0, jmax=12)
     b2 = build_sector_basis(2, 1, 0)
-    m0 = sd.materialize(b2).terms[(1, 0)].to_dense()
+    m0 = sd[1][0].to_operator(b2).to_dense()
     coef = m0[b2.position(2), b2.position(1)].real
     bessel_ok = abs(coef + scipy.special.j0(0.5)) <= 1e-12
     ok = free_ok and bessel_ok
@@ -192,7 +192,7 @@ def test_criterion_07_sylvester_solver_checks():
     mm = hubbard_micromotion(p, b)
     dev_c = max(float((mm[(n, -j)] + op.dagger()).max_abs())
                 / max(float(op.max_abs()), 1.0)
-                for (n, j), op in mm.terms.items())
+                for (n, j), op in mm.items())
     c_ok = dev_c <= 1e-12
     ok = a_ok and b_ok and c_ok
     _verdict(7, ok, f"residual {resid:.1e}, scaling ratios "

@@ -6,12 +6,13 @@ checked byte-for-byte, including under Python-level sharding.
 """
 
 import hashlib
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from floquet_forge.cli import main
+from floquet_forge.cli import RUNNERS, main
 
 PAPER_BANDS = """\
 eps21 = 3.7
@@ -288,6 +289,31 @@ def test_nonpositive_threads_exits_1(tmp_path, capsys):
     code = main(["exciton", "--config", str(cfg), "--threads", "0"])
     assert code == 1
     assert "thread count" in capsys.readouterr().err
+
+
+def test_only_the_benchmark_runner_takes_threads():
+    # --threads shards bench-return-rate's candidates; every other runner
+    # would ignore a thread count, so none takes one
+    for scenario, run in RUNNERS.items():
+        if scenario != "bench-return-rate":
+            assert list(inspect.signature(run).parameters) == ["cfg", "em"], \
+                scenario
+
+
+def test_absorbance_cap_exits_1_before_enumerating(tmp_path, monkeypatch,
+                                                   capsys):
+    # L=5 has a (5, 5) sector of C(10, 5)^2 = 63504 states, a dense float64
+    # matrix of about 32 GB: the run must refuse before building the basis
+    def no_basis(*args, **kwargs):
+        raise AssertionError("basis enumerated above the dense cap")
+
+    monkeypatch.setattr("floquet_forge.dynamics.build_sector_basis", no_basis)
+    cfg_text = CONFIGS["absorbance-ed"][0].replace("L = 2", "L = 5")
+    code, out = run_cli(tmp_path, "absorbance-ed", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "8192" in err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -13,8 +13,7 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
 from floquet_forge import dynamics
 from floquet_forge.errors import PhysicsError, PropagationError
 from floquet_forge.fock import SparseOperator
-from floquet_forge.fswt import (floquet_h2, hfe_h, hubbard_harmonics,
-                                strong_drive_harmonics)
+from floquet_forge.fswt import floquet_h2, hfe_h, hubbard_harmonics
 
 
 # -- initial state and containers -------------------------------------------
@@ -64,13 +63,16 @@ def test_evolve_exact_guards():
         evolve_exact(series, psi0, -1.0)
     with pytest.raises(ValueError):
         evolve_exact(series, 2.0 * psi0, 1.0)
-    # only a materialized H0 + 2cos(omega t) D with a diagonal D propagates:
-    # strong-drive harmonics reach |m| = 3 and hop off the diagonal
-    strong = strong_drive_harmonics(2, 1.0, 3.0, 2.0, 12.0, jmax=3)
-    with pytest.raises(ValueError, match="harmonics 0 and"):
-        evolve_exact(strong.materialize(b), psi0, 1.0)
-    with pytest.raises(ValueError, match="materialized"):
-        evolve_exact(hubbard_harmonics(p), psi0, 1.0)
+    # only H0 + 2cos(omega t) D with a Hermitian H0 and a real diagonal D
+    # propagates
+    for bad, match in ((series._replace(drive=series.static), "diagonal"),
+                       (series._replace(drive=1j * series.drive), "real"),
+                       (series._replace(static=1j * series.static),
+                        "Hermitian"),
+                       (series._replace(omega=0.0), "omega"),
+                       (series._replace(omega=-12.0), "omega")):
+        with pytest.raises(ValueError, match=match):
+            evolve_exact(bad, psi0, 1.0)
 
 
 def test_zero_drive_matches_static_propagation():

@@ -147,61 +147,58 @@ def test_dimer_gap_matches_exchange():
 
 def test_hubbard_harmonics_structure():
     p = HubbardParams(L=3, J=1.0, U=3.0, g=2.0, omega=12.0)
-    series = hubbard_harmonics(p)
-    assert sorted(series.terms) == [(0, 0), (1, -1), (1, 1)]
     b = build_sector_basis(3, 2, 1)
-    mats = series.materialize(b)
+    chain = hubbard_harmonics(p, b)
     ops = build_hubbard_operators(p, b)
-    assert (mats.terms[(0, 0)] - (ops["h"] + ops["U_op"])).max_abs() <= 1e-14
-    assert (mats.terms[(1, 1)] - ops["drive"]).max_abs() == 0.0
-    assert (mats.terms[(1, -1)] - ops["drive"]).max_abs() == 0.0
+    assert (chain.static - (ops["h"] + ops["U_op"])).max_abs() <= 1e-14
+    assert (chain.drive - ops["drive"]).max_abs() == 0.0
+    assert chain.omega == p.omega
 
 
 def test_strong_drive_zeroth_harmonic_is_bessel_weighted():
-    sd = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0, jmax=12)
+    _, harmonics, trunc = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0,
+                                                 jmax=12)
     b = build_sector_basis(2, 1, 0)
-    mats = sd.materialize(b)
-    m0 = mats.terms[(1, 0)].to_dense()
+    m0 = harmonics[0].to_operator(b).to_dense()
     coef = m0[b.position(2), b.position(1)].real
     assert coef == pytest.approx(-scipy.special.j0(0.5), abs=1e-12)
-    assert sd.meta["truncation_error"] <= 1e-10
+    assert trunc <= 1e-10
 
 
 def test_strong_drive_sideband_signs():
-    sd = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0, jmax=12)
+    _, harmonics, _ = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0, jmax=12)
     b = build_sector_basis(2, 1, 0)
-    mats = sd.materialize(b)
     j1 = scipy.special.jv(1, 0.5)
-    up = mats.terms[(1, 1)].to_dense()[b.position(2), b.position(1)]
-    dn = mats.terms[(1, -1)].to_dense()[b.position(2), b.position(1)]
+    up = harmonics[1].to_operator(b).to_dense()[b.position(2), b.position(1)]
+    dn = harmonics[-1].to_operator(b).to_dense()[b.position(2), b.position(1)]
     assert up.real == pytest.approx(-j1, abs=1e-12)
     assert dn.real == pytest.approx(j1, abs=1e-12)
 
 
 def test_strong_drive_static_block_is_interaction():
-    sd = strong_drive_harmonics(3, 1.0, 5.0, 2.0, 10.0, jmax=8)
+    static, _, _ = strong_drive_harmonics(3, 1.0, 5.0, 2.0, 10.0, jmax=8)
     b = build_sector_basis(3, 1, 1)
-    mats = sd.materialize(b)
-    static = mats.terms[(0, 0)].to_dense()
+    static = static.to_operator(b).to_dense()
     doublon = b.position((1 << 0) | (1 << 3))  # both spins on site 1
     assert static[doublon, doublon] == pytest.approx(5.0, abs=1e-14)
     assert np.abs(static - np.diag(np.diag(static))).max() <= 1e-14
 
 
 def test_strong_drive_constant_profile_kills_sidebands():
-    sd = strong_drive_harmonics(3, 1.0, 0.0, 3.0, 12.0,
-                                profile=np.zeros(3), jmax=6)
-    assert len(sd.terms[(1, 0)]) > 0
+    _, harmonics, trunc = strong_drive_harmonics(3, 1.0, 0.0, 3.0, 12.0,
+                                                 profile=np.zeros(3), jmax=6)
+    assert sorted(harmonics) == list(range(-6, 7))
+    assert len(harmonics[0]) > 0
     for m in range(1, 7):
-        assert len(sd.terms[(1, m)]) == 0
-    assert sd.meta["truncation_error"] <= 1e-14
+        assert len(harmonics[m]) == 0
+    assert trunc <= 1e-14
 
 
 def test_strong_drive_hop_mask_cuts_bond():
-    sd = strong_drive_harmonics(3, 1.0, 0.0, 3.0, 12.0,
-                                hop_mask=np.array([1.0, 0.0]), jmax=6)
+    _, harmonics, _ = strong_drive_harmonics(
+        3, 1.0, 0.0, 3.0, 12.0, hop_mask=np.array([1.0, 0.0]), jmax=6)
     b = build_sector_basis(3, 1, 0)
-    m0 = sd.materialize(b).terms[(1, 0)].to_dense()
+    m0 = harmonics[0].to_operator(b).to_dense()
     assert abs(m0[b.position(2), b.position(1)]) > 0.5
     assert abs(m0[b.position(4), b.position(2)]) == 0.0
 
@@ -212,19 +209,34 @@ def test_strong_drive_complex_profile_rotates_harmonics(theta):
     # theta - pi, absorbed by the Bessel sign), so harmonic m picks up
     # exp(i m theta) against the real ramp
     jmax = 6
-    ramp = strong_drive_harmonics(3, 1.0, 2.0, 3.0, 12.0, jmax=jmax)
-    rotated = strong_drive_harmonics(3, 1.0, 2.0, 3.0, 12.0,
-                                     profile=np.arange(3) * np.exp(1j * theta),
-                                     jmax=jmax)
+    _, ramp, _ = strong_drive_harmonics(3, 1.0, 2.0, 3.0, 12.0, jmax=jmax)
+    _, rotated, _ = strong_drive_harmonics(
+        3, 1.0, 2.0, 3.0, 12.0, profile=np.arange(3) * np.exp(1j * theta),
+        jmax=jmax)
     for m in range(-jmax, jmax + 1):
-        want = ramp.terms[(1, m)].terms
-        got = rotated.terms[(1, m)].terms
+        want = ramp[m].terms
+        got = rotated[m].terms
         assert set(got) == set(want)
         phase = np.exp(1j * m * theta)
         for ops, c in want.items():
             assert abs(got[ops] - phase * c) <= 1e-15
-    b = build_sector_basis(3, 1, 1)
-    rotated.materialize(b)  # checks the harmonics pair as adjoints
+
+
+def test_strong_drive_harmonics_pair_as_adjoints():
+    # H(t) is Hermitian only if H_{-m} = H_m^dagger; a complex profile makes
+    # every sideband complex, so the pairing is not a plain transpose
+    profile = np.array([0.0, 1.0 + 0.5j, 1.5 - 2.0j, 3.0 + 1.0j])
+    static, harmonics, _ = strong_drive_harmonics(4, 1.0, 2.0, 3.0, 12.0,
+                                                  profile=profile, jmax=6)
+    b = build_sector_basis(4, 2, 1)
+    assert static.to_operator(b).hermitian
+    for m, tsum in harmonics.items():
+        op = tsum.to_operator(b)
+        assert op.nnz > 0
+        partner = harmonics[-m].to_operator(b)
+        assert (partner - op.dagger()).max_abs() <= 1e-15
+        if m != 0:
+            assert op.matrix.data.imag.any()
 
 
 def test_strong_drive_guards():

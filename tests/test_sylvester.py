@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floquet_forge import (HarmonicSeries, HopExpansionCoeffs, HubbardParams,
-                           MicroMotion, SparseOperator, build_hubbard_operators,
-                           build_sector_basis, commutator, hubbard_micromotion,
+from floquet_forge import (HopExpansionCoeffs, HubbardParams, SparseOperator,
+                           build_hubbard_operators, build_sector_basis,
+                           commutator, hubbard_micromotion,
                            sylvester_residual)
 from floquet_forge.errors import ResonantDenominator
 from floquet_forge.fswt import floquet_h4
@@ -163,9 +163,8 @@ def test_residual_scaling_with_hop_truncation():
 def test_micromotion_structure(cascade):
     p, b, _, _ = cascade
     mm = hubbard_micromotion(p, b)
-    assert sorted(mm.terms) == [(1, -1), (1, 1), (2, -2), (2, 2),
-                                (3, -1), (3, 1)]
-    for (n, j), op in mm.terms.items():
+    assert sorted(mm) == [(1, -1), (1, 1), (2, -2), (2, 2), (3, -1), (3, 1)]
+    for (n, j), op in mm.items():
         partner = mm[(n, -j)]
         dev = (partner + op.dagger()).max_abs()
         assert dev <= 1e-12 * max(op.max_abs(), 1.0)
@@ -205,42 +204,3 @@ def test_f31_single_component_not_antihermitian(cascade):
     f31 = f31_terms(p, c).to_operator(b)
     assert f31.nnz > 0
     assert (f31 + f31.dagger()).max_abs() > 1e-12 * f31.max_abs()
-
-
-# -- container validation ----------------------------------------------------
-
-def test_harmonic_series_validation():
-    op = SparseOperator(np.diag([1.0, -1.0]))
-    offd = SparseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        HarmonicSeries(terms={(0, 0): op}, omega=0.0)
-    with pytest.raises(ValueError):
-        HarmonicSeries(terms={(0, 1): op}, omega=1.0)
-    with pytest.raises(ValueError):
-        HarmonicSeries(terms={(0, 0): offd}, omega=1.0)  # not Hermitian
-    with pytest.raises(ValueError):
-        HarmonicSeries(terms={(1, 1): offd}, omega=1.0)  # partner missing
-    with pytest.raises(ValueError):
-        HarmonicSeries(terms={(1, 1): offd, (1, -1): 2.0 * offd}, omega=1.0)
-    ok = HarmonicSeries(terms={(0, 0): op, (1, 1): offd,
-                               (1, -1): offd.dagger()}, omega=1.0)
-    assert ok.harmonics() == [-1, 0, 1]
-    assert (ok.harmonic(0) - op).max_abs() == 0.0
-    with pytest.raises(KeyError):
-        ok.harmonic(3)
-
-
-def test_micromotion_validation():
-    offd = SparseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    pair = {(1, 1): offd, (1, -1): -offd.dagger()}
-    MicroMotion(terms=pair, omega=2.0)  # valid
-    with pytest.raises(ValueError):
-        MicroMotion(terms=pair, omega=0.0)
-    with pytest.raises(ValueError):
-        MicroMotion(terms={(0, 1): offd, (0, -1): -offd.dagger()}, omega=2.0)
-    with pytest.raises(ValueError):
-        MicroMotion(terms={(1, 0): offd}, omega=2.0)
-    with pytest.raises(ValueError):
-        MicroMotion(terms={(1, 1): offd}, omega=2.0)
-    with pytest.raises(ValueError):
-        MicroMotion(terms={(1, 1): offd, (1, -1): offd.dagger()}, omega=2.0)
