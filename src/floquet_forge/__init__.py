@@ -34,7 +34,6 @@ _EXPORTS = {
     "build_hubbard_operators": "fock", "build_two_band_chain": "fock",
     "hubbard_terms": "fock", "two_band_terms": "fock",
     "total_number_terms": "fock", "total_sz_terms": "fock",
-    "popcount_u64": "fock",
     # kernels
     "HamiltonianAction": "kernels", "lanczos_expm_multiply": "kernels",
     # sylvester

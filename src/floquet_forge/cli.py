@@ -381,7 +381,7 @@ def run_pomeranchuk(cfg, em: Emitter):
 
     grid = _grid_from_cfg(cfg, em)
     cav = CavitySpec(g=cfg["g"], gc0=cfg["gc0"], delta_c=cfg["delta_c"])
-    res = pomeranchuk_check(grid, cav, cfg["omega"], cfg["g"], cfg["kF"])
+    res = pomeranchuk_check(grid, cav, cfg["omega"], cfg["kF"])
     em.write_text("pomeranchuk.txt",
                   "".join(f"{key} = {fmt(res[key])}\n"
                           for key in ("lhs", "rhs", "eta", "triggered")))

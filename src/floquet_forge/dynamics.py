@@ -151,8 +151,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
             sample_states.append(psi.copy())
             sample_times.append((k + 1) * dt_eff)
     return Trajectory(np.array(sample_times), np.array(sample_states),
-                      meta={"dt": dt_eff, "steps": steps,
-                            "method": "krylov-midpoint", "tol": tol})
+                      meta={"steps": steps})
 
 
 def _eigh(H: SparseOperator):
@@ -206,7 +205,7 @@ def evolve_static(H: SparseOperator, psi0, times):
     np.cos(phase, out=phase)
     coef *= _apply(V.conj().T, psi0)[:, None]
     states = _apply(V, coef).T
-    return Trajectory(times, states, meta={"method": "static-eigh"})
+    return Trajectory(times, states)
 
 
 def return_rate(traj: Trajectory, psi0):
@@ -214,11 +213,6 @@ def return_rate(traj: Trajectory, psi0):
     ref = np.asarray(psi0, dtype=np.complex128)
     overlaps = traj.states @ ref.conj()
     return np.abs(overlaps) ** 2
-
-
-def _trapz(y, x):
-    f = getattr(np, "trapezoid", None)
-    return float(f(y, x)) if f is not None else float(np.trapz(y, x))
 
 
 def nrmse(L_approx, L_exact, times):
@@ -240,10 +234,10 @@ def nrmse(L_approx, L_exact, times):
     if not span > 0:
         raise ValueError(f"sample times must span a positive interval, "
                          f"got {span}")
-    mean_ex = _trapz(e, x) / span
+    mean_ex = np.trapezoid(e, x) / span
     if mean_ex <= 0:
         raise ValueError("exact signal has non-positive mean")
-    ms = _trapz((a - e) ** 2, x) / span
+    ms = np.trapezoid((a - e) ** 2, x) / span
     return math.sqrt(ms) / mean_ex
 
 

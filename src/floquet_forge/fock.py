@@ -7,7 +7,9 @@ bit, which keeps operator assembly branch-free and vectorized.
 
 Operators are built from ordered term lists (:class:`TermSum`) and
 materialized as canonical scipy CSR matrices (:class:`SparseOperator`); the
-same term lists feed exact diagonalisation and human-readable dumps.
+same term lists feed exact diagonalisation and human-readable dumps.  Term
+lists are only built, summed and dumped: all operator algebra (adjoints,
+products, commutators) happens on :class:`SparseOperator`.
 """
 
 from __future__ import annotations
@@ -33,28 +35,11 @@ __all__ = [
     "two_band_terms",
     "total_number_terms",
     "total_sz_terms",
-    "popcount_u64",
 ]
 
 UP, DN = 0, 1
 _SPIN_NAMES = {UP: "up", DN: "dn"}
 _KIND_NAMES = {"cdag": "Cdag", "c": "C", "n": "N"}
-
-
-def popcount_u64(x):
-    """Per-element population count of a uint64 array."""
-    x = np.asarray(x, dtype=np.uint64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x).astype(np.int64)
-    # SWAR fallback for numpy < 2.0
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +66,9 @@ class HubbardParams:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.L > 16:
             raise ValueError(f"L must be <= 16, got {self.L}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, "
+                             f"got {self.omega}")
         for name in ("J", "U", "g"):
             v = getattr(self, name)
             if not np.isfinite(v):
@@ -109,6 +95,10 @@ class TwoBandChainParams:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if 2 * self.L > 16:
             raise ValueError(f"2L must be <= 16 orbitals, got {2 * self.L}")
+        for name in ("eps21", "t1", "t2", "U11", "U12"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not self.eps21 > 0:
             raise ValueError(f"eps21 must be positive, got {self.eps21}")
 
@@ -190,11 +180,6 @@ class SparseOperator:
         self.matrix = m
         self._herm = None
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zeros(cls, dim):
-        return cls(sparse.csr_matrix((dim, dim), dtype=np.complex128))
-
     # -- structure ----------------------------------------------------
     @property
     def dim(self):
@@ -239,9 +224,6 @@ class SparseOperator:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return SparseOperator(self.matrix / complex(scalar))
-
     def __matmul__(self, other):
         return SparseOperator(self.matrix @ other.matrix)
 
@@ -250,10 +232,6 @@ class SparseOperator:
 
     def to_dense(self):
         return self.matrix.toarray()
-
-    def allclose(self, other, atol=1e-12):
-        d = self.matrix - other.matrix
-        return (float(np.abs(d.data).max()) if d.nnz else 0.0) <= atol
 
     def __repr__(self):
         return (f"SparseOperator(dim={self.dim}, nnz={self.nnz}, "
@@ -310,30 +288,6 @@ class TermSum:
             out.terms[ops] = out.terms.get(ops, 0j) + c
         return out
 
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor):
-        factor = complex(factor)
-        return TermSum({ops: c * factor for ops, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    def dagger(self):
-        flip = {"cdag": "c", "c": "cdag", "n": "n"}
-        out = TermSum()
-        for ops, c in self.terms.items():
-            new = tuple((flip[k], site, spin)
-                        for (k, site, spin) in reversed(ops))
-            out.terms[new] = out.terms.get(new, 0j) + np.conj(c)
-        return out
-
     # -- materialization ------------------------------------------------
     def to_operator(self, basis):
         """Assemble the operator matrix on the given sector basis."""
@@ -355,7 +309,7 @@ class TermSum:
             cols.append(np.nonzero(alive)[0])
             vals.append(coeff * amp[alive])
         if not rows:
-            return SparseOperator.zeros(dim)
+            return SparseOperator(sparse.csr_matrix((dim, dim)))
         mat = sparse.coo_matrix(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
@@ -394,7 +348,7 @@ def _apply_ops(states, ops, L):
             alive &= occ
         else:  # cdag
             alive &= ~occ
-        par = popcount_u64(st & below) & 1
+        par = np.bitwise_count(st & below) & 1
         amp = np.where(par == 1, -amp, amp)
         st = st ^ bit
     return st, amp, alive

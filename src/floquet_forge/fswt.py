@@ -28,6 +28,10 @@ __all__ = [
     "strong_drive_harmonics",
 ]
 
+# largest Bessel order strong_drive_harmonics builds; it allocates 2*jmax+1
+# term lists before anything else
+MAX_JMAX = 1024
+
 
 class DrivenChain(NamedTuple):
     """The driven chain H(t) = static + 2*cos(omega*t)*drive on one sector."""
@@ -135,10 +139,8 @@ def floquet_h4(p: HubbardParams, b: SectorBasis):
     plus Hermitian conjugate, where Hp2 is the pure g^2 part of the static
     block including its J^2 families.
     """
-    ops = build_hubbard_operators(p, b)
-    h0 = ops["h"] + ops["U_op"]
-    h_m1 = ops["drive"]
-    f = hubbard_micromotion(p, b, max_hop_order=2, fswt_order=3)
+    h0, h_m1, _ = hubbard_harmonics(p, b)
+    f = hubbard_micromotion(p, b)
     hp2 = floquet_h2(p, b, include_J2=True) - h0
     x = 0.5 * commutator(f[(3, 1)], h_m1)
     x = x + (1.0 / 12.0) * commutator(f[(2, 2)],
@@ -159,9 +161,7 @@ def hfe_h(p: HubbardParams, b: SectorBasis):
     vanishes; the 1/omega^2 double commutators reduce to a pure bandwidth
     renormalization for the linear density ramp.
     """
-    ops = build_hubbard_operators(p, b)
-    h0 = ops["h"] + ops["U_op"]
-    drive = ops["drive"]
+    h0, drive, _ = hubbard_harmonics(p, b)
     x = commutator(commutator(drive, h0), drive)
     corr = 0.5 * (x + x.dagger())
     return h0 + (1.0 / p.omega ** 2) * corr
@@ -198,8 +198,8 @@ def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
     # scipy.special is slow to import and nothing else in the package needs it
     from scipy.special import jv
 
-    if jmax < 1:
-        raise ValueError(f"jmax must be >= 1, got {jmax}")
+    if not 1 <= jmax <= MAX_JMAX:
+        raise ValueError(f"jmax must lie in 1..{MAX_JMAX}, got {jmax}")
     if L < 2:
         raise ValueError(f"need at least two sites, got L={L}")
     if not omega > 0:

@@ -132,8 +132,6 @@ class GammaMatrix:
 
     matrix: np.ndarray
     omega: float
-    k: tuple
-    q: tuple
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -158,7 +156,7 @@ def _difference_table(n):
 
 
 def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
-    """Vertex diagonal at (k, q) as an (Nx, Ny) array, with wrapped k and q."""
+    """Vertex diagonal at (k, q) as an (Nx, Ny) array."""
     nx, ny = grid.kx.size, grid.ky.size
     if prof.shape != (nx, ny):
         raise ValueError(f"profile shape {prof.shape} does not match grid "
@@ -170,7 +168,7 @@ def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     diag = (omega + grid.eps1[ikx, iky]
             - grid.eps1[(ikx + iqx) % nx, (iky + iqy) % ny]
             + eps1_shift - grid.eps2 - sum_v)
-    return diag, (ikx, iky), (iqx, iqy)
+    return diag
 
 
 def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
@@ -185,7 +183,7 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     raise ``ValueError``; the solve-based functions below do not need it
     when V_q is constant.
     """
-    diag, kk, qq = _vertex_diagonal(grid, prof, k, q, omega)
+    diag = _vertex_diagonal(grid, prof, k, q, omega)
     nx, ny = diag.shape
     n = nx * ny
     if n > MAX_DENSE:
@@ -197,7 +195,7 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
                 dif_y[None, :, None, :]].reshape(n, n) / n
     np.fill_diagonal(m, 0.0)
     m[np.diag_indices(n)] += diag.ravel()
-    return GammaMatrix(matrix=m, omega=float(omega), k=kk, q=qq)
+    return GammaMatrix(matrix=m, omega=float(omega))
 
 
 def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega):
@@ -243,7 +241,7 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
             return inv[:, b] if isinstance(b, int) else b @ inv
         return dense_solve
 
-    a = _vertex_diagonal(grid, prof, k, q, omega)[0].ravel()
+    a = _vertex_diagonal(grid, prof, k, q, omega).ravel()
     n = a.size
     c = float(prof.Vq[0, 0]) / n
     d = a - c

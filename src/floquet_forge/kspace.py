@@ -290,12 +290,11 @@ def cavity_forward_interaction(grid: BandGrid, cav: CavitySpec, omega,
     return -(cav.g * cav.gc0) ** 2 / (grid.nsites * cav.delta_c * dk * dkp)
 
 
-def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, g, kF):
+def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, kF):
     """Forward-interaction instability criterion of the dressed band.
 
     Compares the zone-center cavity attraction against the dressed hopping
-    stiffness.  ``g`` is the drive amplitude used for both sides (the value
-    in ``cav`` only sets the cavity vertex gc0 and detuning).  Returns
+    stiffness, both at the drive amplitude ``cav.g``.  Returns
     {lhs, rhs, eta, triggered}.
     """
     if not 0.0 < kF < math.pi / 4.0:
@@ -305,11 +304,11 @@ def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, g, kF):
         raise BandResonance("screened detuning non-positive somewhere on "
                             "the zone; dressed band undefined")
     ix, iy = grid.gamma_index()
-    lhs = (g * cav.gc0) ** 2 / (math.pi * cav.delta_c
-                                * delta[ix, iy] ** 2)
+    lhs = (cav.g * cav.gc0) ** 2 / (math.pi * cav.delta_c
+                                    * delta[ix, iy] ** 2)
     eta = 4.0 / grid.nsites * (cav.gc0 ** 2 / cav.delta_c) \
         * float(np.sum(1.0 / delta))
-    t_tilde = floquet_band(grid, omega, g)["t_tilde"]
+    t_tilde = floquet_band(grid, omega, cav.g)["t_tilde"]
     t_bare = _laplacian_t(grid, grid.eps1)
     rhs = t_tilde - eta * (t_bare - t_tilde)
     return {"lhs": float(lhs), "rhs": float(rhs), "eta": float(eta),

@@ -304,34 +304,27 @@ def f31_terms(p: HubbardParams, c: HopExpansionCoeffs):
                          signed=True)
 
 
-def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2,
-                              fswt_order=3):
+def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2):
     """Term lists of the micro-motion components (basis-free).
 
-    Returns {(n, j): TermSum} for the positive harmonics only; negative
-    harmonics follow from f(n,-j) = -f(n,j)^dagger.
+    Returns {(n, j): TermSum} at (1, 1), (2, 2) and (3, 1), the positive
+    harmonics only; negative harmonics follow from f(n,-j) = -f(n,j)^dagger.
     """
     if max_hop_order not in (0, 1, 2):
         raise ValueError(f"max_hop_order {max_hop_order} unsupported "
                          "(analytic forms stop at hop order 2)")
-    if fswt_order not in (1, 2, 3):
-        raise ValueError(f"fswt_order must be 1..3, got {fswt_order}")
     c = HopExpansionCoeffs.from_model(p.U, p.omega)
     y = y0_terms(p)
     if max_hop_order >= 1:
         y = y + y1_terms(p, c)
     if max_hop_order >= 2:
         y = y + y2_terms(p, c)
-    out = {(1, 1): y}
-    if fswt_order >= 2:
-        out[(2, 2)] = (z1_terms(p, c) if max_hop_order >= 1 else TermSum())
-    if fswt_order >= 3:
-        out[(3, 1)] = (f31_terms(p, c) if max_hop_order >= 1 else TermSum())
-    return out
+    if max_hop_order == 0:
+        return {(1, 1): y, (2, 2): TermSum(), (3, 1): TermSum()}
+    return {(1, 1): y, (2, 2): z1_terms(p, c), (3, 1): f31_terms(p, c)}
 
 
-def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2,
-                        fswt_order=3):
+def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2):
     """Assemble the analytic micro-motion on a sector basis.
 
     Returns {(n, j): SparseOperator} at both signs of each harmonic, the
@@ -341,8 +334,7 @@ def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2,
     vanish identically for this model and are omitted.
     """
     terms = {}
-    for (n, j), tsum in hubbard_micromotion_terms(
-            p, max_hop_order, fswt_order).items():
+    for (n, j), tsum in hubbard_micromotion_terms(p, max_hop_order).items():
         op = tsum.to_operator(b)
         terms[(n, j)] = op
         terms[(n, -j)] = -op.dagger()

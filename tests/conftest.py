@@ -1,4 +1,8 @@
 """Shared fixtures: the reference momentum grid and oracle embedding."""
+# The package pins BLAS to one thread on import, which holds only if numpy
+# has not loaded BLAS yet; so the package comes before numpy here, and every
+# in-process test runs with the pins a CLI run has.
+import floquet_forge
 import numpy as np
 import pytest
 

@@ -182,7 +182,7 @@ def test_criterion_07_sylvester_solver_checks():
         for J in (0.6, 0.3):
             pj = HubbardParams(L=4, J=J, U=3.0, g=3.0, omega=12.0)
             oj = build_hubbard_operators(pj, b)
-            mm = hubbard_micromotion(pj, b, max_hop_order=m, fswt_order=1)
+            mm = hubbard_micromotion(pj, b, max_hop_order=m)
             res[J] = sylvester_residual(mm[(1, 1)], oj["h"] + oj["U_op"],
                                         oj["drive"], pj.omega)
         ratios[m] = res[0.6] / res[0.3]
@@ -258,9 +258,9 @@ def test_criterion_10_pomeranchuk_trigger():
     grid = BandGrid.square(64, 64, **PAPER, kF=np.pi / 30)
     omega = 2.5535260858801344
     cav_on = CavitySpec(g=0.05, gc0=0.1, delta_c=0.25)
-    on = pomeranchuk_check(grid, cav_on, omega, 0.05, np.pi / 30)
+    on = pomeranchuk_check(grid, cav_on, omega, np.pi / 30)
     cav_off = CavitySpec(g=0.05, gc0=0.0, delta_c=0.25)
-    off = pomeranchuk_check(grid, cav_off, omega, 0.05, np.pi / 30)
+    off = pomeranchuk_check(grid, cav_off, omega, np.pi / 30)
     ok = on["triggered"] and on["lhs"] > on["rhs"] \
         and not off["triggered"] and off["lhs"] == 0.0
     _verdict(10, ok, f"driven cavity lhs {on['lhs']:.6f} > rhs "

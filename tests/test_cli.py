@@ -316,6 +316,15 @@ def test_absorbance_cap_exits_1_before_enumerating(tmp_path, monkeypatch,
     assert not (out / "spectrum.csv").exists()
 
 
+def test_strong_drive_jmax_above_cap_exits_1(tmp_path, capsys):
+    cfg_text = CONFIGS["strong-drive"][0].replace("jmax = 6", "jmax = 1025")
+    code, out = run_cli(tmp_path, "strong-drive", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "1024" in err
+    assert not (out / "harmonics.txt").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario", "--config", "x.cfg"])

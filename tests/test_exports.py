@@ -8,9 +8,13 @@ each submodule's public names and can drift from it.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import floquet_forge
 
@@ -38,6 +42,18 @@ def test_package_import_loads_no_layer():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the thread count from /proc")
+def test_in_process_blas_runs_on_one_thread():
+    # conftest imports the package before numpy, so the package's BLAS pins
+    # hold in the test process itself; an unpinned OpenBLAS would have
+    # started one worker per core
+    a = np.ones((1500, 1500))
+    a @ a
+    status = Path("/proc/self/status").read_text()
+    assert re.search(r"^Threads:\s+(\d+)$", status, re.M).group(1) == "1"
 
 
 def test_oracles_import_nothing_from_the_package():

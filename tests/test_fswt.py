@@ -24,7 +24,7 @@ def test_h2_equals_micromotion_composition(include_J2, hop_order):
     b = build_sector_basis(4, 2, 1)
     ops = build_hubbard_operators(p, b)
     h0 = ops["h"] + ops["U_op"]
-    mm = hubbard_micromotion(p, b, max_hop_order=hop_order, fswt_order=1)
+    mm = hubbard_micromotion(p, b, max_hop_order=hop_order)
     f1 = mm[(1, 1)]
     comp = h0 + 0.5 * commutator(f1 - f1.dagger(), ops["drive"])
     h2 = floquet_h2(p, b, include_J2=include_J2)
@@ -242,6 +242,8 @@ def test_strong_drive_harmonics_pair_as_adjoints():
 def test_strong_drive_guards():
     with pytest.raises(ValueError):
         strong_drive_harmonics(2, 1.0, 0.0, 1.0, 10.0, jmax=0)
+    with pytest.raises(ValueError, match="1024"):
+        strong_drive_harmonics(2, 1.0, 0.0, 1.0, 10.0, jmax=1025)
     with pytest.raises(ValueError):
         strong_drive_harmonics(1, 1.0, 0.0, 1.0, 10.0)
     with pytest.raises(ValueError):

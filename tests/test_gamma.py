@@ -148,7 +148,6 @@ def test_gamma_matrix_against_hand_built_oracle():
                 ref[p, pp] = vq[(p - pp) % 4, 0] / n
     assert gm.matrix.shape == (4, 4)
     assert np.max(np.abs(gm.matrix - ref)) < 1e-14
-    assert gm.k == (1, 0) and gm.q == (2, 0)
 
 
 def test_gamma_matrix_is_symmetric(square6):
@@ -161,7 +160,7 @@ def test_gamma_matrix_rejects_asymmetric_input():
     m = np.eye(3)
     m[0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
-        GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0))
+        GammaMatrix(matrix=m, omega=1.0)
 
 
 def test_gamma_matrix_profile_shape_guard(square6):
@@ -197,7 +196,7 @@ def test_rpa_kernel_split_reconstructs_vertex(square6):
 
 def test_rpa_kernel_vanishing_diagonal_raises():
     m = np.diag([1.0, 0.0, 2.0])
-    gm = GammaMatrix(matrix=m, omega=1.0, k=(0, 0), q=(0, 0))
+    gm = GammaMatrix(matrix=m, omega=1.0)
     with pytest.raises(BandResonance, match="diagonal"):
         rpa_kernel(gm)
 
@@ -535,7 +534,7 @@ def test_exact_zero_of_rank_one_diagonal():
     # U = 1 on 4 momenta: c = 1/4, Hartree 3/4, so D = 3 - eps2 - 1 exactly
     grid = _staircase([1.0, 2.0, 3.0, 4.0])
     prof = constant_profile(grid, 1.0)
-    d = _vertex_diagonal(grid, prof, (0, 0), (0, 0), 3.0)[0].ravel() - 0.25
+    d = _vertex_diagonal(grid, prof, (0, 0), (0, 0), 3.0).ravel() - 0.25
     assert list(d) == [1.0, 0.0, -1.0, -2.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

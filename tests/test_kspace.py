@@ -260,7 +260,7 @@ def test_pomeranchuk_triggered_at_reference_point():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.8, kF=math.pi / 30)
     w = exciton_frequency(g) - 0.14
     cav = CavitySpec(g=0.05, gc0=0.1, delta_c=0.25)
-    out = pomeranchuk_check(g, cav, w, 0.05, math.pi / 30)
+    out = pomeranchuk_check(g, cav, w, math.pi / 30)
     assert out["triggered"] is True
     assert out["lhs"] == pytest.approx(0.007829443360326522, abs=1e-9)
     assert out["rhs"] == pytest.approx(0.007421817744253437, abs=1e-9)
@@ -271,7 +271,7 @@ def test_pomeranchuk_needs_cavity_coupling():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.8, kF=math.pi / 30)
     w = exciton_frequency(g) - 0.14
     cav = CavitySpec(g=0.05, gc0=0.0, delta_c=0.25)
-    out = pomeranchuk_check(g, cav, w, 0.05, math.pi / 30)
+    out = pomeranchuk_check(g, cav, w, math.pi / 30)
     assert out["triggered"] is False
     assert out["lhs"] == 0.0
     assert out["eta"] == 0.0
@@ -281,6 +281,6 @@ def test_pomeranchuk_kf_guard():
     g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 0.8)
     cav = CavitySpec(g=0.05, gc0=0.1, delta_c=0.25)
     with pytest.raises(ValueError):
-        pomeranchuk_check(g, cav, 2.0, 0.05, 1.0)
+        pomeranchuk_check(g, cav, 2.0, 1.0)
     with pytest.raises(ValueError):
-        pomeranchuk_check(g, cav, 2.0, 0.05, 0.0)
+        pomeranchuk_check(g, cav, 2.0, 0.0)

@@ -154,7 +154,7 @@ def test_residual_scaling_with_hop_truncation():
             pj = HubbardParams(L=4, J=J, U=3.0, g=3.0, omega=12.0)
             oj = build_hubbard_operators(pj, b)
             h0 = oj["h"] + oj["U_op"]
-            mm = hubbard_micromotion(pj, b, max_hop_order=m, fswt_order=1)
+            mm = hubbard_micromotion(pj, b, max_hop_order=m)
             res[J] = sylvester_residual(mm[(1, 1)], h0, oj["drive"], pj.omega)
         target = 2.0 ** (m + 1)
         assert abs(res[0.6] / res[0.3] - target) <= 0.2 * target
@@ -174,13 +174,12 @@ def test_micromotion_term_orders_validate(cascade):
     p = cascade[0]
     with pytest.raises(ValueError):
         hubbard_micromotion_terms(p, max_hop_order=3)
-    with pytest.raises(ValueError):
-        hubbard_micromotion_terms(p, fswt_order=0)
-    with pytest.raises(ValueError):
-        hubbard_micromotion_terms(p, fswt_order=4)
-    assert sorted(hubbard_micromotion_terms(p, fswt_order=1)) == [(1, 1)]
-    assert sorted(hubbard_micromotion_terms(p, fswt_order=2)) == [(1, 1),
-                                                                  (2, 2)]
+    # the three components come at every hop order; at order 0 the two
+    # higher ones are empty
+    for m in (0, 1, 2):
+        terms = hubbard_micromotion_terms(p, max_hop_order=m)
+        assert list(terms) == [(1, 1), (2, 2), (3, 1)]
+        assert (len(terms[(2, 2)]) > 0) == (len(terms[(3, 1)]) > 0) == (m > 0)
 
 
 def test_micromotion_third_order_resonance():
@@ -188,8 +187,7 @@ def test_micromotion_third_order_resonance():
     # pole of no coefficient: the component is built there, and the g^4
     # block is finite and continuous through it
     p = HubbardParams(L=2, J=1.0, U=36.0, g=1.0, omega=12.0)
-    assert (3, 1) in hubbard_micromotion_terms(p, fswt_order=3)
-    assert (1, 1) in hubbard_micromotion_terms(p, fswt_order=2)
+    assert len(hubbard_micromotion_terms(p)[(3, 1)]) > 0
     b = build_sector_basis(4, 2, 2)
     h4 = {U: floquet_h4(HubbardParams(L=4, J=1.0, U=U, g=1.0, omega=12.0), b)
           for U in (36.0 - 1e-6, 36.0, 36.0 + 1e-6)}
