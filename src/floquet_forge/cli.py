@@ -379,20 +379,24 @@ def run_absorbance_ed(cfg, em: Emitter):
 def run_pomeranchuk(cfg, em: Emitter):
     from .kspace import CavitySpec, pomeranchuk_check
 
+    if not 0.0 < cfg["kF"] < math.pi / 4.0:
+        raise ConfigError(f"kF must be in (0, pi/4), got {cfg['kF']}")
     grid = _grid_from_cfg(cfg, em)
     cav = CavitySpec(g=cfg["g"], gc0=cfg["gc0"], delta_c=cfg["delta_c"])
-    res = pomeranchuk_check(grid, cav, cfg["omega"], cfg["kF"])
+    res = pomeranchuk_check(grid, cav, cfg["omega"])
     em.write_text("pomeranchuk.txt",
                   "".join(f"{key} = {fmt(res[key])}\n"
                           for key in ("lhs", "rhs", "eta", "triggered")))
 
 
 def run_strong_drive(cfg, em: Emitter):
+    from .fock import HubbardParams
     from .fswt import strong_drive_harmonics
 
-    static, harmonics, trunc = strong_drive_harmonics(
-        cfg["L"], 1.0, cfg["U"], cfg["g"], cfg["omega"], jmax=cfg["jmax"])
-    em.note_grid("L", cfg["L"])
+    p = HubbardParams(L=cfg["L"], J=1.0, U=cfg["U"], g=cfg["g"],
+                      omega=cfg["omega"])
+    static, harmonics, trunc = strong_drive_harmonics(p, cfg["jmax"])
+    em.note_grid("L", p.L)
     blocks = ["# static"] + static.dump_lines()
     for m, tsum in harmonics.items():
         blocks.append(f"# harmonic {m}")
@@ -468,6 +472,9 @@ def main(argv=None):
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     return 0
 

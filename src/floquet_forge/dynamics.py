@@ -248,7 +248,8 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     ``hams`` maps labels to static SparseOperators.  Returns times, the
     exact return rate, per-label return rates, and per-label mismatch, each
     keyed in the order of ``hams``.  Raises ``ValueError`` before
-    propagating when the sector exceeds ``MAX_STATIC_DIM``.
+    propagating when the sector exceeds ``MAX_STATIC_DIM`` or a candidate
+    is not a Hermitian operator on ``b``.
 
     With ``threads`` > 1 the candidates are propagated concurrently on a
     thread pool.  BLAS stays single-threaded, so the result is identical
@@ -257,6 +258,10 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     from .fswt import hubbard_harmonics
 
     _check_static_dim(b.dim)
+    for label, H in hams.items():
+        if H.dim != b.dim or not H.hermitian:
+            raise ValueError(f"candidate {label!r} is not a Hermitian "
+                             f"operator on the dim-{b.dim} sector")
     psi0 = cdw_state(b)
     traj = evolve_exact(hubbard_harmonics(p, b), psi0, t_final, dt=dt,
                         sample_dt=sample_dt, tol=tol)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
-                   build_hubbard_operators, commutator)
+                   build_hubbard_operators, commutator, hubbard_terms)
 from .sylvester import (HopExpansionCoeffs, _dressed_hops, _guard_resonance,
                         _ladder, hubbard_micromotion)
 
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 # largest Bessel order strong_drive_harmonics builds; it allocates 2*jmax+1
-# term lists before anything else
+# term lists
 MAX_JMAX = 1024
 
 
@@ -181,67 +181,29 @@ def spin_exchange(U, J, g, omega):
             + 4.0 * r * J ** 2 * (1.0 / (U - omega) + 1.0 / (omega + U)))
 
 
-def strong_drive_harmonics(L, J, U, g, omega, profile=None, hop_mask=None,
-                           jmax=10):
+def strong_drive_harmonics(p: HubbardParams, jmax=10):
     """Harmonics of the chain in the strong-drive (lattice co-moving) frame.
 
-    The static block is the bare interaction; every kinetic harmonic m in
-    -jmax..jmax carries the Bessel-weighted hopping
-    -J * exp(i m B) * J_m(A) * r per directed bond, with
-    A = (2g/omega)|phi_to - phi_from|, B = arg(phi_to - phi_from) and r the
-    bond mask.  ``profile`` defaults to the linear ramp phi_j = j.
+    The static block is the bare interaction.  For the linear ramp every
+    bond has a unit phase step, so kinetic harmonic m in -jmax..jmax puts
+    -J * J_m(A) on each hop i -> i+1 and -J * J_m(-A) on each hop i+1 -> i,
+    with A = 2g/omega.
 
     Returns (static, harmonics, truncation_error): the static TermSum,
-    {m: TermSum} for m = -jmax..jmax, and a bound on the spectral weight
-    lost beyond ``jmax`` (worst bond).
+    {m: TermSum} for m = -jmax..jmax, and the spectral weight
+    1 - sum_m J_m(A)^2 lost beyond ``jmax``.
     """
     # scipy.special is slow to import and nothing else in the package needs it
     from scipy.special import jv
 
     if not 1 <= jmax <= MAX_JMAX:
         raise ValueError(f"jmax must lie in 1..{MAX_JMAX}, got {jmax}")
-    if L < 2:
-        raise ValueError(f"need at least two sites, got L={L}")
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if profile is None:
-        profile = np.arange(L, dtype=float)
-    profile = np.asarray(profile)
-    if profile.shape != (L,):
-        raise ValueError(f"profile must have shape ({L},), "
-                         f"got {profile.shape}")
-    if hop_mask is None:
-        hop_mask = np.ones(L - 1)
-    hop_mask = np.asarray(hop_mask, dtype=float)
-    if hop_mask.shape != (L - 1,):
-        raise ValueError(f"hop_mask must have shape ({L - 1},), "
-                         f"got {hop_mask.shape}")
-
-    static = TermSum()
-    for j in range(L):
-        static.add(U, [("n", j, 0), ("n", j, 1)])
-    kin = {m: TermSum() for m in range(-jmax, jmax + 1)}
-    worst = 0.0
-    for b in range(L - 1):
-        for (jto, ifrom) in ((b + 1, b), (b, b + 1)):
-            d = complex(profile[jto] - profile[ifrom])
-            amp = (2.0 * g / omega) * abs(d)
-            row = jv(np.arange(jmax + 1), amp)
-            weight = row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2))
-            worst = max(worst, max(0.0, 1.0 - weight))
-            for m in range(-jmax, jmax + 1):
-                jm = float(row[abs(m)])
-                if d.imag == 0.0:
-                    # real ramp: signed-argument identities keep alpha real
-                    if abs(m) % 2 == 1 and ((d.real < 0) ^ (m < 0)):
-                        jm = -jm
-                    alpha = jm * hop_mask[b]
-                else:
-                    if m < 0 and m % 2:
-                        jm = -jm
-                    alpha = np.exp(1j * m * np.angle(d)) * jm * hop_mask[b]
-                if alpha == 0.0:
-                    continue
-                for s in (0, 1):
-                    kin[m].add(-J * alpha, [("cdag", jto, s), ("c", ifrom, s)])
-    return static, kin, worst
+    row = jv(np.arange(jmax + 1), 2.0 * p.g / p.omega)
+    weight = row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2))
+    kin = {}
+    for m in range(-jmax, jmax + 1):
+        # J_m(-A) = -J_|m|(A) for odd m > 0, J_|m|(A) otherwise
+        jm_neg = -row[m] if m > 0 and m % 2 else row[abs(m)]
+        kin[m] = _dressed_hops(TermSum(), p.L, -p.J * float(jm_neg),
+                               (1.0, 0.0, 0.0, 0.0), signed=m % 2 == 1)
+    return hubbard_terms(p)["U_op"], kin, max(0.0, 1.0 - weight)

@@ -290,15 +290,13 @@ def cavity_forward_interaction(grid: BandGrid, cav: CavitySpec, omega,
     return -(cav.g * cav.gc0) ** 2 / (grid.nsites * cav.delta_c * dk * dkp)
 
 
-def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega, kF):
+def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega):
     """Forward-interaction instability criterion of the dressed band.
 
     Compares the zone-center cavity attraction against the dressed hopping
-    stiffness, both at the drive amplitude ``cav.g``.  Returns
-    {lhs, rhs, eta, triggered}.
+    stiffness, both at the drive amplitude ``cav.g``; the hole pocket is the
+    one ``grid`` was built with.  Returns {lhs, rhs, eta, triggered}.
     """
-    if not 0.0 < kF < math.pi / 4.0:
-        raise ValueError(f"kF must be in (0, pi/4), got {kF}")
     delta = screened_detuning(grid, omega)
     if np.any(delta <= 0):
         raise BandResonance("screened detuning non-positive somewhere on "

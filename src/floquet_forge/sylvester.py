@@ -304,37 +304,28 @@ def f31_terms(p: HubbardParams, c: HopExpansionCoeffs):
                          signed=True)
 
 
-def hubbard_micromotion_terms(p: HubbardParams, max_hop_order=2):
+def hubbard_micromotion_terms(p: HubbardParams):
     """Term lists of the micro-motion components (basis-free).
 
     Returns {(n, j): TermSum} at (1, 1), (2, 2) and (3, 1), the positive
     harmonics only; negative harmonics follow from f(n,-j) = -f(n,j)^dagger.
     """
-    if max_hop_order not in (0, 1, 2):
-        raise ValueError(f"max_hop_order {max_hop_order} unsupported "
-                         "(analytic forms stop at hop order 2)")
     c = HopExpansionCoeffs.from_model(p.U, p.omega)
-    y = y0_terms(p)
-    if max_hop_order >= 1:
-        y = y + y1_terms(p, c)
-    if max_hop_order >= 2:
-        y = y + y2_terms(p, c)
-    if max_hop_order == 0:
-        return {(1, 1): y, (2, 2): TermSum(), (3, 1): TermSum()}
-    return {(1, 1): y, (2, 2): z1_terms(p, c), (3, 1): f31_terms(p, c)}
+    return {(1, 1): y0_terms(p) + y1_terms(p, c) + y2_terms(p, c),
+            (2, 2): z1_terms(p, c), (3, 1): f31_terms(p, c)}
 
 
-def hubbard_micromotion(p: HubbardParams, b: SectorBasis, max_hop_order=2):
+def hubbard_micromotion(p: HubbardParams, b: SectorBasis):
     """Assemble the analytic micro-motion on a sector basis.
 
     Returns {(n, j): SparseOperator} at both signs of each harmonic, the
     negative one built as f(n,-j) = -f(n,j)^dagger.  f(1,1) = y0 + y1 + y2
-    truncated at ``max_hop_order``; f(2,2) is the two-photon component;
-    f(3,1) the order-g^3 single-photon component; f(2,+-1) and f(3,+-2)
-    vanish identically for this model and are omitted.
+    through hop order 2; f(2,2) is the two-photon component; f(3,1) the
+    order-g^3 single-photon component; f(2,+-1) and f(3,+-2) vanish
+    identically for this model and are omitted.
     """
     terms = {}
-    for (n, j), tsum in hubbard_micromotion_terms(p, max_hop_order).items():
+    for (n, j), tsum in hubbard_micromotion_terms(p).items():
         op = tsum.to_operator(b)
         terms[(n, j)] = op
         terms[(n, -j)] = -op.dagger()

@@ -1,7 +1,8 @@
 """Output ledger: the sha256 of every file the CLI emits for fixed configs.
 
 The runs are the eight ``test_cli.py`` configs, a short L=6
-``bench-return-rate`` and a 16x16 ``gamma-scan``.  Each runs as
+``bench-return-rate``, a 16x16 ``gamma-scan``, and an order-4
+``derive-hamiltonian`` and a ``strong-drive`` at L=7.  Each runs as
 ``python -m floquet_forge.cli`` in a fresh process, so the package pins
 BLAS before numpy loads, as it does for any CLI run.
 ``tests/golden/ledger.json`` records the digests, keyed ``run/file``
@@ -40,6 +41,12 @@ RUNS["gamma-scan-16x16"] = (
     f"units = eV\nNx = 16\nNy = 16\n{PAPER_BANDS}"
     "omega = 3.63\nU_coulomb = 1.6\nprofile = valley-dip\n"
     "width = 0.6\nKx = 8\nKy = 8\nkx_index = 8\nky_index = 8\n")
+RUNS["derive-hamiltonian-order4-L7"] = (
+    "derive-hamiltonian",
+    "units = J\nL = 7\nU = 3.0\ng = 3.0\nomega = 12.0\norder = 4\n")
+RUNS["strong-drive-L7"] = (
+    "strong-drive",
+    "units = J\nL = 7\nU = 3.0\ng = 3.0\nomega = 12.0\njmax = 10\n")
 
 
 def environment():

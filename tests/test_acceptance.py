@@ -31,6 +31,8 @@ from floquet_forge.gamma import (coulomb_mix_selfenergy, constant_profile,
 from floquet_forge.kspace import (BandGrid, _hartree_detuning, bare_detuning,
                                   exciton_frequency, pomeranchuk_check,
                                   screened_detuning, t_matrix)
+from floquet_forge.sylvester import (HopExpansionCoeffs, y0_terms, y1_terms,
+                                     y2_terms)
 
 from oracles.dense_fermi import sylvester_dense
 
@@ -96,7 +98,8 @@ def test_criterion_04_free_limit_and_strong_drive():
     target = 3.0 ** 4 / (4.0 * 12.0 ** 4)
     free_ok = abs(hop - target) <= 1e-12
     # zeroth harmonic of the strong-drive expansion is Bessel-weighted
-    sd = strong_drive_harmonics(2, 1.0, 0.0, 3.0, 12.0, jmax=12)
+    sd = strong_drive_harmonics(
+        HubbardParams(L=2, J=1.0, U=0.0, g=3.0, omega=12.0), jmax=12)
     b2 = build_sector_basis(2, 1, 0)
     m0 = sd[1][0].to_operator(b2).to_dense()
     coef = m0[b2.position(2), b2.position(1)].real
@@ -182,8 +185,10 @@ def test_criterion_07_sylvester_solver_checks():
         for J in (0.6, 0.3):
             pj = HubbardParams(L=4, J=J, U=3.0, g=3.0, omega=12.0)
             oj = build_hubbard_operators(pj, b)
-            mm = hubbard_micromotion(pj, b, max_hop_order=m)
-            res[J] = sylvester_residual(mm[(1, 1)], oj["h"] + oj["U_op"],
+            c = HopExpansionCoeffs.from_model(pj.U, pj.omega)
+            y = [y0_terms(pj), y1_terms(pj, c), y2_terms(pj, c)]
+            f11 = sum(y[1:m + 1], y[0]).to_operator(b)
+            res[J] = sylvester_residual(f11, oj["h"] + oj["U_op"],
                                         oj["drive"], pj.omega)
         ratios[m] = res[0.6] / res[0.3]
     b_ok = all(abs(ratios[m] - 2.0 ** (m + 1)) <= 0.2 * 2.0 ** (m + 1)
@@ -258,9 +263,9 @@ def test_criterion_10_pomeranchuk_trigger():
     grid = BandGrid.square(64, 64, **PAPER, kF=np.pi / 30)
     omega = 2.5535260858801344
     cav_on = CavitySpec(g=0.05, gc0=0.1, delta_c=0.25)
-    on = pomeranchuk_check(grid, cav_on, omega, np.pi / 30)
+    on = pomeranchuk_check(grid, cav_on, omega)
     cav_off = CavitySpec(g=0.05, gc0=0.0, delta_c=0.25)
-    off = pomeranchuk_check(grid, cav_off, omega, np.pi / 30)
+    off = pomeranchuk_check(grid, cav_off, omega)
     ok = on["triggered"] and on["lhs"] > on["rhs"] \
         and not off["triggered"] and off["lhs"] == 0.0
     _verdict(10, ok, f"driven cavity lhs {on['lhs']:.6f} > rhs "

@@ -325,6 +325,60 @@ def test_strong_drive_jmax_above_cap_exits_1(tmp_path, capsys):
     assert not (out / "harmonics.txt").exists()
 
 
+def test_strong_drive_long_chain_exits_1(tmp_path, capsys):
+    # the chain is a HubbardParams, which caps L at 16
+    cfg_text = CONFIGS["strong-drive"][0].replace("L = 4", "L = 17")
+    code, out = run_cli(tmp_path, "strong-drive", cfg_text)
+    assert code == 1
+    assert "L must be <= 16" in capsys.readouterr().err
+    assert not (out / "harmonics.txt").exists()
+
+
+def test_pomeranchuk_kf_guard_exits_1_before_the_grid(tmp_path, monkeypatch,
+                                                      capsys):
+    # kF must lie in (0, pi/4); the run refuses before building the grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for an out-of-range kF")
+
+    monkeypatch.setattr("floquet_forge.cli._grid_from_cfg", no_grid)
+    cfg_text = CONFIGS["pomeranchuk"][0]
+    for kF in ("1.0", "0.0"):
+        bad = cfg_text.replace("kF = 0.10471975511965977", f"kF = {kF}")
+        code, out = run_cli(tmp_path, "pomeranchuk", bad, name=f"kF{kF}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "kF" in err
+        assert not (out / "pomeranchuk.txt").exists()
+
+
+def test_unwritable_output_dir_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    cfg = tmp_path / "ex.cfg"
+    cfg.write_text(CONFIGS["exciton"][0])
+    code = main(["exciton", "--config", str(cfg),
+                 "--out", str(blocker / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(blocker / "sub") in err
+
+
+def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
+                                                        monkeypatch, capsys):
+    from floquet_forge import dynamics
+    from floquet_forge.errors import PropagationError
+
+    def refuse(*args, **kwargs):
+        raise PropagationError("refused")
+
+    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", refuse)
+    code, out = run_cli(tmp_path, "bench-return-rate",
+                        CONFIGS["bench-return-rate"][0])
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+    assert not (out / "return_rate.csv").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario", "--config", "x.cfg"])

@@ -227,6 +227,59 @@ def test_benchmark_refuses_static_cap_before_propagating(monkeypatch):
         return_rate_benchmark(p, b, hams={}, t_final=0.5)
 
 
+def test_benchmark_refuses_bad_candidates_before_propagating(monkeypatch):
+    # a candidate on another sector or a non-Hermitian one must be refused
+    # by name before the exact propagation, not after it
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("evolve_exact called with a bad candidate")
+
+    monkeypatch.setattr(dynamics, "evolve_exact", no_propagation)
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    good = floquet_h2(p, b)
+    other = floquet_h2(p, build_sector_basis(4, 2, 1))
+    with pytest.raises(ValueError, match="'other'"):
+        return_rate_benchmark(p, b, {"fswt": good, "other": other},
+                              t_final=0.5)
+    skew = good + 1j * SparseOperator(np.diag(np.arange(b.dim, dtype=float)))
+    with pytest.raises(ValueError, match="'skew'"):
+        return_rate_benchmark(p, b, {"fswt": good, "skew": skew},
+                              t_final=0.5)
+
+
+def _refusing_lanczos(monkeypatch, limit):
+    """Make the Lanczos exponential refuse every |tau| above ``limit``."""
+    real = dynamics.lanczos_expm_multiply
+    calls = []
+
+    def refusing(action, psi, tau, tol):
+        calls.append(tau)
+        if abs(tau) > limit:
+            raise PropagationError(f"refused |tau| = {abs(tau):.3g}")
+        return real(action, psi, tau, tol=tol)
+
+    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", refusing)
+    return calls
+
+
+def test_krylov_step_halving_recovers_and_gives_up(monkeypatch):
+    # a refused step is retried as two half steps, which land on the same
+    # trajectory; a step refused at every size surfaces PropagationError
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    chain = hubbard_harmonics(p, b)
+    psi0 = cdw_state(b)
+    plain = evolve_exact(chain, psi0, 2.0)
+    dt = 2.0 / plain.meta["steps"]
+    calls = _refusing_lanczos(monkeypatch, 0.6 * dt)
+    halved = evolve_exact(chain, psi0, 2.0)
+    assert len(calls) == 3 * plain.meta["steps"]
+    assert np.abs(halved.states - plain.states).max() <= 1e-10
+    _refusing_lanczos(monkeypatch, 0.0)
+    with pytest.raises(PropagationError):
+        evolve_exact(chain, psi0, 2.0)
+
+
 def test_propagation_dt_convergence():
     # halving dt moves the sampled return rate by less than 1e-4
     p = HubbardParams(L=6, J=1.0, U=3.0, g=4.0, omega=16.0)

@@ -154,8 +154,10 @@ def test_residual_scaling_with_hop_truncation():
             pj = HubbardParams(L=4, J=J, U=3.0, g=3.0, omega=12.0)
             oj = build_hubbard_operators(pj, b)
             h0 = oj["h"] + oj["U_op"]
-            mm = hubbard_micromotion(pj, b, max_hop_order=m)
-            res[J] = sylvester_residual(mm[(1, 1)], h0, oj["drive"], pj.omega)
+            c = HopExpansionCoeffs.from_model(pj.U, pj.omega)
+            y = [y0_terms(pj), y1_terms(pj, c), y2_terms(pj, c)]
+            f11 = sum(y[1:m + 1], y[0]).to_operator(b)
+            res[J] = sylvester_residual(f11, h0, oj["drive"], pj.omega)
         target = 2.0 ** (m + 1)
         assert abs(res[0.6] / res[0.3] - target) <= 0.2 * target
 
@@ -172,14 +174,14 @@ def test_micromotion_structure(cascade):
 
 def test_micromotion_term_orders_validate(cascade):
     p = cascade[0]
-    with pytest.raises(ValueError):
-        hubbard_micromotion_terms(p, max_hop_order=3)
-    # the three components come at every hop order; at order 0 the two
-    # higher ones are empty
-    for m in (0, 1, 2):
-        terms = hubbard_micromotion_terms(p, max_hop_order=m)
-        assert list(terms) == [(1, 1), (2, 2), (3, 1)]
-        assert (len(terms[(2, 2)]) > 0) == (len(terms[(3, 1)]) > 0) == (m > 0)
+    # f(1,1) is the hop expansion through order 2, and the two higher
+    # components are both present
+    c = HopExpansionCoeffs.from_model(p.U, p.omega)
+    terms = hubbard_micromotion_terms(p)
+    assert list(terms) == [(1, 1), (2, 2), (3, 1)]
+    want = y0_terms(p) + y1_terms(p, c) + y2_terms(p, c)
+    assert terms[(1, 1)].terms == want.terms
+    assert len(terms[(2, 2)]) > 0 and len(terms[(3, 1)]) > 0
 
 
 def test_micromotion_third_order_resonance():
