@@ -15,6 +15,10 @@ from floquet_forge.errors import PhysicsError, PropagationError
 from floquet_forge.fock import SparseOperator
 from floquet_forge.fswt import floquet_h2, hfe_h, hubbard_harmonics
 
+from conftest import embed_sector
+from oracles import driven_ode
+from oracles.dense_fermi import hubbard_dense
+
 
 # -- initial state and containers -------------------------------------------
 
@@ -58,7 +62,7 @@ def test_evolve_exact_guards():
     series = hubbard_harmonics(p, b)
     psi0 = cdw_state(b)
     with pytest.raises(ValueError):  # dt must resolve the drive period
-        evolve_exact(series, psi0, 1.0, dt=2.0 * np.pi / (10.0 * p.omega))
+        evolve_exact(series, psi0, 1.0, dt=2.0 * np.pi / (4.0 * p.omega))
     with pytest.raises(ValueError):
         evolve_exact(series, psi0, -1.0)
     with pytest.raises(ValueError):
@@ -129,11 +133,53 @@ def test_return_rate_starts_at_unity():
 
 
 def test_norm_drift_stays_tiny():
+    # the default step and its half
     p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
-    traj = evolve_exact(hubbard_harmonics(p, b), cdw_state(b), 60.0,
-                        dt=1e-3, sample_dt=1.0)
-    assert traj.meta["norm_drift"] <= 1e-9
+    for dt in (None, 2.0 * np.pi / (20.0 * p.omega)):
+        traj = evolve_exact(hubbard_harmonics(p, b), cdw_state(b), 60.0,
+                            dt=dt, sample_dt=1.0)
+        assert traj.meta["norm_drift"] <= 1e-9
+
+
+def test_sample_times_land_on_the_grid():
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    chain, psi0 = hubbard_harmonics(p, b), cdw_state(b)
+    traj = evolve_exact(chain, psi0, 10.0, sample_dt=0.1)
+    assert traj.times.size == 101
+    assert_allclose(traj.times, 0.1 * np.arange(101), rtol=0, atol=1e-12)
+    # a sample_dt that does not divide t_final still ends on t_final
+    traj = evolve_exact(chain, psi0, 1.05, sample_dt=0.1)
+    assert traj.times.size == 12
+    assert_allclose(traj.times[:-1], 0.1 * np.arange(11), rtol=0,
+                    atol=1e-12)
+    assert traj.times[-1] == 1.05
+    # a run far shorter than one step is one step
+    traj = evolve_exact(chain, psi0, 1e-12)
+    assert list(traj.times) == [0.0, 1e-12]
+
+
+def test_exact_propagation_matches_ode_oracle():
+    # the Krylov stepping against DOP853 on dense arrays from the oracle
+    # Hamiltonian; the error is fourth order in the step
+    L, U, g, omega = 4, 3.0, 3.0, 12.0
+    p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=omega)
+    b = build_sector_basis(L, 2, 2)
+    h, u_op, _, drive = hubbard_dense(L, 1.0, U, 0.0, g)
+    psi0 = cdw_state(b)
+    times = 0.1 * np.arange(101)
+    ref = driven_ode.propagate(embed_sector(h + u_op, b),
+                               embed_sector(drive, b), omega, psi0, times)
+    want = np.abs(ref @ psi0.conj()) ** 2
+    errors = []
+    for dt in (None, 2.0 * np.pi / (20.0 * omega)):
+        traj = evolve_exact(hubbard_harmonics(p, b), psi0, 10.0, dt=dt,
+                            sample_dt=0.1)
+        assert_allclose(traj.times, times, rtol=0, atol=1e-12)
+        errors.append(np.abs(return_rate(traj, psi0) - want).max())
+    assert errors[0] <= 1e-4
+    assert errors[0] >= 10.0 * errors[1]
 
 
 # -- mismatch metric ---------------------------------------------------------
@@ -149,8 +195,8 @@ def test_nrmse_identity_and_offset():
 
 
 def test_nrmse_weights_uneven_sample_times():
-    # evolve_exact's last interval is short when the sample stride does not
-    # divide the step count; e = 1 + t is linear, so its trapezoid mean over
+    # evolve_exact's last interval is short when sample_dt does not divide
+    # t_final; e = 1 + t is linear, so its trapezoid mean over
     # [0, 2.5] is exactly 2.25, and the lone deviation at t = 2.5 carries
     # the half-width interval: mean square 0.5 * 0.5 / 2.5 = 0.1
     t = np.array([0.0, 1.0, 2.0, 2.5])
@@ -190,9 +236,10 @@ def test_effective_hamiltonian_ladder_is_monotone():
     out = return_rate_benchmark(p, b, hams, t_final=60.0)
     err = out["nrmse"]
     assert err["h0"] > err["hfe"] > err["fswt"]
-    assert err["h0"] == pytest.approx(1.023395, abs=1e-3)
-    assert err["hfe"] == pytest.approx(0.561256, abs=1e-3)
-    assert err["fswt"] == pytest.approx(0.076778, abs=1e-3)
+    # converged values, from a step of T/40 sampled every 0.1
+    assert err["h0"] == pytest.approx(1.023063, abs=1e-3)
+    assert err["hfe"] == pytest.approx(0.556285, abs=1e-3)
+    assert err["fswt"] == pytest.approx(0.080464, abs=1e-3)
     assert out["times"][0] == 0.0
     assert out["times"][-1] == pytest.approx(60.0)
     assert out["L_exact"][0] == pytest.approx(1.0, abs=1e-10)
@@ -271,9 +318,11 @@ def test_krylov_step_halving_recovers_and_gives_up(monkeypatch):
     psi0 = cdw_state(b)
     plain = evolve_exact(chain, psi0, 2.0)
     dt = 2.0 / plain.meta["steps"]
-    calls = _refusing_lanczos(monkeypatch, 0.6 * dt)
+    # each step takes two exponentials of |tau| = dt/2, and each is refused
+    # once and retried as two halves
+    calls = _refusing_lanczos(monkeypatch, 0.3 * dt)
     halved = evolve_exact(chain, psi0, 2.0)
-    assert len(calls) == 3 * plain.meta["steps"]
+    assert len(calls) == 2 * 3 * plain.meta["steps"]
     assert np.abs(halved.states - plain.states).max() <= 1e-10
     _refusing_lanczos(monkeypatch, 0.0)
     with pytest.raises(PropagationError):
@@ -281,17 +330,19 @@ def test_krylov_step_halving_recovers_and_gives_up(monkeypatch):
 
 
 def test_propagation_dt_convergence():
-    # halving dt moves the sampled return rate by less than 1e-4
+    # halving the default step moves the sampled return rate by less than
+    # 1e-4
     p = HubbardParams(L=6, J=1.0, U=3.0, g=4.0, omega=16.0)
     b = build_sector_basis(6, 3, 3)
     series = hubbard_harmonics(p, b)
     psi0 = cdw_state(b)
+    half = 2.0 * np.pi / (20.0 * p.omega)
     curves = {}
-    for dt in (1e-3, 5e-4):
+    for dt in (None, half):
         traj = evolve_exact(series, psi0, 50.0, dt=dt, sample_dt=0.1)
         curves[dt] = return_rate(traj, psi0)
-    assert curves[1e-3].shape == curves[5e-4].shape
-    assert np.abs(curves[1e-3] - curves[5e-4]).max() <= 1e-4
+    assert curves[None].shape == curves[half].shape
+    assert np.abs(curves[None] - curves[half]).max() <= 1e-4
 
 
 # -- two-band absorbance -----------------------------------------------------
