@@ -90,11 +90,15 @@ def cdw_state(b: SectorBasis):
     return psi
 
 
+# _krylov_step retries a refused exponential as two halves, this many deep
+_MAX_HALVINGS = 8
+
+
 def _krylov_step(action, psi, tau, tol, depth=0):
     try:
         return lanczos_expm_multiply(action, psi, tau, tol=tol)
     except PropagationError:
-        if depth >= 8:
+        if depth >= _MAX_HALVINGS:
             raise
         half = tau / 2.0
         mid = _krylov_step(action, psi, half, tol, depth + 1)
@@ -175,9 +179,14 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
             t = t0 + j * h
             f1 = 2.0 * math.cos(omega * (t + _C1 * h))
             f2 = 2.0 * math.cos(omega * (t + _C2 * h))
-            for a, b in ((_A2, _A1), (_A1, _A2)):
-                action.set_coef(2.0 * (a * f1 + b * f2))
-                psi = _krylov_step(action, psi, -0.5j * h, tol)
+            try:
+                for a, b in ((_A2, _A1), (_A1, _A2)):
+                    action.set_coef(2.0 * (a * f1 + b * f2))
+                    psi = _krylov_step(action, psi, -0.5j * h, tol)
+            except PropagationError as exc:
+                raise PropagationError(
+                    f"step from t={t:.6g} of length h={h:.6g} failed after "
+                    f"{_MAX_HALVINGS} halvings: {exc}") from exc
         states[k] = psi
         steps += n
     return Trajectory(times, states, meta={"steps": steps})

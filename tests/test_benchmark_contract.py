@@ -7,7 +7,9 @@ against ``perfbench/references.json``.  It runs in a subprocess because
 ``tracing.install`` rewraps the package's functions for the whole process.
 A second subprocess makes the calls of the chain workloads: the run
 environment, the chain warm-up, the ladder margin and a small
-``bench-return-rate`` through the CLI.
+``bench-return-rate`` through the CLI.  A third runs one bz-dense series
+job, which checks ``rho`` and the inverse against the references and the
+series against the inverse.
 """
 import subprocess
 import sys
@@ -61,5 +63,27 @@ CHAIN_SCRIPT = textwrap.dedent("""
 def test_chain_workload_calls_run(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", CHAIN_SCRIPT, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+SERIES_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    root, work = Path(sys.argv[1]), Path(sys.argv[2])
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    ctx = workloads.setup("bz-dense", work)
+    job = workloads.candidates()["series"][0]
+    _, errors = workloads.run_job(ctx, job)
+    assert errors == [], errors
+""")
+
+
+def test_bz_dense_series_job_matches_references(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIES_SCRIPT, str(ROOT), str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

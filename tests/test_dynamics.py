@@ -329,6 +329,32 @@ def test_krylov_step_halving_recovers_and_gives_up(monkeypatch):
         evolve_exact(chain, psi0, 2.0)
 
 
+def test_failed_step_names_its_time_and_length(monkeypatch):
+    # a step refused at every size leaves evolve_exact as the same
+    # PropagationError, now naming where the step started and its length
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    chain, psi0 = hubbard_harmonics(p, b), cdw_state(b)
+    real = dynamics.lanczos_expm_multiply
+    _refusing_lanczos(monkeypatch, 0.0)
+    with pytest.raises(PropagationError,
+                       match=r"from t=0 of length h=0\.05 failed after 8 "
+                             r"halvings: refused"):
+        evolve_exact(chain, psi0, 1.0, dt=0.05)
+    # the first three steps (two exponentials each) pass, the fourth fails
+    calls = []
+
+    def late(action, psi, tau, tol):
+        calls.append(tau)
+        if len(calls) > 6:
+            raise PropagationError("refused late")
+        return real(action, psi, tau, tol=tol)
+
+    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", late)
+    with pytest.raises(PropagationError, match=r"from t=0\.15 of length"):
+        evolve_exact(chain, psi0, 1.0, dt=0.05)
+
+
 def test_propagation_dt_convergence():
     # halving the default step moves the sampled return rate by less than
     # 1e-4

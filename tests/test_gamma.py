@@ -228,10 +228,33 @@ def test_series_beyond_pole_flagged(chain8):
     assert out["rho"] == pytest.approx(1.0318, abs=1e-3)
 
 
-def test_series_nterms_guard(chain8):
+@pytest.mark.parametrize("n_terms", [0, 2.5])
+def test_series_nterms_guard(chain8, n_terms):
     grid, prof = chain8
     with pytest.raises(ValueError, match="n_terms"):
-        series_vs_inverse(grid, prof, (0, 0), (0, 0), 10.0, n_terms=0)
+        series_vs_inverse(grid, prof, (0, 0), (0, 0), 10.0, n_terms=n_terms)
+
+
+@pytest.mark.parametrize("pole_offset", [None, 0.01])
+def test_series_doubling_matches_term_by_term_sum(chain8, pole_offset):
+    # rho 0.87 at omega 3.9, 1.03 just beyond the pole; the counts cover
+    # no doubling, powers of two and odd counts
+    grid, prof = chain8
+    omega = 3.9
+    if pole_offset is not None:
+        e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))
+        omega = e0["energies"][0] + pole_offset
+    g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
+    kernel = g @ eta
+    for n_terms in (1, 2, 3, 7, 64, 200):
+        plain, term = g.copy(), g.copy()
+        for _ in range(n_terms - 1):
+            term = kernel @ term
+            plain += term
+        out = series_vs_inverse(grid, prof, (0, 0), (0, 0), omega,
+                                n_terms=n_terms)
+        assert np.max(np.abs(out["series"] - plain)) \
+            <= 1e-13 * np.max(np.abs(plain)), n_terms
 
 
 # ------------------------------------------------------------- bound states
