@@ -1,9 +1,12 @@
 """The Hamiltonian action and the Lanczos exponential used by the propagators.
 
-``HamiltonianAction`` applies ``H0 @ x + coef * (diag * x)`` with scipy's
-CSR matvec plus one elementwise update for the diagonal drive; profiles
-show the matvec is a small share of a Lanczos step, so this numpy path is
-the only one.
+``HamiltonianAction`` applies a CSR matrix with scipy's matvec and counts
+the calls.  The exact propagation steps in the co-moving frame of the
+drive, where the diagonal drive is gone and only the static block's
+nonzeros carry time-dependent phases; it rescales the action's CSR data in
+place once per exponential, so the action is a plain matvec.  Profiles show
+the matvec is a small share of a Lanczos step, so this numpy path is the
+only one.
 
 Each Lanczos iteration diagonalizes the growing tridiagonal T_m to test
 convergence.  It calls LAPACK ``dstevd`` directly, the driver that
@@ -29,30 +32,19 @@ __all__ = ["HamiltonianAction", "lanczos_expm_multiply"]
 
 
 class HamiltonianAction:
-    """Callable y = H0 @ x + coef * (diag * x), with a swappable coefficient.
+    """Callable y = H @ x for a CSR matrix H; ``matvecs`` counts the calls.
 
-    H0 is a CSR matrix (or SparseOperator); diag is an optional diagonal
-    drive, applied only while ``coef`` is nonzero.  ``matvecs`` counts the
-    calls.
+    H is a CSR matrix or a SparseOperator.  ``matrix`` is read at every
+    call, so a caller may rescale its ``data`` in place between calls.
     """
 
-    def __init__(self, h0, diag=None):
-        self.matrix = getattr(h0, "matrix", h0).tocsr()
-        self.diag = (None if diag is None
-                     else np.ascontiguousarray(diag, dtype=np.complex128))
-        self.coef = 0j
+    def __init__(self, h):
+        self.matrix = getattr(h, "matrix", h).tocsr()
         self.matvecs = 0
-
-    def set_coef(self, coef):
-        self.coef = complex(coef)
 
     def __call__(self, x):
         self.matvecs += 1
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        y = self.matrix @ x
-        if self.diag is not None and self.coef != 0:
-            y += self.coef * (self.diag * x)
-        return y
+        return self.matrix @ np.ascontiguousarray(x, dtype=np.complex128)
 
 
 def _tridiagonal_eigh(alphas, betas):

@@ -182,7 +182,7 @@ def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
-    1e-10.  Raises NoExciton when no root exists in (0, edge), or when the
+    1e-10, or to one float spacing where that is wider.  Raises NoExciton when no root exists in (0, edge), or when the
     screened detuning does not close there to 1e-6 * U12, which happens when
     the root lies within the bisection resolution of the edge.
     """
@@ -207,6 +207,8 @@ def exciton_frequency(grid: BandGrid):
                         "interaction too weak to bind")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one float spacing wide
+            break
         if ssum(mid) < 1.0:
             lo = mid
         else:

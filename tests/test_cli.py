@@ -221,6 +221,25 @@ def test_bad_timing_key_exits_1(tmp_path, capsys, timing):
     assert not (out / "nrmse.txt").exists()
 
 
+def test_tiny_sample_dt_exits_1_before_allocating(tmp_path, monkeypatch,
+                                                 capsys):
+    # sample_dt = 1e-12 over t_final = 60 asks for 6e13 samples; the run
+    # must refuse by the stored-amplitude cap before building the sample
+    # grid, not escape as a numpy allocation error
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sample grid built above the storage cap")
+
+    monkeypatch.setattr("floquet_forge.dynamics._sample_times", no_grid)
+    code, out = run_cli(tmp_path, "bench-return-rate",
+                        "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+                        "t_final = 60.0\nsample_dt = 1e-12\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "stored amplitudes" in err
+    assert "Traceback" not in err
+    assert not (out / "nrmse.txt").exists()
+
+
 def test_static_cap_exits_1_before_propagating(tmp_path, monkeypatch,
                                                capsys):
     # L=9 has sector dim 15876, above the dense static cap: the run must

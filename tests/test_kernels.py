@@ -23,34 +23,34 @@ def _random_csr(rng, dim=60, density=0.08):
 
 def test_action_matches_plain_matvec(rng):
     mat = _random_csr(rng)
-    diag = rng.normal(size=60)
-    x = rng.normal(size=60) + 1j * rng.normal(size=60)
-    act = HamiltonianAction(mat, diag=diag)
-    act.set_coef(0.37 - 0.11j)
-    expect = mat @ x + (0.37 - 0.11j) * (diag * x)
-    assert_allclose(act(x), expect, atol=1e-13)
-    assert act.matvecs == 1
-
-
-def test_action_without_diag(rng):
-    mat = _random_csr(rng)
     x = rng.normal(size=60) + 1j * rng.normal(size=60)
     act = HamiltonianAction(mat)
-    act.set_coef(5.0)  # no diag registered: coef is inert
     assert_allclose(act(x), mat @ x, atol=1e-13)
+    assert act(x.real).dtype == np.complex128
+    assert act.matvecs == 2
+
+
+def test_action_reads_rescaled_data(rng):
+    # evolve_exact rescales the action's CSR data in place before each
+    # exponential; the next call must apply the rescaled matrix
+    mat = _random_csr(rng)
+    x = rng.normal(size=60) + 1j * rng.normal(size=60)
+    act = HamiltonianAction(mat.copy())
+    w = np.exp(1j * rng.normal(size=mat.nnz))
+    np.multiply(mat.data, w, out=act.matrix.data)
+    expect = sparse.csr_matrix((mat.data * w, mat.indices, mat.indptr),
+                               shape=mat.shape) @ x
+    assert_allclose(act(x), expect, atol=1e-13)
 
 
 def test_action_accepts_sparse_operator():
     b = build_sector_basis(4, 2, 2)
     ops = build_hubbard_operators(
         HubbardParams(L=4, J=1.0, U=3.0, g=2.0, omega=12.0), b)
-    act = HamiltonianAction(ops["h"] + ops["U_op"],
-                            diag=ops["drive"].diagonal())
+    h0 = ops["h"] + ops["U_op"]
+    act = HamiltonianAction(h0)
     x = np.ones(b.dim, dtype=np.complex128)
-    act.set_coef(2.0)
-    dense = (ops["h"] + ops["U_op"]).to_dense() \
-        + 2.0 * np.diag(ops["drive"].diagonal())
-    assert_allclose(act(x), dense @ x, atol=1e-12)
+    assert_allclose(act(x), h0.to_dense() @ x, atol=1e-12)
 
 
 def test_lanczos_matches_dense_expm(rng):

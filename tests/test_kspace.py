@@ -1,6 +1,7 @@
 """Momentum grids, screened detunings, the bound-state frequency, dressed
 bands, and the cavity forward-interaction criterion."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_exciton_frequency_doped():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.8, kF=math.pi / 30)
     assert exciton_frequency(g) == pytest.approx(2.6935260858801344,
                                                  abs=2e-10)
+
+
+def test_exciton_bisection_ends_at_float_resolution():
+    # at eps21 = 1e7 the float spacing at the root (~1.9e-9) exceeds the
+    # 1e-10 bisection width, so the loop must stop when the midpoint rounds
+    # onto an end; it then returns or raises NoExciton, within milliseconds
+    eps21 = 1e7
+    g = BandGrid.square(16, 16, eps21, 0.05, -0.15, 1.6, 0.8 * eps21 / 3.7)
+    start = time.perf_counter()
+    try:
+        w = exciton_frequency(g)
+    except NoExciton:
+        pass
+    else:
+        assert math.isfinite(w) and w > 0.0
+    assert time.perf_counter() - start < 0.5
 
 
 def test_exciton_requires_interaction():
