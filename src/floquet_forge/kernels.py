@@ -1,12 +1,12 @@
 """The Hamiltonian action and the Lanczos exponential used by the propagators.
 
 ``HamiltonianAction`` applies a CSR matrix with scipy's matvec and counts
-the calls.  The exact propagation steps in the co-moving frame of the
-drive, where the diagonal drive is gone and only the static block's
-nonzeros carry time-dependent phases; it rescales the action's CSR data in
-place once per exponential, so the action is a plain matvec.  Profiles show
-the matvec is a small share of a Lanczos step, so this numpy path is the
-only one.
+the calls.  ``dynamics.evolve_exact`` steps in the co-moving frame of the
+drive, where the diagonal drive cancels and only the static block's
+nonzeros carry time-dependent phases, so it needs no drive term here: it
+rescales the action's CSR data in place once per exponential.  Profiles
+show the matvec is a small share of a Lanczos step, so this numpy path is
+the only one.
 
 Each Lanczos iteration diagonalizes the growing tridiagonal T_m to test
 convergence.  It calls LAPACK ``dstevd`` directly, the driver that

@@ -182,9 +182,10 @@ def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
-    1e-10, or to one float spacing where that is wider.  Raises NoExciton when no root exists in (0, edge), or when the
-    screened detuning does not close there to 1e-6 * U12, which happens when
-    the root lies within the bisection resolution of the edge.
+    1e-10, or to one float spacing where that is wider.  Raises NoExciton
+    when no root exists in (0, edge), or when the screened detuning does not
+    close there to 1e-6 * U12, which happens when the root lies within the
+    bisection resolution of the edge.
     """
     occ_mask = grid.occ > 0
     if not occ_mask.any():

@@ -183,7 +183,6 @@ def test_exact_propagation_matches_ode_oracle():
     assert errors[0] >= 10.0 * errors[1]
 
 
-
 def test_exact_states_match_ode_oracle_for_a_random_drive(rng):
     # full lab-frame states, not return rates: a Fock-state return rate is
     # the same in the co-moving frame, so only the states see whether each
@@ -202,6 +201,7 @@ def test_exact_states_match_ode_oracle_for_a_random_drive(rng):
                                traj.times)
     # measured 5.2e-5; without the mapping back the error is 0.4-0.8
     assert np.abs(traj.states - ref).max() <= 2e-4
+
 
 # -- mismatch metric ---------------------------------------------------------
 
