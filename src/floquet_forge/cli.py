@@ -4,14 +4,19 @@
 
 Scenarios read a flat ``key = value`` config (with ``#`` comments and a
 mandatory ``units`` key), emit deterministic CSV/text files plus a manifest
-with input echo, library version, grid sizes, and sha256 checksums.  Exit
-codes: 0 ok, 1 config error, 2 physics error.
+with input echo, library version, grid sizes, and sha256 checksums.  The
+output directory is ``--out`` (default: the working directory) and the
+thread count is ``--threads`` (default 1, read by ``bench-return-rate``
+only); neither has a second name in the config or the environment.  A
+key whose value a run would ignore is refused: ``include_J2`` at
+``order = 4``, a nonzero ``g`` in ``kspace-map`` unless ``quantity =
+dressed``, and any ``gamma-scan`` profile but ``constant``.  Exit codes: 0
+ok, 1 config error, 2 physics error.
 """
 
 import argparse
 import hashlib
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -76,7 +81,7 @@ def _coerce(key, raw, typ):
     return value
 
 
-# key -> (type, required, default); units/output_dir are handled globally
+# key -> (type, required, default); units is handled globally
 _CHAIN_KEYS = {"L": (int, True, None), "U": (float, True, None),
                "g": (float, True, None), "omega": (float, True, None)}
 _BAND_KEYS = {"Nx": (int, True, None), "Ny": (int, True, None),
@@ -113,9 +118,6 @@ SCHEMAS = {
         "keys": {**_BAND_KEYS, "omega": (float, True, None),
                  "U_coulomb": (float, True, None),
                  "profile": (str, False, "constant"),
-                 "width": (float, False, None),
-                 "Kx": (int, False, None), "Ky": (int, False, None),
-                 "Kpx": (int, False, None), "Kpy": (int, False, None),
                  "kx_index": (int, False, 0), "ky_index": (int, False, 0),
                  "qx_index": (int, False, 0), "qy_index": (int, False, 0)},
     },
@@ -144,7 +146,7 @@ SCHEMAS = {
 
 def validate_config(scenario, raw):
     schema = SCHEMAS[scenario]
-    allowed = set(schema["keys"]) | {"units", "output_dir"}
+    allowed = set(schema["keys"]) | {"units"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) for {scenario}: "
@@ -155,8 +157,6 @@ def validate_config(scenario, raw):
         raise ConfigError(f"scenario {scenario} requires units = "
                           f"{schema['units']}, got {raw['units']!r}")
     cfg = {"units": raw["units"]}
-    if "output_dir" in raw:
-        cfg["output_dir"] = raw["output_dir"]
     for key, (typ, required, default) in schema["keys"].items():
         if key in raw:
             cfg[key] = _coerce(key, raw[key], typ)
@@ -215,8 +215,6 @@ class Emitter:
     def finish(self):
         lines = [f"scenario = {self.scenario}", f"version = {__version__}"]
         for key in sorted(self.cfg):
-            if key == "output_dir":
-                continue
             v = self.cfg[key]
             shown = fmt(v) if isinstance(v, (bool, int, float)) else str(v)
             lines.append(f"input.{key} = {shown}")
@@ -233,16 +231,34 @@ class Emitter:
 # scenario runners (heavy imports stay inside so the entry point is light)
 
 
-def run_bench_return_rate(cfg, em: Emitter, threads):
-    from .dynamics import return_rate_benchmark
-    from .fock import HubbardParams, build_sector_basis
-    from .fswt import floquet_h2, hfe_h
+def _chain_from_cfg(cfg, em: Emitter):
+    from .fock import HubbardParams
 
     p = HubbardParams(L=cfg["L"], J=1.0, U=cfg["U"], g=cfg["g"],
                       omega=cfg["omega"])
+    em.note_grid("L", p.L)
+    return p
+
+
+def _grid_from_cfg(cfg, em: Emitter):
+    from .kspace import BandGrid
+
+    grid = BandGrid.square(cfg["Nx"], cfg["Ny"], cfg["eps21"], cfg["t1"],
+                           cfg["t2"], cfg["U11"], cfg["U12"],
+                           kF=cfg.get("kF"))
+    em.note_grid("Nx", grid.kx.size)
+    em.note_grid("Ny", grid.ky.size)
+    return grid
+
+
+def run_bench_return_rate(cfg, em: Emitter, threads):
+    from .dynamics import return_rate_benchmark
+    from .fock import build_sector_basis
+    from .fswt import floquet_h2, hfe_h
+
+    p = _chain_from_cfg(cfg, em)
     n = (p.L + 1) // 2
     b = build_sector_basis(p.L, n, n)
-    em.note_grid("L", p.L)
     em.note_grid("sector_dim", b.dim)
     hams = {"fswt": floquet_h2(p, b, include_J2=True), "hfe": hfe_h(p, b)}
     res = return_rate_benchmark(p, b, hams, cfg["t_final"], dt=cfg.get("dt"),
@@ -258,31 +274,20 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
 
 
 def run_derive_hamiltonian(cfg, em: Emitter):
-    from .fock import HubbardParams
     from .fswt import floquet_h2_terms, floquet_h4_terms_j1
 
-    p = HubbardParams(L=cfg["L"], J=1.0, U=cfg["U"], g=cfg["g"],
-                      omega=cfg["omega"])
-    em.note_grid("L", p.L)
+    if cfg["order"] not in (2, 4):
+        raise ConfigError(f"order must be 2 or 4, got {cfg['order']}")
+    if cfg["order"] == 4 and cfg["include_J2"]:
+        raise ConfigError("include_J2 applies to order = 2 only; the "
+                          "order-4 terms are at leading hopping order")
+    p = _chain_from_cfg(cfg, em)
     if cfg["order"] == 2:
         terms = floquet_h2_terms(p, include_J2=cfg["include_J2"])
-    elif cfg["order"] == 4:
-        terms = floquet_h4_terms_j1(p)
     else:
-        raise ConfigError(f"order must be 2 or 4, got {cfg['order']}")
+        terms = floquet_h4_terms_j1(p)
     em.write_text("hamiltonian_terms.txt",
                   "\n".join(terms.dump_lines()) + "\n")
-
-
-def _grid_from_cfg(cfg, em: Emitter):
-    from .kspace import BandGrid
-
-    grid = BandGrid.square(cfg["Nx"], cfg["Ny"], cfg["eps21"], cfg["t1"],
-                           cfg["t2"], cfg["U11"], cfg["U12"],
-                           kF=cfg.get("kF"))
-    em.note_grid("Nx", grid.kx.size)
-    em.note_grid("Ny", grid.ky.size)
-    return grid
 
 
 def run_kspace_map(cfg, em: Emitter):
@@ -291,22 +296,23 @@ def run_kspace_map(cfg, em: Emitter):
     from .kspace import (bare_detuning, bs_detuning, floquet_band,
                          screened_detuning)
 
-    grid = _grid_from_cfg(cfg, em)
+    detunings = {"bare": bare_detuning, "screened": screened_detuning,
+                 "bs": bs_detuning}
     q = cfg["quantity"]
-    if q == "bare":
-        value = bare_detuning(grid, cfg["omega"])
-    elif q == "screened":
-        value = screened_detuning(grid, cfg["omega"])
-    elif q == "bs":
-        value = bs_detuning(grid, cfg["omega"])
-    elif q == "dressed":
+    if q not in detunings and q != "dressed":
+        raise ConfigError(f"quantity must be bare/screened/bs/dressed, "
+                          f"got {q!r}")
+    if q != "dressed" and cfg["g"] != 0.0:
+        raise ConfigError(f"g is read only by quantity = dressed, got "
+                          f"g = {fmt(cfg['g'])} with quantity = {q}")
+    grid = _grid_from_cfg(cfg, em)
+    if q == "dressed":
         band = floquet_band(grid, cfg["omega"], cfg["g"])
         value = band["eps_tilde"]
         em.write_text("dressed_band.txt",
                       f"t_tilde = {fmt(band['t_tilde'])}\n")
     else:
-        raise ConfigError(f"quantity must be bare/screened/bs/dressed, "
-                          f"got {q!r}")
+        value = detunings[q](grid, cfg["omega"])
     em.write_csv("kspace_map.csv", ["kx", "ky", "value"],
                  [np.repeat(grid.kx, grid.ky.size),
                   np.tile(grid.ky, grid.kx.size), np.ravel(value)])
@@ -323,30 +329,16 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import (constant_profile, eigen_sign_analysis, gamma_matrix,
-                        phase_winding_profile, valley_dip_profile)
+    from .gamma import constant_profile, eigen_sign_analysis, gamma_matrix
 
+    # the vertex reads V_q alone, which every coupling profile sets to
+    # U_coulomb; the couplings J12 reach only the solve-based functions
+    if cfg["profile"] != "constant":
+        raise ConfigError(f"profile must be constant, got "
+                          f"{cfg['profile']!r}: coupling profiles change the "
+                          f"solve-based functions, not the vertex")
     grid = _grid_from_cfg(cfg, em)
-    name = cfg["profile"]
-    if name == "constant":
-        prof = constant_profile(grid, cfg["U_coulomb"])
-    elif name == "valley-dip":
-        if cfg.get("width") is None or cfg.get("Kx") is None \
-                or cfg.get("Ky") is None:
-            raise ConfigError("valley-dip profile requires width, Kx, Ky")
-        prof = valley_dip_profile(grid, cfg["U_coulomb"],
-                                  (cfg["Kx"], cfg["Ky"]), cfg["width"])
-    elif name == "phase-winding":
-        needed = ("width", "Kx", "Ky", "Kpx", "Kpy")
-        if any(cfg.get(k) is None for k in needed):
-            raise ConfigError("phase-winding profile requires "
-                              "width, Kx, Ky, Kpx, Kpy")
-        prof = phase_winding_profile(grid, cfg["U_coulomb"],
-                                     (cfg["Kx"], cfg["Ky"]),
-                                     (cfg["Kpx"], cfg["Kpy"]), cfg["width"])
-    else:
-        raise ConfigError(f"profile must be constant/valley-dip/"
-                          f"phase-winding, got {name!r}")
+    prof = constant_profile(grid, cfg["U_coulomb"])
     gm = gamma_matrix(grid, prof, (cfg["kx_index"], cfg["ky_index"]),
                       (cfg["qx_index"], cfg["qy_index"]), cfg["omega"])
     idx = np.arange(gm.dim)
@@ -390,13 +382,10 @@ def run_pomeranchuk(cfg, em: Emitter):
 
 
 def run_strong_drive(cfg, em: Emitter):
-    from .fock import HubbardParams
     from .fswt import strong_drive_harmonics
 
-    p = HubbardParams(L=cfg["L"], J=1.0, U=cfg["U"], g=cfg["g"],
-                      omega=cfg["omega"])
+    p = _chain_from_cfg(cfg, em)
     static, harmonics, trunc = strong_drive_harmonics(p, cfg["jmax"])
-    em.note_grid("L", p.L)
     blocks = ["# static"] + static.dump_lines()
     for m, tsum in harmonics.items():
         blocks.append(f"# harmonic {m}")
@@ -430,37 +419,22 @@ def main(argv=None):
                                  "and screened interactions")
     parser.add_argument("scenario", choices=sorted(RUNNERS))
     parser.add_argument("--config", required=True, help="key = value file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="Python-level shard count (or FF_THREADS)")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="candidates bench-return-rate scores at once")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("FF_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"config error: FF_THREADS={env!r} is not an integer",
-                      file=sys.stderr)
-                return 1
-        else:
-            threads = 1
-    if threads < 1:
-        print(f"config error: thread count must be >= 1, got {threads}",
+    if args.threads < 1:
+        print(f"config error: thread count must be >= 1, got {args.threads}",
               file=sys.stderr)
         return 1
 
     try:
         raw = parse_config(args.config)
         cfg = validate_config(args.scenario, raw)
-        outdir = Path(args.out if args.out is not None
-                      else cfg.get("output_dir", "."))
-        em = Emitter(outdir, args.scenario, cfg)
+        em = Emitter(Path(args.out), args.scenario, cfg)
         # only the benchmark shards its work; no other runner takes threads
         if args.scenario == "bench-return-rate":
-            run_bench_return_rate(cfg, em, threads)
+            run_bench_return_rate(cfg, em, args.threads)
         else:
             RUNNERS[args.scenario](cfg, em)
         em.finish()

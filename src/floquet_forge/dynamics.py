@@ -44,6 +44,12 @@ STEPS_PER_PERIOD_MIN = 5
 # largest sample count times dim that evolve_exact stores: 512 MiB of
 # complex128
 MAX_STORED_AMPLITUDES = 2 ** 25
+# largest CFM4 step count times dim that evolve_exact takes: about 40 min at
+# the 1.7-2.7 us per step and state component measured at L=6 and 7 (one
+# core of a Xeon VM).  At the T/640 reference step and omega = 20J, L=6
+# over t_final = 60 is 4.9e7, L=7 over 20 is 5.0e7, and L=8 (dim 4900) over
+# 60 is 6.0e8
+MAX_STEP_WORK = 2 ** 30
 # CFM4:2 weights and nodes
 _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 _C1, _C2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
@@ -154,9 +160,10 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     when None) and at t_final; each sample interval is cut into the fewest
     equal steps no longer than ``dt``, so every sample lands on its grid
     point.  ``omega``, ``t_final``, ``tol`` and, when given, ``dt`` and
-    ``sample_dt`` must be finite and positive.  A run whose samples would
-    store more than ``MAX_STORED_AMPLITUDES`` amplitudes raises
-    ``ValueError`` before allocating them.
+    ``sample_dt`` must be finite and positive.  A run that would take more
+    than ``MAX_STEP_WORK`` steps times dim, or whose samples would store
+    more than ``MAX_STORED_AMPLITUDES`` amplitudes, raises ``ValueError``
+    before the first step.
     """
     static, drive, omega = chain
     for name, value in (("omega", omega), ("t_final", t_final), ("dt", dt),
@@ -177,6 +184,13 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     if dt > dt_max * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt:.4g} does not resolve the drive; need <= {dt_max:.4g}")
+    # every sample interval takes a step too, but samples finer than dt are
+    # bounded far tighter by the storage cap below
+    if t_final / dt * static.dim > MAX_STEP_WORK:
+        raise ValueError(
+            f"{t_final / dt:.3g} steps of dim {static.dim} exceed the cap "
+            f"of {MAX_STEP_WORK} steps times dim; raise dt (up to T/5) or "
+            f"shorten t_final")
     if sample_dt is None:
         sample_dt = t_final / max(1, math.ceil(t_final / dt - 1e-9))
     # in floats, so that an absurd ratio compares as inf instead of raising

@@ -1,11 +1,15 @@
 """Momentum-resolved interband vertex and interactions derived from it.
 
 The central object is the N x N vertex matrix over the pair-momentum index,
-built from a Coulomb profile V_q and an interband coupling profile J12.
-From it: the mean-field screened denominator, an RPA-style geometric series
-check against the exact inverse, the bound-state eigenproblem, scattering
+built from the band energies and the Coulomb profile V_q alone.  From it:
+the mean-field screened denominator, an RPA-style geometric series check
+against the exact inverse, the bound-state eigenproblem, scattering
 strengths between dressed pairs, the cavity-mediated global interaction, and
-the Coulomb-mixing self-energy.
+the Coulomb-mixing self-energy.  The interband couplings J12 of an
+``InteractionProfile`` enter only the functions that solve against the
+vertex (the screened denominator, the scattering strengths, the interaction
+weight, the cavity interaction and the self-energy); every shipped profile
+sets V_q = U, so profiles that differ in J12 alone give the same vertex.
 
 The functions that need the whole vertex (``gamma_matrix``,
 ``series_vs_inverse``, ``eigen_sign_analysis``) build it densely and are

@@ -183,9 +183,11 @@ def exciton_frequency(grid: BandGrid):
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
     1e-10, or to one float spacing where that is wider.  Raises NoExciton
-    when no root exists in (0, edge), or when the screened detuning does not
-    close there to 1e-6 * U12, which happens when the root lies within the
-    bisection resolution of the edge.
+    when no root exists in (0, edge), when the edge is so large that
+    edge - 1e-9 rounds onto it (the screening sum would divide by zero
+    there), or when the screened detuning does not close at the root to
+    1e-6 * U12, which happens when the root lies within the bisection
+    resolution of the edge.
     """
     occ_mask = grid.occ > 0
     if not occ_mask.any():
@@ -196,6 +198,9 @@ def exciton_frequency(grid: BandGrid):
     if upper <= 0:
         raise NoExciton(f"occupied continuum edge {edge:.6g} leaves no "
                         "positive-frequency window")
+    if upper == edge:
+        raise NoExciton(f"occupied continuum edge {edge:.6g} is too large "
+                        "to resolve a window of 1e-9 below it")
 
     def ssum(w):
         return _screening_sum(grid, a0 - w)
@@ -216,7 +221,7 @@ def exciton_frequency(grid: BandGrid):
             hi = mid
     w_ex = 0.5 * (lo + hi)
     residual = float(np.max(np.abs((a0 - w_ex) * (1.0 - ssum(w_ex)))))
-    if residual > 1e-6 * grid.U12:
+    if not residual <= 1e-6 * grid.U12:  # a NaN residual does not close
         raise NoExciton(f"screened detuning does not close at the root "
                         f"{w_ex:.6g} (residual {residual:.3e}); the bound "
                         f"state sits within the bisection resolution of the "

@@ -39,8 +39,8 @@ RUNS["bench-return-rate-L6"] = (
 RUNS["gamma-scan-16x16"] = (
     "gamma-scan",
     f"units = eV\nNx = 16\nNy = 16\n{PAPER_BANDS}"
-    "omega = 3.63\nU_coulomb = 1.6\nprofile = valley-dip\n"
-    "width = 0.6\nKx = 8\nKy = 8\nkx_index = 8\nky_index = 8\n")
+    "omega = 3.63\nU_coulomb = 1.6\nprofile = constant\n"
+    "kx_index = 8\nky_index = 8\n")
 RUNS["derive-hamiltonian-order4-L7"] = (
     "derive-hamiltonian",
     "units = J\nL = 7\nU = 3.0\ng = 3.0\nomega = 12.0\norder = 4\n")

@@ -7,6 +7,7 @@ checked byte-for-byte, including under Python-level sharding.
 
 import hashlib
 import inspect
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +45,7 @@ CONFIGS = {
     ),
     "gamma-scan": (
         f"units = eV\nNx = 6\nNy = 6\n{PAPER_BANDS}"
-        "omega = 3.63\nU_coulomb = 1.6\nprofile = phase-winding\n"
-        "width = 0.6\nKx = 3\nKy = 3\nKpx = 0\nKpy = 0\n"
+        "omega = 3.63\nU_coulomb = 1.6\nprofile = constant\n"
         "kx_index = 3\nky_index = 3\n",
         ["gamma_matrix.csv", "eigen.csv"],
     ),
@@ -183,6 +183,17 @@ def test_ladder_resonance_same_at_every_order(tmp_path, capsys, order):
     assert not (out / "hamiltonian_terms.txt").exists()
 
 
+def test_exciton_unresolvable_edge_exits_2(tmp_path, capsys):
+    # U12 = 1e300 puts the continuum edge where 1e-9 below it rounds onto it
+    cfg_text = CONFIGS["exciton"][0].replace("Nx = 64\nNy = 64",
+                                             "Nx = 16\nNy = 16")
+    cfg_text = cfg_text.replace("U12 = 0.8", "U12 = 1e300")
+    code, out = run_cli(tmp_path, "exciton", cfg_text)
+    assert code == 2
+    assert "physics error" in capsys.readouterr().err
+    assert not (out / "exciton.txt").exists()
+
+
 def test_exciton_unclosed_root_exits_2(tmp_path, capsys):
     # a weak U12 binds just below the continuum edge, within the bisection
     # resolution, so the screened detuning cannot close to 1e-6 * U12 there;
@@ -240,6 +251,28 @@ def test_tiny_sample_dt_exits_1_before_allocating(tmp_path, monkeypatch,
     assert not (out / "nrmse.txt").exists()
 
 
+@pytest.mark.parametrize("timing", ["dt = 1e-9", "omega = 1000000.0"])
+def test_step_cap_exits_1_before_stepping(tmp_path, monkeypatch, capsys,
+                                         timing):
+    # 6e10 steps (dt = 1e-9) and 9.5e7 steps of dim 36 (omega = 1e6 at the
+    # default T/10) over t_final = 60: refused before the first step
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sample grid built above the step cap")
+
+    monkeypatch.setattr("floquet_forge.dynamics._sample_times", no_grid)
+    cfg_text = "units = J\nL = 4\nU = 3.0\ng = 3.0\nt_final = 60.0\n"
+    if timing.startswith("dt"):
+        cfg_text += "omega = 12.0\n"
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "bench-return-rate", f"{cfg_text}{timing}\n")
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "steps times dim" in err
+    assert not (out / "nrmse.txt").exists()
+    assert elapsed < 1.0
+
+
 def test_static_cap_exits_1_before_propagating(tmp_path, monkeypatch,
                                                capsys):
     # L=9 has sector dim 15876, above the dense static cap: the run must
@@ -295,11 +328,47 @@ def test_bad_order_exits_1(tmp_path, capsys):
     assert "order" in capsys.readouterr().err
 
 
-def test_bad_thread_env_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FF_THREADS", "lots")
-    code = main(["exciton", "--config", str(tmp_path / "ignored.cfg")])
+@pytest.mark.parametrize("scenario, key", [
+    ("gamma-scan", "width = 0.6"), ("gamma-scan", "Kx = 3"),
+    ("gamma-scan", "Kpy = 0"), ("exciton", "output_dir = elsewhere"),
+])
+def test_removed_keys_exit_1(tmp_path, capsys, scenario, key):
+    # keys that reached no output (the coupling-profile geometry) or named
+    # a setting twice (output_dir for --out) are unknown keys now
+    code, out = run_cli(tmp_path, scenario,
+                        f"{CONFIGS[scenario][0]}{key}\n")
     assert code == 1
-    assert "FF_THREADS" in capsys.readouterr().err
+    assert "unknown key" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_include_j2_at_order_4_exits_1(tmp_path, capsys):
+    # the order-4 terms are at leading hopping order and would ignore it
+    code, out = run_cli(tmp_path, "derive-hamiltonian",
+                        "units = J\nL = 4\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+                        "order = 4\ninclude_J2 = true\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "include_J2" in err
+    assert not (out / "hamiltonian_terms.txt").exists()
+
+
+@pytest.mark.parametrize("quantity", ["bare", "screened", "bs"])
+def test_kspace_map_g_without_dressed_exits_1(tmp_path, monkeypatch, capsys,
+                                              quantity):
+    # only the dressed band reads the drive amplitude g; the refusal comes
+    # before the grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for an ignored g")
+
+    monkeypatch.setattr("floquet_forge.cli._grid_from_cfg", no_grid)
+    cfg_text = CONFIGS["kspace-map"][0].replace(
+        "quantity = screened", f"quantity = {quantity}\ng = 0.1")
+    code, out = run_cli(tmp_path, "kspace-map", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "dressed" in err
+    assert not (out / "kspace_map.csv").exists()
 
 
 def test_nonpositive_threads_exits_1(tmp_path, capsys):
@@ -524,6 +593,24 @@ def test_gamma_scan_outputs(tmp_path):
     energies = np.array([float(ln.split(",")[1]) for ln in elines[1:]])
     assert energies.size == 36
     assert np.all(np.diff(energies) >= -1e-12)
+
+
+@pytest.mark.parametrize("profile", ["valley-dip", "phase-winding"])
+def test_gamma_scan_coupling_profile_exits_1(tmp_path, monkeypatch, capsys,
+                                             profile):
+    # the vertex reads V_q alone, so a coupling profile would change no
+    # emitted byte; the run refuses before building the grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for a coupling profile")
+
+    monkeypatch.setattr("floquet_forge.cli._grid_from_cfg", no_grid)
+    cfg_text = CONFIGS["gamma-scan"][0].replace("profile = constant",
+                                                f"profile = {profile}")
+    code, out = run_cli(tmp_path, "gamma-scan", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not the vertex" in err
+    assert not (out / "gamma_matrix.csv").exists()
 
 
 def test_gamma_scan_unknown_profile_exits_1(tmp_path, capsys):

@@ -80,6 +80,36 @@ def test_evolve_exact_guards():
             evolve_exact(bad, psi0, 1.0)
 
 
+def test_step_cap_refuses_before_the_first_step(monkeypatch):
+    # dt = 1e-9 over t_final = 60 is 6e10 CFM4 steps, and omega = 1e6 at the
+    # default T/10 is 9.5e7 steps of dim 36 (L=4): both must be refused
+    # before the sample grid is built, not run for days
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sample grid built above the step cap")
+
+    monkeypatch.setattr(dynamics, "_sample_times", no_grid)
+    b = build_sector_basis(4, 2, 2)
+    psi0 = cdw_state(b)
+    slow = hubbard_harmonics(HubbardParams(L=4, J=1.0, U=3.0, g=3.0,
+                                           omega=12.0), b)
+    fast = hubbard_harmonics(HubbardParams(L=4, J=1.0, U=3.0, g=3.0,
+                                           omega=1e6), b)
+    for chain, dt in ((slow, 1e-9), (fast, None)):
+        with pytest.raises(ValueError, match="steps times dim"):
+            evolve_exact(chain, psi0, 60.0, dt=dt, sample_dt=0.1)
+
+
+def test_step_cap_admits_the_fine_references():
+    # the T/640 reference runs at the fastest drive of the acceptance menu
+    # (omega = 20J) at L=6 (t_final = 60) and L=7 (t_final = 20), and the
+    # L=6 run at L=8, stay under the cap
+    dt = 2.0 * np.pi / (640 * 20.0)
+    for L, t_final in ((6, 60.0), (7, 20.0), (8, 60.0)):
+        n = (L + 1) // 2
+        dim = build_sector_basis(L, n, n).dim
+        assert t_final / dt * dim <= dynamics.MAX_STEP_WORK / 1.5, L
+
+
 def test_zero_drive_matches_static_propagation():
     p = HubbardParams(L=4, J=1.0, U=3.0, g=0.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)

@@ -150,6 +150,21 @@ def test_gamma_matrix_against_hand_built_oracle():
     assert np.max(np.abs(gm.matrix - ref)) < 1e-14
 
 
+def test_gamma_matrix_ignores_the_couplings():
+    # every shipped profile sets V_q = U and differs only in J12, which the
+    # vertex does not read; gamma-scan builds the constant profile alone
+    grid = BandGrid.square(6, 6, **BANDS)
+    profiles = [constant_profile(grid, 1.6),
+                valley_dip_profile(grid, 1.6, (3, 3), 0.6),
+                phase_winding_profile(grid, 1.6, (3, 3), (0, 0), 0.6)]
+    assert not np.array_equal(profiles[0].Jcoupling, profiles[2].Jcoupling)
+    for k, q in (((3, 3), (0, 0)), ((2, 1), (1, 4))):
+        ref = gamma_matrix(grid, profiles[0], k, q, 3.63).matrix
+        for prof in profiles[1:]:
+            got = gamma_matrix(grid, prof, k, q, 3.63).matrix
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_gamma_matrix_is_symmetric(square6):
     grid, prof = square6
     gm = gamma_matrix(grid, prof, (2, 1), (1, 4), 3.63)

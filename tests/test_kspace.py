@@ -141,6 +141,15 @@ def test_exciton_bisection_ends_at_float_resolution():
     assert time.perf_counter() - start < 0.5
 
 
+def test_exciton_refuses_an_unresolvable_edge():
+    # at U12 = 1e300 the continuum edge is 2e300 and edge - 1e-9 rounds onto
+    # it, where the screening sum divides by zero; this used to return 1e300
+    # with RuntimeWarnings (errors under pytest) instead of raising
+    g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 1e300)
+    with pytest.raises(NoExciton, match="too large"):
+        exciton_frequency(g)
+
+
 def test_exciton_requires_interaction():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.0)
     with pytest.raises(NoExciton):  # zero U12: screening sum is identically 0
