@@ -195,20 +195,33 @@ class Emitter:
         """Write equal-length columns, each value formatted as ``fmt`` does.
 
         An integer column is written with ``str``, any other with ``.17g``.
-        Rows are formatted from ``tolist()`` slices and streamed to the file
-        in blocks, so a million-row table never sits in memory as text.
+        Each distinct value of a column is formatted once: values are told
+        apart by their bits, so 0.0 and -0.0 keep their own text, and every
+        row is gathered from those strings.  Rows are streamed to the file
+        in blocks of ``CSV_BLOCK``, so a million-row table never sits in
+        memory as text.
         """
         import numpy as np
 
-        cols = [np.asarray(c) for c in columns]
-        row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}"
-                       for c in cols) + "\n"
+        cols = [np.ascontiguousarray(c) for c in columns]
+        tables = []
+        for i, c in enumerate(cols):
+            bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+            uniq, inverse = np.unique(bits, return_inverse=True)
+            spec = "{}" if c.dtype.kind in "iu" else "{:.17g}"
+            spec += "," if i < len(cols) - 1 else "\n"
+            text = [spec.format(v) for v in uniq.view(c.dtype).tolist()]
+            tables.append((np.array(text, dtype=object), inverse))
+        n = len(cols[0])
         path = self.outdir / name
         with path.open("w") as f:
             f.write(",".join(header) + "\n")
-            for start in range(0, len(cols[0]), CSV_BLOCK):
-                block = [c[start:start + CSV_BLOCK].tolist() for c in cols]
-                f.write("".join(map(row.format, *block)))
+            for start in range(0, n, CSV_BLOCK):
+                stop = min(n, start + CSV_BLOCK)
+                cells = np.empty((stop - start, len(cols)), dtype=object)
+                for j, (text, inverse) in enumerate(tables):
+                    cells[:, j] = text[inverse[start:stop]]
+                f.write("".join(cells.ravel().tolist()))
         self.files.append(name)
         return path
 
@@ -329,7 +342,7 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import constant_profile, eigen_sign_analysis, gamma_matrix
+    from .gamma import constant_profile, gamma_matrix
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -345,7 +358,9 @@ def run_gamma_scan(cfg, em: Emitter):
     em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
                  [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),
                   gm.matrix.ravel(), np.zeros(gm.dim ** 2)])
-    energies = eigen_sign_analysis(gm)["energies"]
+    # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
+    # without the eigenvectors nothing here reads
+    energies = gm.omega - np.linalg.eigvalsh(gm.matrix)[::-1]
     em.write_csv("eigen.csv", ["j", "E_j"],
                  [np.arange(len(energies)), energies])
 

@@ -44,12 +44,15 @@ STEPS_PER_PERIOD_MIN = 5
 # largest sample count times dim that evolve_exact stores: 512 MiB of
 # complex128
 MAX_STORED_AMPLITUDES = 2 ** 25
-# largest CFM4 step count times dim that evolve_exact takes: about 40 min at
-# the 1.7-2.7 us per step and state component measured at L=6 and 7 (one
-# core of a Xeon VM).  At the T/640 reference step and omega = 20J, L=6
-# over t_final = 60 is 4.9e7, L=7 over 20 is 5.0e7, and L=8 (dim 4900) over
-# 60 is 6.0e8
+# largest CFM4 step count times (dim + STEP_OVERHEAD) that evolve_exact
+# takes.  A step costs a fixed part as well as one per state component:
+# 0.17-0.30 ms at dim 4 (L=2), 0.64-0.70 ms at 400 (L=6) and 1.1-1.5 ms at
+# 1225 (L=7), 0.9-3.1 us per (dim + 130) (one core of a 2-core Xeon VM), so
+# the cap is 16-55 min of stepping.  At the T/640 reference step and
+# omega = 20J, L=6 over t_final = 60 is 6.5e7, L=7 over 20 is 5.5e7, and
+# L=8 (dim 4900) over 60 is 6.1e8
 MAX_STEP_WORK = 2 ** 30
+STEP_OVERHEAD = 130
 # CFM4:2 weights and nodes
 _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 _C1, _C2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
@@ -161,9 +164,9 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     equal steps no longer than ``dt``, so every sample lands on its grid
     point.  ``omega``, ``t_final``, ``tol`` and, when given, ``dt`` and
     ``sample_dt`` must be finite and positive.  A run that would take more
-    than ``MAX_STEP_WORK`` steps times dim, or whose samples would store
-    more than ``MAX_STORED_AMPLITUDES`` amplitudes, raises ``ValueError``
-    before the first step.
+    than ``MAX_STEP_WORK`` steps times (dim + ``STEP_OVERHEAD``), or whose
+    samples would store more than ``MAX_STORED_AMPLITUDES`` amplitudes,
+    raises ``ValueError`` before the first step.
     """
     static, drive, omega = chain
     for name, value in (("omega", omega), ("t_final", t_final), ("dt", dt),
@@ -186,11 +189,12 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
             f"dt={dt:.4g} does not resolve the drive; need <= {dt_max:.4g}")
     # every sample interval takes a step too, but samples finer than dt are
     # bounded far tighter by the storage cap below
-    if t_final / dt * static.dim > MAX_STEP_WORK:
+    if t_final / dt * (static.dim + STEP_OVERHEAD) > MAX_STEP_WORK:
         raise ValueError(
             f"{t_final / dt:.3g} steps of dim {static.dim} exceed the cap "
-            f"of {MAX_STEP_WORK} steps times dim; raise dt (up to T/5) or "
-            f"shorten t_final")
+            f"of {MAX_STEP_WORK} steps times dim, plus {STEP_OVERHEAD} per "
+            f"step for its fixed cost; raise dt (up to T/5) or shorten "
+            f"t_final")
     if sample_dt is None:
         sample_dt = t_final / max(1, math.ceil(t_final / dt - 1e-9))
     # in floats, so that an absurd ratio compares as inf instead of raising

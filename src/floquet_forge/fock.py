@@ -40,6 +40,12 @@ __all__ = [
 UP, DN = 0, 1
 _SPIN_NAMES = {UP: "up", DN: "dn"}
 _KIND_NAMES = {"cdag": "Cdag", "c": "C", "n": "N"}
+# largest |J|, |U|, |g| and omega, and inverse of the smallest omega, that
+# HubbardParams accepts.  The Floquet terms form products up to
+# g^4 J / omega^4, which stay below 1e270 inside this range; outside it
+# Python's float ** raises OverflowError (g or omega = 1e300) or omega^2
+# underflows to a zero divisor (omega = 1e-300)
+ENERGY_MAX = 1e30
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +58,8 @@ class HubbardParams:
 
     Open boundaries.  No chemical potential: at fixed (n_up, n_down) it would
     only shift every energy by a constant.  Energies in units of the hopping
-    J unless stated otherwise; hbar = 1.
+    J unless stated otherwise; hbar = 1.  Each energy is at most
+    ``ENERGY_MAX`` in magnitude and omega at least 1/``ENERGY_MAX``.
     """
 
     L: int
@@ -69,10 +76,16 @@ class HubbardParams:
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, "
                              f"got {self.omega}")
+        if not 1.0 / ENERGY_MAX <= self.omega <= ENERGY_MAX:
+            raise ValueError(f"omega must be in [{1.0 / ENERGY_MAX:g}, "
+                             f"{ENERGY_MAX:g}], got {self.omega}")
         for name in ("J", "U", "g"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+            if abs(v) > ENERGY_MAX:
+                raise ValueError(f"|{name}| must be <= {ENERGY_MAX:g}, "
+                                 f"got {v}")
 
 
 @dataclass(frozen=True)

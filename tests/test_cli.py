@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from floquet_forge.cli import RUNNERS, main
+from floquet_forge.cli import RUNNERS, Emitter, fmt, main
 
 PAPER_BANDS = """\
 eps21 = 3.7
@@ -467,6 +467,24 @@ def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
     assert not (out / "return_rate.csv").exists()
 
 
+@pytest.mark.parametrize("scenario", ["bench-return-rate",
+                                      "derive-hamiltonian"])
+@pytest.mark.parametrize("key, bad", [("g", "1e300"), ("omega", "1e300"),
+                                      ("omega", "1e-300")])
+def test_energy_out_of_float_range_exits_1(tmp_path, capsys, scenario, key,
+                                           bad):
+    # g ** 2 / omega ** 2 used to escape as OverflowError (g or omega =
+    # 1e300) or ZeroDivisionError (omega = 1e-300)
+    cfg_text, names = CONFIGS[scenario]
+    lines = [f"{key} = {bad}" if ln.split(" = ")[0] == key else ln
+             for ln in cfg_text.splitlines()]
+    code, out = run_cli(tmp_path, scenario, "\n".join(lines) + "\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not any((out / name).exists() for name in names)
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario", "--config", "x.cfg"])
@@ -475,6 +493,43 @@ def test_usage_errors_exit_1(capsys):
         main(["exciton"])  # --config is mandatory
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- csv writer
+
+def _naive_csv(header, columns):
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(",".join(map(fmt, row)) + "\n"
+                                             for row in rows)
+
+
+@pytest.mark.parametrize("block", [None, 3, 7])
+def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block):
+    # values are deduplicated by bits, so 0.0 and -0.0 (and NaN) keep the
+    # text fmt gives them; block sizes 3 and 7 leave a short last block
+    if block is not None:
+        monkeypatch.setattr("floquet_forge.cli.CSV_BLOCK", block)
+    floats = np.array([0.5, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -0.0,
+                       1 / 3, 0.0, 1e-300, -np.nan, 0.5, 2.0 ** 70, 0.1,
+                       0.1, 3.0, -0.0, 0.0, -1 / 3, np.inf, 7.25])
+    n = floats.size
+    ints = np.arange(n) % 4 - 2
+    columns = [ints, floats, np.zeros(n), np.arange(n, dtype=np.uint32),
+               np.float32(floats)]
+    header = ["i", "x", "zero", "u", "single"]
+    em = Emitter(tmp_path, "test", {})
+    path = em.write_csv("t.csv", header, columns)
+    text = path.read_text()
+    assert text == _naive_csv(header, columns)
+    assert text.splitlines()[2:4] == ["-1,-0,0,1,-0", "0,0,0,2,0"]
+    assert em.files == ["t.csv"]
+
+
+def test_write_csv_empty_table(tmp_path):
+    em = Emitter(tmp_path, "test", {})
+    path = em.write_csv("e.csv", ["j", "E_j"],
+                        [np.arange(0), np.zeros(0)])
+    assert path.read_text() == "j,E_j\n"
 
 
 # ------------------------------------------------------ emitted content

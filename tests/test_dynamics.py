@@ -1,4 +1,6 @@
 """Exact propagation, return rates, the mismatch metric, and ED absorbance."""
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -99,15 +101,33 @@ def test_step_cap_refuses_before_the_first_step(monkeypatch):
             evolve_exact(chain, psi0, 60.0, dt=dt, sample_dt=0.1)
 
 
+def test_step_cap_counts_the_fixed_cost_of_a_step(monkeypatch):
+    # L=2 (dim 4) at omega = 1e6 is 9.5e7 steps over t_final = 60: 3.8e8
+    # steps times dim, under the cap, but about 5 h of stepping at 0.2 ms
+    # a step; counting 130 per step refuses it before the sample grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sample grid built above the step cap")
+
+    monkeypatch.setattr(dynamics, "_sample_times", no_grid)
+    b = build_sector_basis(2, 1, 1)
+    chain = hubbard_harmonics(HubbardParams(L=2, J=1.0, U=3.0, g=3.0,
+                                            omega=1e6), b)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="steps times dim"):
+        evolve_exact(chain, cdw_state(b), 60.0, sample_dt=0.1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_step_cap_admits_the_fine_references():
     # the T/640 reference runs at the fastest drive of the acceptance menu
     # (omega = 20J) at L=6 (t_final = 60) and L=7 (t_final = 20), and the
-    # L=6 run at L=8, stay under the cap
+    # L=6 run at L=8, stay under the cap with the fixed cost of each step
     dt = 2.0 * np.pi / (640 * 20.0)
     for L, t_final in ((6, 60.0), (7, 20.0), (8, 60.0)):
         n = (L + 1) // 2
         dim = build_sector_basis(L, n, n).dim
-        assert t_final / dt * dim <= dynamics.MAX_STEP_WORK / 1.5, L
+        work = t_final / dt * (dim + dynamics.STEP_OVERHEAD)
+        assert work <= dynamics.MAX_STEP_WORK / 1.5, L
 
 
 def test_zero_drive_matches_static_propagation():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from floquet_forge import BandGrid, CavitySpec
+from floquet_forge.cli import main
 from floquet_forge.errors import BandResonance
 from floquet_forge.gamma import (
     MAX_DENSE,
@@ -270,6 +271,76 @@ def test_series_doubling_matches_term_by_term_sum(chain8, pole_offset):
                                 n_terms=n_terms)
         assert np.max(np.abs(out["series"] - plain)) \
             <= 1e-13 * np.max(np.abs(plain)), n_terms
+
+
+def _rho_by_eigvals(grid, prof, omega):
+    g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
+    return float(np.max(np.abs(np.linalg.eigvals(g @ eta))))
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("omega, sign", [(3.0, -1), (10.0, 1), (None, -1)])
+def test_series_rho_by_symmetric_eigensolve(chain8, monkeypatch, omega,
+                                            sign):
+    # a one-sign vertex diagonal takes eigvalsh of |D|^-1/2 eta |D|^-1/2:
+    # rho 0.69 (negative diagonal), 0.070 (positive) and 1.03 just beyond
+    # the pole (negative)
+    grid, prof = chain8
+    if omega is None:
+        e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))
+        omega = e0["energies"][0] + 0.01
+    d = np.diag(gamma_matrix(grid, prof, (0, 0), (0, 0), omega).matrix)
+    assert np.all(np.sign(d) == sign)
+    want = _rho_by_eigvals(grid, prof, omega)
+    calls = _count_eigvals(monkeypatch)
+    out = series_vs_inverse(grid, prof, (0, 0), (0, 0), omega, n_terms=8)
+    assert calls == []
+    assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert out["converged"] == (want < 1.0)
+
+
+def test_series_rho_mixed_sign_diagonal_keeps_eigvals(chain8, monkeypatch):
+    # at omega = 3.9 the diagonal runs from -0.24 to 0.56, where K can have
+    # complex eigenvalues and no symmetric form
+    grid, prof = chain8
+    d = np.diag(gamma_matrix(grid, prof, (0, 0), (0, 0), 3.9).matrix)
+    assert d.min() < 0.0 < d.max()
+    want = _rho_by_eigvals(grid, prof, 3.9)
+    calls = _count_eigvals(monkeypatch)
+    out = series_vs_inverse(grid, prof, (0, 0), (0, 0), 3.9, n_terms=8)
+    assert calls == [(8, 8)]
+    assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_gamma_scan_energies_match_eigen_sign_analysis(tmp_path):
+    # the CLI takes eigenvalues only; the energies and their order must be
+    # those eigen_sign_analysis gives with its eigenvectors
+    grid = BandGrid.square(6, 6, **BANDS)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("units = eV\nNx = 6\nNy = 6\n"
+                   + "".join(f"{k} = {v!r}\n" for k, v in BANDS.items())
+                   + "omega = 3.63\nU_coulomb = 1.6\nkx_index = 3\n"
+                   "ky_index = 2\nqx_index = 1\n")
+    assert main(["gamma-scan", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "eigen.csv").read_text().splitlines()[1:]
+    got = np.array([float(r.split(",")[1]) for r in rows])
+    gm = gamma_matrix(grid, constant_profile(grid, 1.6), (3, 2), (1, 0),
+                      3.63)
+    want = eigen_sign_analysis(gm)["energies"]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------- bound states
