@@ -192,9 +192,8 @@ class Emitter:
         return path
 
     def write_csv(self, name, header, columns):
-        """Write equal-length columns, each value formatted as ``fmt`` does.
+        """Write equal-length columns, each value formatted by ``fmt``.
 
-        An integer column is written with ``str``, any other with ``.17g``.
         Each distinct value of a column is formatted once: values are told
         apart by their bits, so 0.0 and -0.0 keep their own text, and every
         row is gathered from those strings.  Rows are streamed to the file
@@ -208,9 +207,8 @@ class Emitter:
         for i, c in enumerate(cols):
             bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
             uniq, inverse = np.unique(bits, return_inverse=True)
-            spec = "{}" if c.dtype.kind in "iu" else "{:.17g}"
-            spec += "," if i < len(cols) - 1 else "\n"
-            text = [spec.format(v) for v in uniq.view(c.dtype).tolist()]
+            sep = "," if i < len(cols) - 1 else "\n"
+            text = [fmt(v) + sep for v in uniq.view(c.dtype).tolist()]
             tables.append((np.array(text, dtype=object), inverse))
         n = len(cols[0])
         path = self.outdir / name
@@ -342,7 +340,7 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import constant_profile, gamma_matrix
+    from .gamma import MAX_DENSE, constant_profile, gamma_matrix
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -350,6 +348,9 @@ def run_gamma_scan(cfg, em: Emitter):
         raise ConfigError(f"profile must be constant, got "
                           f"{cfg['profile']!r}: coupling profiles change the "
                           f"solve-based functions, not the vertex")
+    if cfg["Nx"] * cfg["Ny"] > MAX_DENSE:
+        raise ConfigError(f"dense vertex capped at {MAX_DENSE} momenta, "
+                          f"got {cfg['Nx']}x{cfg['Ny']}")
     grid = _grid_from_cfg(cfg, em)
     prof = constant_profile(grid, cfg["U_coulomb"])
     gm = gamma_matrix(grid, prof, (cfg["kx_index"], cfg["ky_index"]),

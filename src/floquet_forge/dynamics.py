@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhysicsError, PropagationError
-from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
-                   build_sector_basis, build_two_band_chain)
+from .fock import (ENERGY_MAX, SectorBasis, SparseOperator,
+                   TwoBandChainParams, build_sector_basis,
+                   build_two_band_chain)
 from .kernels import HamiltonianAction, lanczos_expm_multiply
 
 __all__ = [
@@ -416,10 +417,12 @@ def absorbance_ed(p: TwoBandChainParams, omega_grid, gamma_broadening):
     """Lorentzian-broadened dipole absorbance of the two-band chain.
 
     alpha(w) = (gamma/pi) sum_n |<n|d|G>|^2 / ((w - (E_n - E_G))^2 + gamma^2)
-    with |G> the filled lower band.
+    with |G> the filled lower band.  ``gamma_broadening`` lies in
+    (0, ``ENERGY_MAX``]: its square is a Python float, which overflows from
+    about 1e154.
     """
-    if not gamma_broadening > 0:
-        raise ValueError(f"broadening must be positive, "
+    if not 0 < gamma_broadening <= ENERGY_MAX:
+        raise ValueError(f"broadening must be in (0, {ENERGY_MAX:g}], "
                          f"got {gamma_broadening}")
     omega_grid = np.asarray(omega_grid, dtype=float)
     de, w2 = dipole_excitations(p)

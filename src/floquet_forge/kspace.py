@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 RES_ATOL = 1e-9
+# largest |g| and gc0 that CavitySpec accepts, the bound fock.ENERGY_MAX
+# puts on the chain's energies: the Pomeranchuk check squares g, gc0 and
+# g * gc0 as Python floats, which overflow from about 1e154
+COUPLING_MAX = 1e30
+# most momenta BandGrid.square builds: four times perfbench's 512^2 exciton
+# grid, the largest one run anywhere.  kspace-map, the heaviest scenario
+# at about 150 B per point, peaks near 180 MB of resident memory at the cap
+MAX_GRID_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,13 @@ class BandGrid:
 
         ``Ny = 1`` collapses the transverse direction (ky = 0).  ``kF``
         empties the band-1 states inside the circle |k| < kF (hole doping).
+        Nx * Ny is at most ``MAX_GRID_POINTS``, checked before allocating.
         """
         if Nx < 1 or Ny < 1:
             raise ValueError(f"grid must be at least 1x1, got {Nx}x{Ny}")
+        if Nx * Ny > MAX_GRID_POINTS:
+            raise ValueError(f"grid capped at {MAX_GRID_POINTS} points, "
+                             f"got {Nx}x{Ny} = {Nx * Ny}")
         if not eps21 > 0:
             raise ValueError(f"band splitting must be positive, got {eps21}")
         kx = -math.pi + 2.0 * math.pi * np.arange(Nx) / Nx
@@ -110,7 +122,8 @@ class BandGrid:
 @dataclass(frozen=True)
 class CavitySpec:
     """Drive and cavity couplings: drive amplitude g, cavity coupling gc0,
-    cavity detuning delta_c (all energies)."""
+    cavity detuning delta_c (all energies).  |g| and gc0 are at most
+    ``COUPLING_MAX``."""
 
     g: float
     gc0: float
@@ -122,6 +135,11 @@ class CavitySpec:
                              f"got {self.delta_c}")
         if self.gc0 < 0:
             raise ValueError(f"cavity coupling must be >= 0, got {self.gc0}")
+        for name in ("g", "gc0"):
+            v = getattr(self, name)
+            if not abs(v) <= COUPLING_MAX:
+                raise ValueError(f"|{name}| must be <= {COUPLING_MAX:g}, "
+                                 f"got {v}")
 
 
 def bare_detuning(grid: BandGrid, omega):

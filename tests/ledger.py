@@ -1,8 +1,9 @@
 """Output ledger: the sha256 of every file the CLI emits for fixed configs.
 
 The runs are the eight ``test_cli.py`` configs, a short L=6
-``bench-return-rate``, a 16x16 ``gamma-scan``, and an order-4
-``derive-hamiltonian`` and a ``strong-drive`` at L=7.  Each runs as
+``bench-return-rate``, a 16x16 ``gamma-scan``, a 16x16 dressed
+``kspace-map``, and an order-4 ``derive-hamiltonian`` and a
+``strong-drive`` at L=7.  Each runs as
 ``python -m floquet_forge.cli`` in a fresh process, so the package pins
 BLAS before numpy loads, as it does for any CLI run.
 ``tests/golden/ledger.json`` records the digests, keyed ``run/file``
@@ -41,6 +42,10 @@ RUNS["gamma-scan-16x16"] = (
     f"units = eV\nNx = 16\nNy = 16\n{PAPER_BANDS}"
     "omega = 3.63\nU_coulomb = 1.6\nprofile = constant\n"
     "kx_index = 8\nky_index = 8\n")
+RUNS["kspace-map-dressed-16x16"] = (
+    "kspace-map",
+    f"units = eV\nNx = 16\nNy = 16\n{PAPER_BANDS}"
+    "omega = 2.5\ng = 0.1\nquantity = dressed\n")
 RUNS["derive-hamiltonian-order4-L7"] = (
     "derive-hamiltonian",
     "units = J\nL = 7\nU = 3.0\ng = 3.0\nomega = 12.0\norder = 4\n")

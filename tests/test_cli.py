@@ -485,6 +485,97 @@ def test_energy_out_of_float_range_exits_1(tmp_path, capsys, scenario, key,
     assert not any((out / name).exists() for name in names)
 
 
+def _edited(scenario, **changes):
+    """CONFIGS[scenario] with each key of ``changes`` set to its value, or
+    dropped where the value is None."""
+    lines = [ln for ln in CONFIGS[scenario][0].splitlines()
+             if ln.split(" = ")[0] not in changes]
+    lines += [f"{key} = {val}" for key, val in changes.items()
+              if val is not None]
+    return "\n".join(lines) + "\n"
+
+
+# run -> (scenario, config, exit code, text the error names)
+REFUSED = {
+    # malformed configs
+    "line-without-equals": ("exciton", CONFIGS["exciton"][0] + "Nx 64\n", 1,
+                            "expected 'key = value'"),
+    "bad-boolean": ("derive-hamiltonian",
+                    _edited("derive-hamiltonian", include_J2="yes"), 1,
+                    "true/false"),
+    "unparsable-number": ("derive-hamiltonian",
+                          _edited("derive-hamiltonian", L="four"), 1,
+                          "cannot parse 'four'"),
+    "missing-units": ("exciton", _edited("exciton", units=None), 1,
+                      "'units' is missing"),
+    "unknown-quantity": ("kspace-map",
+                         _edited("kspace-map", quantity="fancy"), 1,
+                         "quantity must be"),
+    "one-frequency": ("absorbance-ed", _edited("absorbance-ed", n_omega=1),
+                      1, "n_omega must be >= 2"),
+    "empty-window": ("absorbance-ed",
+                     _edited("absorbance-ed", omega_max=2.0), 1,
+                     "omega_max must exceed omega_min"),
+    "no-sites": ("absorbance-ed", _edited("absorbance-ed", L=0), 1,
+                 "L must be >= 1"),
+    "too-many-orbitals": ("absorbance-ed", _edited("absorbance-ed", L=9), 1,
+                          "2L must be <= 16"),
+    "no-band-gap": ("absorbance-ed", _edited("absorbance-ed", eps21=0.0), 1,
+                    "eps21 must be positive"),
+    # their squares used to escape as OverflowError tracebacks
+    "huge-drive": ("pomeranchuk", _edited("pomeranchuk", g=1e300), 1,
+                   "|g| must be <= 1e+30"),
+    "huge-cavity-coupling": ("pomeranchuk",
+                             _edited("pomeranchuk", gc0=1e300), 1,
+                             "|gc0| must be <= 1e+30"),
+    "huge-broadening": ("absorbance-ed",
+                        _edited("absorbance-ed", gamma_broadening=1e300), 1,
+                        "broadening must be in (0, 1e+30]"),
+    # one row above the grid cap, refused before any array is built
+    **{f"grid-above-cap-{scenario}": (
+        scenario, _edited(scenario, Nx=1024, Ny=1025), 1,
+        "grid capped at 1048576 points")
+       for scenario in ("kspace-map", "exciton", "pomeranchuk")},
+    # regimes where the quantity is undefined
+    "exciton-edge-below-zero": ("exciton", _edited("exciton", U11=10.0), 2,
+                                "no positive-frequency window"),
+    "exciton-bound-at-zero": ("exciton", _edited("exciton", U11=8.0,
+                                                 U12=4.0), 2,
+                              "screening already above unity"),
+    "pomeranchuk-above-resonance": ("pomeranchuk",
+                                    _edited("pomeranchuk", omega=5.0), 2,
+                                    "screened detuning non-positive"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REFUSED))
+def test_refused_config_exits_with_its_code(tmp_path, capsys, run):
+    scenario, cfg_text, code, needle = REFUSED[run]
+    got, out = run_cli(tmp_path, scenario, cfg_text)
+    assert got == code
+    err = capsys.readouterr().err
+    prefix = "config error" if code == 1 else "physics error"
+    assert err.startswith(f"{prefix}: ") and needle in err
+    assert not any((out / name).exists() for name in CONFIGS[scenario][1])
+
+
+def test_gamma_scan_dense_cap_exits_1_before_the_grid(tmp_path, monkeypatch,
+                                                      capsys):
+    # 33 x 33 = 1089 momenta, above gamma.MAX_DENSE = 1024: refused from the
+    # config, before the grid or the vertex is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built above the dense vertex cap")
+
+    monkeypatch.setattr("floquet_forge.kspace.BandGrid.square", no_grid)
+    cfg_text = CONFIGS["gamma-scan"][0].replace("Nx = 6\nNy = 6",
+                                                "Nx = 33\nNy = 33")
+    code, out = run_cli(tmp_path, "gamma-scan", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "1024" in err
+    assert not (out / "gamma_matrix.csv").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario", "--config", "x.cfg"])
@@ -621,6 +712,25 @@ def test_kspace_map_gamma_point_value(tmp_path):
         kx, ky, v = (float(x) for x in ln.split(","))
         row[(kx, ky)] = v
     assert row[(0.0, 0.0)] == pytest.approx(ref[8, 8], abs=1e-14)
+
+
+def test_kspace_map_dressed_band_matches_floquet_band(tmp_path):
+    from floquet_forge import BandGrid
+    from floquet_forge.kspace import floquet_band
+
+    code, out = run_cli(tmp_path, "kspace-map",
+                        _edited("kspace-map", quantity="dressed", g=0.1))
+    assert code == 0
+    grid = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 0.8)
+    band = floquet_band(grid, 2.5, 0.1)
+    key, t_tilde = (out / "dressed_band.txt").read_text().split(" = ")
+    assert key == "t_tilde" and float(t_tilde) == band["t_tilde"]
+    lines = (out / "kspace_map.csv").read_text().splitlines()
+    assert lines[0] == "kx,ky,value"
+    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    kx, ky = np.meshgrid(grid.kx, grid.ky, indexing="ij")
+    assert np.array_equal(data, np.column_stack(
+        [kx.ravel(), ky.ravel(), band["eps_tilde"].ravel()]))
 
 
 def test_absorbance_peak_on_flat_chain(tmp_path):

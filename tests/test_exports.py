@@ -1,9 +1,9 @@
-"""The package's lazy export table against the submodules' ``__all__``,
-and the independence of the test oracles from the package.
+"""Name resolution of the lazy package, and the independence of the test
+oracles from the package.
 
-``floquet_forge`` resolves ``floquet_forge.<name>`` through ``_EXPORTS``
-instead of importing every layer up front, so the table is a second copy of
-each submodule's public names and can drift from it.
+``floquet_forge.<name>`` is found in the layers' own ``__all__``, imported
+cheapest first, so each public name is declared once, in the module that
+defines it; these tests pin that resolution and the layers a lookup loads.
 """
 import ast
 import importlib
@@ -19,17 +19,40 @@ import pytest
 import floquet_forge
 
 
-def test_exports_equal_union_of_submodule_all():
-    union = {}
+def test_submodule_names_resolve_through_the_package():
+    owner = {}
     for sub in floquet_forge._SUBMODULES:
         mod = importlib.import_module(f"floquet_forge.{sub}")
         for name in mod.__all__:
-            assert name not in union, f"{name} is public in two modules"
-            union[name] = sub
-    assert floquet_forge._EXPORTS == union
-    for name, sub in union.items():
+            assert name not in owner, (
+                f"{name} is public in {owner[name]} and {sub}")
+            owner[name] = sub
+    for name, sub in owner.items():
         assert getattr(floquet_forge, name) is getattr(
             sys.modules[f"floquet_forge.{sub}"], name)
+    assert set(dir(floquet_forge)) == set(floquet_forge.__all__) | set(owner)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        floquet_forge.no_such_name
+
+
+def _loaded_by(attr):
+    code = ("import sys, floquet_forge\n"
+            f"floquet_forge.{attr}\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.startswith(('floquet_forge.',\n"
+            "                                       'scipy')))))\n")
+    src = str(Path(floquet_forge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_lookup_loads_only_the_layers_it_needs():
+    assert _loaded_by("main") == {"floquet_forge.errors",
+                                  "floquet_forge.cli"}
+    assert not any(m.startswith("scipy") for m in _loaded_by("BandGrid"))
 
 
 def test_package_import_loads_no_layer():

@@ -75,6 +75,7 @@ def test_operator_algebra(rng):
 
 @pytest.mark.parametrize("make", [
     lambda: HubbardParams(L=2, J=1.0, U=1.0, g=1.0, omega=math.inf),
+    lambda: HubbardParams(L=2, J=math.nan, U=1.0, g=1.0, omega=5.0),
     lambda: TwoBandChainParams(L=2, eps21=3.7, t1=math.nan, t2=0.0,
                                U11=1.6, U12=0.8),
     lambda: TwoBandChainParams(L=2, eps21=3.7, t1=0.0, t2=-math.inf,
@@ -85,7 +86,7 @@ def test_operator_algebra(rng):
                                U11=1.6, U12=math.inf),
     lambda: TwoBandChainParams(L=2, eps21=math.inf, t1=0.0, t2=0.0,
                                U11=1.6, U12=0.8),
-], ids=["omega", "t1", "t2", "U11", "U12", "eps21"])
+], ids=["omega", "J", "t1", "t2", "U11", "U12", "eps21"])
 def test_params_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
@@ -173,6 +174,15 @@ def test_term_sum_builds_number_operator():
     t2 = TermSum()
     t2.add(1.0, [("n", 0, 0)])
     assert (t.to_operator(b) - t2.to_operator(b)).max_abs() <= 1e-14
+
+
+@pytest.mark.parametrize("factor, match", [
+    (("a", 0, 0), "unknown operator kind 'a'"),
+    (("n", 0, 2), "spin must be 0"),
+])
+def test_term_sum_rejects_bad_factors(factor, match):
+    with pytest.raises(ValueError, match=match):
+        TermSum().add(1.0, [factor])
 
 
 def test_drive_is_one_based_ramp():

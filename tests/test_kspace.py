@@ -63,6 +63,8 @@ def test_cavity_spec_guards():
         CavitySpec(g=0.1, gc0=0.1, delta_c=0.0)
     with pytest.raises(ValueError):
         CavitySpec(g=0.1, gc0=-0.1, delta_c=0.5)
+    with pytest.raises(ValueError, match=r"\|g\| must be"):  # NaN too
+        CavitySpec(g=math.nan, gc0=0.1, delta_c=0.5)
 
 
 # -- detunings and the ladder identity ---------------------------------------
