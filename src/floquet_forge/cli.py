@@ -94,8 +94,7 @@ SCHEMAS = {
         "keys": {**_CHAIN_KEYS,
                  "t_final": (float, False, 60.0),
                  "dt": (float, False, None),
-                 "sample_dt": (float, False, 0.1),
-                 "tolerance": (float, False, 1e-10)},
+                 "sample_dt": (float, False, 0.1)},
     },
     "derive-hamiltonian": {
         "units": "J",
@@ -273,8 +272,7 @@ def run_bench_return_rate(cfg, em: Emitter, threads):
     em.note_grid("sector_dim", b.dim)
     hams = {"fswt": floquet_h2(p, b, include_J2=True), "hfe": hfe_h(p, b)}
     res = return_rate_benchmark(p, b, hams, cfg["t_final"], dt=cfg.get("dt"),
-                                sample_dt=cfg["sample_dt"],
-                                tol=cfg["tolerance"], threads=threads)
+                                sample_dt=cfg["sample_dt"], threads=threads)
     curves = res["curves"]
     em.write_csv("return_rate.csv", ["t", "L_exact", "L_fswt", "L_hfe"],
                  [res["times"], res["L_exact"], curves["fswt"],

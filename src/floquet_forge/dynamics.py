@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhysicsError, PropagationError
-from .fock import (ENERGY_MAX, SectorBasis, SparseOperator,
-                   TwoBandChainParams, build_sector_basis,
-                   build_two_band_chain)
+from .errors import PhysicsError, PropagationError, check_energy
+from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
+                   build_sector_basis, build_two_band_chain)
 from .kernels import HamiltonianAction, lanczos_expm_multiply
 
 __all__ = [
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
+# error bound of each Lanczos exponential in evolve_exact, relative to |psi|
+LANCZOS_TOL = 1e-10
 # largest sector diagonalized densely (evolve_static, dipole_excitations)
 MAX_STATIC_DIM = 8192
 # evolve_exact takes at least this many steps per drive period: from there
@@ -110,15 +111,15 @@ def cdw_state(b: SectorBasis):
 _MAX_HALVINGS = 8
 
 
-def _krylov_step(action, psi, tau, tol, depth=0):
+def _krylov_step(action, psi, tau, depth=0):
     try:
-        return lanczos_expm_multiply(action, psi, tau, tol=tol)
+        return lanczos_expm_multiply(action, psi, tau, tol=LANCZOS_TOL)
     except PropagationError:
         if depth >= _MAX_HALVINGS:
             raise
         half = tau / 2.0
-        mid = _krylov_step(action, psi, half, tol, depth + 1)
-        return _krylov_step(action, mid, half, tol, depth + 1)
+        mid = _krylov_step(action, psi, half, depth + 1)
+        return _krylov_step(action, mid, half, depth + 1)
 
 
 def _sample_times(t_final, stride):
@@ -135,7 +136,7 @@ def _sample_times(t_final, stride):
     return np.append(times, t_final)
 
 
-def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
+def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
 
     ``chain`` is the :class:`~floquet_forge.fswt.DrivenChain` that
@@ -151,7 +152,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     commutator-free stepping, CFM4:2 (Blanes & Moan 2006; Alvermann &
     Fehske, J. Comput. Phys. 230, 5930 (2011)): a step of length h from t
     applies exp(-i h/2 H0(w)) twice, by Lanczos exponentials with per-step
-    tolerance ``tol``, where H0(w) scales each nonzero of H0 by
+    tolerance ``LANCZOS_TOL``, where H0(w) scales each nonzero of H0 by
     w = 2(a2 exp(i Phi1 delta) + a1 exp(i Phi2 delta)) the first time and
     with a1 and a2 swapped the second; delta = D_row - D_col on that
     nonzero, Phi1,2 = Phi(t + c1,2 h), a1,2 = 1/4 -+ sqrt(3)/6 and
@@ -163,7 +164,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     default is a tenth.  Samples are stored at k*``sample_dt`` (every step
     when None) and at t_final; each sample interval is cut into the fewest
     equal steps no longer than ``dt``, so every sample lands on its grid
-    point.  ``omega``, ``t_final``, ``tol`` and, when given, ``dt`` and
+    point.  ``omega``, ``t_final`` and, when given, ``dt`` and
     ``sample_dt`` must be finite and positive.  A run that would take more
     than ``MAX_STEP_WORK`` steps times (dim + ``STEP_OVERHEAD``), or whose
     samples would store more than ``MAX_STORED_AMPLITUDES`` amplitudes,
@@ -171,16 +172,15 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
     """
     static, drive, omega = chain
     for name, value in (("omega", omega), ("t_final", t_final), ("dt", dt),
-                        ("sample_dt", sample_dt), ("tol", tol)):
+                        ("sample_dt", sample_dt)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value}")
     if not static.hermitian:
         raise ValueError("static block must be Hermitian")
     diag = drive.diagonal()
-    if drive.nnz != np.count_nonzero(diag) or diag.imag.any():
+    if drive.nnz != np.count_nonzero(diag) or np.iscomplexobj(diag):
         raise ValueError("drive must be a real diagonal operator")
-    diag = diag.real
     period = 2.0 * math.pi / omega
     dt_max = period / STEPS_PER_PERIOD_MIN
     if dt is None:
@@ -216,13 +216,13 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
         return (2.0 / omega) * math.sin(omega * t)
 
     # delta = D_row - D_col on each nonzero of H0, and the phases exp(i Phi
-    # delta) are taken once per distinct delta; the action owns a copy of
-    # H0 whose data is rescaled per exponential
+    # delta) are taken once per distinct delta; the action owns a complex
+    # copy of H0 whose data is rescaled per exponential
     h0 = static.matrix
     rows = np.repeat(np.arange(h0.shape[0]), np.diff(h0.indptr))
     deltas, which = np.unique(diag[rows] - diag[h0.indices],
                               return_inverse=True)
-    action = HamiltonianAction(h0.copy())
+    action = HamiltonianAction(h0.astype(np.complex128))
     states = np.empty((times.size, psi.size), dtype=np.complex128)
     states[0] = psi
     steps = 0
@@ -238,7 +238,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
                 for a, b in ((_A2, _A1), (_A1, _A2)):
                     w = 2.0 * (a * e1 + b * e2)
                     np.multiply(h0.data, w[which], out=action.matrix.data)
-                    psi = _krylov_step(action, psi, -0.5j * h, tol)
+                    psi = _krylov_step(action, psi, -0.5j * h)
             except PropagationError as exc:
                 raise PropagationError(
                     f"step from t={t:.6g} of length h={h:.6g} failed after "
@@ -246,19 +246,6 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None, tol=1e-10):
         states[k] = np.exp(-1j * phi(times[k]) * diag) * psi
         steps += n
     return Trajectory(times, states, meta={"steps": steps})
-
-
-def _eigh(H: SparseOperator):
-    """Dense eigenpairs of a Hermitian operator.
-
-    An operator with no imaginary part is diagonalized in float64, built
-    straight from the real part of its CSR data, so V is real; at dim 1225
-    (L=7) that is 0.46 against 2.6 s in complex128 on a 2-core Xeon VM.
-    Otherwise eigh runs in complex128.
-    """
-    if H.matrix.data.imag.any():
-        return np.linalg.eigh(H.to_dense())
-    return np.linalg.eigh(H.matrix.real.toarray())
 
 
 def _apply(A, z):
@@ -288,7 +275,9 @@ def evolve_static(H: SparseOperator, psi0, times):
     if not H.hermitian:
         raise ValueError("static Hamiltonian must be Hermitian")
     times = np.asarray(times, dtype=float)
-    eps, V = _eigh(H)
+    # a real H takes the float64 eigensolve and gives a real V: 0.46 against
+    # 2.6 s in complex128 at dim 1225 (L=7) on one core of a 2-core Xeon VM
+    eps, V = np.linalg.eigh(H.to_dense())
     # coef[n, t] = exp(-i eps_n t) <n|psi0>, built in place: the phase goes
     # into the real part, which then becomes its cosine
     coef = np.empty((eps.size, times.size), dtype=np.complex128)
@@ -336,7 +325,7 @@ def nrmse(L_approx, L_exact, times):
 
 
 def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
-                          tol=1e-10, threads=1):
+                          threads=1):
     """Loschmidt benchmark: exact drive versus static candidates.
 
     ``hams`` maps labels to static SparseOperators.  Returns times, the
@@ -358,7 +347,7 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
                              f"operator on the dim-{b.dim} sector")
     psi0 = cdw_state(b)
     traj = evolve_exact(hubbard_harmonics(p, b), psi0, t_final, dt=dt,
-                        sample_dt=sample_dt, tol=tol)
+                        sample_dt=sample_dt)
     L_ex = return_rate(traj, psi0)
 
     def score(H):
@@ -406,7 +395,7 @@ def dipole_excitations(p: TwoBandChainParams):
     if purity > 1e-12 * max(1.0, abs(e_g)):
         raise PhysicsError(f"filled lower band is not an eigenstate: "
                            f"off-diagonal weight {purity:.3e}")
-    eps, V = _eigh(H)
+    eps, V = np.linalg.eigh(H.to_dense())
     psi_g = np.zeros(b.dim, dtype=np.complex128)
     psi_g[g_idx] = 1.0
     amps = _apply(V.conj().T, d.matrix @ psi_g)
@@ -417,14 +406,12 @@ def absorbance_ed(p: TwoBandChainParams, omega_grid, gamma_broadening):
     """Lorentzian-broadened dipole absorbance of the two-band chain.
 
     alpha(w) = (gamma/pi) sum_n |<n|d|G>|^2 / ((w - (E_n - E_G))^2 + gamma^2)
-    with |G> the filled lower band.  ``gamma_broadening`` lies in
-    (0, ``ENERGY_MAX``]: its square is a Python float, which overflows from
-    about 1e154.
+    with |G> the filled lower band.  |w| <= ``errors.ENERGY_MAX`` and gamma
+    lies in [1/ENERGY_MAX, ENERGY_MAX], so no square overflows or gives 0/0.
     """
-    if not 0 < gamma_broadening <= ENERGY_MAX:
-        raise ValueError(f"broadening must be in (0, {ENERGY_MAX:g}], "
-                         f"got {gamma_broadening}")
+    check_energy("gamma_broadening", gamma_broadening, positive=True)
     omega_grid = np.asarray(omega_grid, dtype=float)
+    check_energy("omega", np.abs(omega_grid).max(initial=0.0))
     de, w2 = dipole_excitations(p)
     g = gamma_broadening
     alpha = (g / math.pi) * np.sum(

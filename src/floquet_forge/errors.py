@@ -1,6 +1,7 @@
-"""Error taxonomy.
+"""Error taxonomy, and the energy cap every parameter check shares.
 
-ConfigError maps to CLI exit code 1, PhysicsError subclasses to exit code 2.
+ConfigError and ValueError map to CLI exit code 1, PhysicsError subclasses
+to exit code 2.
 """
 
 __all__ = [
@@ -40,3 +41,19 @@ class NoExciton(PhysicsError):
 
 class PropagationError(PhysicsError):
     """Krylov exponential failed to converge within its subspace limit."""
+
+
+# largest |energy|, and inverse of the smallest frequency, cavity detuning
+# or broadening, that is accepted.  Products up to g^4 J / omega^4 and the
+# squares in the band and absorbance formulas stay inside the float range;
+# beyond it they overflow, or a square underflows to a zero divisor
+ENERGY_MAX = 1e30
+
+
+def check_energy(name, value, positive=False):
+    """Raise ValueError unless value lies in [-ENERGY_MAX, ENERGY_MAX], or in
+    [1/ENERGY_MAX, ENERGY_MAX] when ``positive``; NaN never does."""
+    low = 1.0 / ENERGY_MAX if positive else -ENERGY_MAX
+    if not low <= value <= ENERGY_MAX:
+        raise ValueError(f"{name} must be finite and in [{low:g}, "
+                         f"{ENERGY_MAX:g}], got {value}")

@@ -9,7 +9,9 @@ Operators are built from ordered term lists (:class:`TermSum`) and
 materialized as canonical scipy CSR matrices (:class:`SparseOperator`); the
 same term lists feed exact diagonalisation and human-readable dumps.  Term
 lists are only built, summed and dumped: all operator algebra (adjoints,
-products, commutators) happens on :class:`SparseOperator`.
+products, commutators) happens on :class:`SparseOperator`.  Coefficients and
+matrices keep their type: every model here is real, so its operators are
+float64; an imaginary coefficient or scalar makes an operator complex128.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
+
+from .errors import check_energy
 
 __all__ = [
     "HubbardParams",
@@ -40,12 +44,6 @@ __all__ = [
 UP, DN = 0, 1
 _SPIN_NAMES = {UP: "up", DN: "dn"}
 _KIND_NAMES = {"cdag": "Cdag", "c": "C", "n": "N"}
-# largest |J|, |U|, |g| and omega, and inverse of the smallest omega, that
-# HubbardParams accepts.  The Floquet terms form products up to
-# g^4 J / omega^4, which stay below 1e270 inside this range; outside it
-# Python's float ** raises OverflowError (g or omega = 1e300) or omega^2
-# underflows to a zero divisor (omega = 1e-300)
-ENERGY_MAX = 1e30
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,7 @@ class HubbardParams:
     Open boundaries.  No chemical potential: at fixed (n_up, n_down) it would
     only shift every energy by a constant.  Energies in units of the hopping
     J unless stated otherwise; hbar = 1.  Each energy is at most
-    ``ENERGY_MAX`` in magnitude and omega at least 1/``ENERGY_MAX``.
+    ``errors.ENERGY_MAX`` in magnitude and omega at least its inverse.
     """
 
     L: int
@@ -73,19 +71,9 @@ class HubbardParams:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.L > 16:
             raise ValueError(f"L must be <= 16, got {self.L}")
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, "
-                             f"got {self.omega}")
-        if not 1.0 / ENERGY_MAX <= self.omega <= ENERGY_MAX:
-            raise ValueError(f"omega must be in [{1.0 / ENERGY_MAX:g}, "
-                             f"{ENERGY_MAX:g}], got {self.omega}")
+        check_energy("omega", self.omega, positive=True)
         for name in ("J", "U", "g"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            if abs(v) > ENERGY_MAX:
-                raise ValueError(f"|{name}| must be <= {ENERGY_MAX:g}, "
-                                 f"got {v}")
+            check_energy(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,8 @@ class TwoBandChainParams:
     """Two-band chain with on-site intra/inter-band repulsion and dipole drive.
 
     Band 1 (lower) orbitals occupy sites 0..L-1, band 2 (upper) orbitals
-    L..2L-1.  Energies in eV.
+    L..2L-1.  Energies in eV, each at most ``errors.ENERGY_MAX`` in
+    magnitude.
     """
 
     L: int
@@ -109,9 +98,7 @@ class TwoBandChainParams:
         if 2 * self.L > 16:
             raise ValueError(f"2L must be <= 16 orbitals, got {2 * self.L}")
         for name in ("eps21", "t1", "t2", "U11", "U12"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+            check_energy(name, getattr(self, name))
         if not self.eps21 > 0:
             raise ValueError(f"eps21 must be positive, got {self.eps21}")
 
@@ -174,17 +161,20 @@ def build_sector_basis(L, n_up, n_down):
 
 
 class SparseOperator:
-    """Complex CSR operator over a sector, canonical entry order.
+    """CSR operator over a sector, canonical entry order.
 
-    Entries are duplicate-merged and index-sorted at construction; the
-    Hermitian flag is evaluated lazily against a 1e-13 relative tolerance.
+    Real input gives a float64 matrix (integers are promoted) and complex
+    input complex128, by dtype alone.  Entries are duplicate-merged and
+    index-sorted at construction; the Hermitian flag is evaluated lazily
+    against a 1e-13 relative tolerance.
     """
 
     HERM_RTOL = 1e-13
     __slots__ = ("matrix", "_herm")
 
     def __init__(self, matrix):
-        m = sparse.csr_matrix(matrix, dtype=np.complex128, copy=True)
+        m = sparse.csr_matrix(matrix, copy=True)
+        m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
@@ -233,7 +223,7 @@ class SparseOperator:
         return SparseOperator(-self.matrix)
 
     def __mul__(self, scalar):
-        return SparseOperator(self.matrix * complex(scalar))
+        return SparseOperator(self.matrix * scalar)
 
     __rmul__ = __mul__
 
@@ -289,7 +279,7 @@ class TermSum:
 
     def add(self, coeff, ops):
         ops = tuple(_norm_op(o) for o in ops)
-        self.terms[ops] = self.terms.get(ops, 0j) + complex(coeff)
+        self.terms[ops] = self.terms.get(ops, 0.0) + coeff
         return self
 
     def __len__(self):
@@ -298,7 +288,7 @@ class TermSum:
     def __add__(self, other):
         out = TermSum(self.terms)
         for ops, c in other.terms.items():
-            out.terms[ops] = out.terms.get(ops, 0j) + c
+            out.terms[ops] = out.terms.get(ops, 0.0) + c
         return out
 
     # -- materialization ------------------------------------------------

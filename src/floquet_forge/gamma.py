@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandResonance
+from .errors import BandResonance, check_energy
 from .kspace import BandGrid, CavitySpec
 
 __all__ = [
@@ -99,7 +99,7 @@ def _torus_delta(grid: BandGrid, K):
     two_pi = 2.0 * math.pi
     dx = (grid.kx - kx0 + math.pi) % two_pi - math.pi
     dy = (grid.ky - ky0 + math.pi) % two_pi - math.pi
-    return dx[:, None] + 0.0 * dy[None, :], 0.0 * dx[:, None] + dy[None, :]
+    return np.meshgrid(dx, dy, indexing="ij")
 
 
 def constant_profile(grid: BandGrid, U):
@@ -109,21 +109,23 @@ def constant_profile(grid: BandGrid, U):
                               Jcoupling=np.ones(shape))
 
 
-def valley_dip_profile(grid: BandGrid, U, K, width):
-    """Unit coupling with a Gaussian suppression centered at grid index K."""
+def _valley_dip(grid: BandGrid, K, width):
+    """Coupling magnitude 1 - exp(-|k - K|^2 / (2 width^2)) on the torus."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     dx, dy = _torus_delta(grid, K)
-    mag = 1.0 - np.exp(-(dx ** 2 + dy ** 2) / (2.0 * width ** 2))
+    return 1.0 - np.exp(-(dx ** 2 + dy ** 2) / (2.0 * width ** 2))
+
+
+def valley_dip_profile(grid: BandGrid, U, K, width):
+    """Unit coupling with a Gaussian suppression centered at grid index K."""
+    mag = _valley_dip(grid, K, width)
     return InteractionProfile(Vq=np.full(mag.shape, float(U)), Jcoupling=mag)
 
 
 def phase_winding_profile(grid: BandGrid, U, K, Kp, width):
     """Valley dip at K with a unit-winding phase around grid index Kp."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    dx, dy = _torus_delta(grid, K)
-    mag = 1.0 - np.exp(-(dx ** 2 + dy ** 2) / (2.0 * width ** 2))
+    mag = _valley_dip(grid, K, width)
     px, py = _torus_delta(grid, Kp)
     phase = np.arctan2(py, px)
     return InteractionProfile(Vq=np.full(mag.shape, float(U)),
@@ -165,6 +167,7 @@ def _difference_table(n):
 
 def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Vertex diagonal at (k, q) as an (Nx, Ny) array."""
+    check_energy("omega", omega)
     nx, ny = grid.kx.size, grid.ky.size
     if prof.shape != (nx, ny):
         raise ValueError(f"profile shape {prof.shape} does not match grid "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandResonance, NoExciton
+from .errors import ENERGY_MAX, BandResonance, NoExciton, check_energy
 
 __all__ = [
     "BandGrid",
@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 RES_ATOL = 1e-9
-# largest |g| and gc0 that CavitySpec accepts, the bound fock.ENERGY_MAX
-# puts on the chain's energies: the Pomeranchuk check squares g, gc0 and
-# g * gc0 as Python floats, which overflow from about 1e154
-COUPLING_MAX = 1e30
 # most momenta BandGrid.square builds: four times perfbench's 512^2 exciton
 # grid, the largest one run anywhere.  kspace-map, the heaviest scenario
 # at about 150 B per point, peaks near 180 MB of resident memory at the cap
@@ -77,13 +73,17 @@ class BandGrid:
 
         ``Ny = 1`` collapses the transverse direction (ky = 0).  ``kF``
         empties the band-1 states inside the circle |k| < kF (hole doping).
-        Nx * Ny is at most ``MAX_GRID_POINTS``, checked before allocating.
+        Nx * Ny is at most ``MAX_GRID_POINTS``, checked before allocating,
+        and each energy at most ``errors.ENERGY_MAX`` in magnitude.
         """
         if Nx < 1 or Ny < 1:
             raise ValueError(f"grid must be at least 1x1, got {Nx}x{Ny}")
         if Nx * Ny > MAX_GRID_POINTS:
             raise ValueError(f"grid capped at {MAX_GRID_POINTS} points, "
                              f"got {Nx}x{Ny} = {Nx * Ny}")
+        for name, v in (("eps21", eps21), ("t1", t1), ("t2", t2),
+                        ("U11", U11), ("U12", U12)):
+            check_energy(name, v)
         if not eps21 > 0:
             raise ValueError(f"band splitting must be positive, got {eps21}")
         kx = -math.pi + 2.0 * math.pi * np.arange(Nx) / Nx
@@ -123,27 +123,25 @@ class BandGrid:
 class CavitySpec:
     """Drive and cavity couplings: drive amplitude g, cavity coupling gc0,
     cavity detuning delta_c (all energies).  |g| and gc0 are at most
-    ``COUPLING_MAX``."""
+    ``errors.ENERGY_MAX`` and delta_c at least its inverse."""
 
     g: float
     gc0: float
     delta_c: float
 
     def __post_init__(self):
-        if not self.delta_c > 0:
-            raise ValueError(f"cavity detuning must be positive, "
-                             f"got {self.delta_c}")
+        if not self.delta_c >= 1.0 / ENERGY_MAX:
+            raise ValueError(f"cavity detuning must be >= "
+                             f"{1.0 / ENERGY_MAX:g}, got {self.delta_c}")
         if self.gc0 < 0:
             raise ValueError(f"cavity coupling must be >= 0, got {self.gc0}")
-        for name in ("g", "gc0"):
-            v = getattr(self, name)
-            if not abs(v) <= COUPLING_MAX:
-                raise ValueError(f"|{name}| must be <= {COUPLING_MAX:g}, "
-                                 f"got {v}")
+        check_energy("g", self.g)
+        check_energy("gc0", self.gc0)
 
 
 def bare_detuning(grid: BandGrid, omega):
     """Interband transition energy minus the drive frequency, per k."""
+    check_energy("omega", omega)
     return grid.eps2 - grid.eps1 - omega
 
 
@@ -167,18 +165,22 @@ def _screening_sum(grid: BandGrid, A):
     return grid.U12 / grid.nsites * float(np.sum(grid.occ / A))
 
 
+def _ladder_factor(grid: BandGrid, A):
+    """1 - S(A), the ladder resummed on a detuning A that nowhere vanishes."""
+    _check_resonant(A)
+    return 1.0 - _screening_sum(grid, A)
+
+
 def screened_detuning(grid: BandGrid, omega):
     """Detuning with the interband ladder resummed: Delta = A (1 - S)."""
     A = _hartree_detuning(grid, omega)
-    _check_resonant(A)
-    return A * (1.0 - _screening_sum(grid, A))
+    return A * _ladder_factor(grid, A)
 
 
 def bs_detuning(grid: BandGrid, omega):
     """Screened detuning of the counter-rotating partner (shift by +2w)."""
     A = _hartree_detuning(grid, omega) + 2.0 * omega
-    _check_resonant(A)
-    return A * (1.0 - _screening_sum(grid, A))
+    return A * _ladder_factor(grid, A)
 
 
 def t_matrix(grid: BandGrid, omega):
@@ -187,13 +189,19 @@ def t_matrix(grid: BandGrid, omega):
     Satisfies Delta * T = A identically.  A screening sum at unity (bound
     state exactly at ``omega``) raises BandResonance.
     """
-    A = _hartree_detuning(grid, omega)
-    _check_resonant(A)
-    S = _screening_sum(grid, A)
-    if abs(1.0 - S) < 1e-9:
-        raise BandResonance(
-            f"ladder sum at unity (S={S!r}); drive sits on the bound state")
-    return 1.0 / (1.0 - S)
+    factor = _ladder_factor(grid, _hartree_detuning(grid, omega))
+    if abs(factor) < 1e-9:
+        raise BandResonance(f"ladder sum at unity (1 - S = {factor!r}); "
+                            f"drive sits on the bound state")
+    return 1.0 / factor
+
+
+def _continuum_edge(grid: BandGrid):
+    """Zero-frequency detunings a0 and the occupied continuum edge, the
+    smallest a0 over the occupied momenta (over all for an empty band)."""
+    a0 = _hartree_detuning(grid, 0.0)
+    occupied = grid.occ > 0
+    return a0, float(np.min(a0[occupied] if occupied.any() else a0))
 
 
 def exciton_frequency(grid: BandGrid):
@@ -207,11 +215,9 @@ def exciton_frequency(grid: BandGrid):
     1e-6 * U12, which happens when the root lies within the bisection
     resolution of the edge.
     """
-    occ_mask = grid.occ > 0
-    if not occ_mask.any():
+    if not np.any(grid.occ > 0):
         raise NoExciton("empty band cannot bind an exciton")
-    a0 = _hartree_detuning(grid, 0.0)
-    edge = float(np.min(a0[occ_mask]))
+    a0, edge = _continuum_edge(grid)
     upper = edge - 1e-9
     if upper <= 0:
         raise NoExciton(f"occupied continuum edge {edge:.6g} leaves no "
@@ -289,10 +295,7 @@ def stark_bs_ratio(grid: BandGrid, omega):
         w_ref = exciton_frequency(grid)
         ref = "exciton"
     except NoExciton:
-        occ_mask = grid.occ > 0
-        a0 = _hartree_detuning(grid, 0.0)
-        w_ref = float(np.min(a0[occ_mask])) if occ_mask.any() \
-            else float(np.min(a0))
+        w_ref = _continuum_edge(grid)[1]
         ref = "band-edge"
     if abs(w_ref - omega) < RES_ATOL * max(1.0, abs(w_ref)):
         raise BandResonance(

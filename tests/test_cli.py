@@ -7,11 +7,15 @@ checked byte-for-byte, including under Python-level sharding.
 
 import hashlib
 import inspect
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floquet_forge.cli import RUNNERS, Emitter, fmt, main
 
@@ -184,10 +188,10 @@ def test_ladder_resonance_same_at_every_order(tmp_path, capsys, order):
 
 
 def test_exciton_unresolvable_edge_exits_2(tmp_path, capsys):
-    # U12 = 1e300 puts the continuum edge where 1e-9 below it rounds onto it
+    # U12 = 1e10 puts the continuum edge where 1e-9 below it rounds onto it
     cfg_text = CONFIGS["exciton"][0].replace("Nx = 64\nNy = 64",
                                              "Nx = 16\nNy = 16")
-    cfg_text = cfg_text.replace("U12 = 0.8", "U12 = 1e300")
+    cfg_text = cfg_text.replace("U12 = 0.8", "U12 = 1e10")
     code, out = run_cli(tmp_path, "exciton", cfg_text)
     assert code == 2
     assert "physics error" in capsys.readouterr().err
@@ -206,20 +210,27 @@ def test_exciton_unclosed_root_exits_2(tmp_path, capsys):
     assert not (out / "exciton.txt").exists()
 
 
-def test_propagation_failure_exits_2(tmp_path, capsys):
+def test_propagation_failure_exits_2(tmp_path, monkeypatch, capsys):
     # an unreachable Lanczos tolerance exhausts the Krylov subspace on every
     # step halving; the failure must reach exit code 2, not a traceback
+    from floquet_forge import dynamics
+
+    real = dynamics.lanczos_expm_multiply
+
+    def unreachable(action, psi, tau, tol):
+        return real(action, psi, tau, tol=1e-300)
+
+    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", unreachable)
     code, _ = run_cli(tmp_path, "bench-return-rate",
                       "units = J\nL = 6\nU = 3.0\ng = 3.0\nomega = 12.0\n"
-                      "t_final = 0.5\ntolerance = 1e-300\n")
+                      "t_final = 0.5\n")
     assert code == 2
     assert "physics error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("timing", [
     "dt = 0.0", "dt = -0.1", "t_final = inf", "sample_dt = inf",
-    "sample_dt = -0.5", "sample_dt = 0.0", "tolerance = -1.0",
-    "tolerance = 0.0",
+    "sample_dt = -0.5", "sample_dt = 0.0",
 ])
 def test_bad_timing_key_exits_1(tmp_path, capsys, timing):
     # each must be a config error, neither a traceback nor a silent run
@@ -524,13 +535,38 @@ REFUSED = {
                     "eps21 must be positive"),
     # their squares used to escape as OverflowError tracebacks
     "huge-drive": ("pomeranchuk", _edited("pomeranchuk", g=1e300), 1,
-                   "|g| must be <= 1e+30"),
+                   "g must be finite and in [-1e+30, 1e+30]"),
     "huge-cavity-coupling": ("pomeranchuk",
                              _edited("pomeranchuk", gc0=1e300), 1,
-                             "|gc0| must be <= 1e+30"),
+                             "gc0 must be finite and in [-1e+30, 1e+30]"),
     "huge-broadening": ("absorbance-ed",
                         _edited("absorbance-ed", gamma_broadening=1e300), 1,
-                        "broadening must be in (0, 1e+30]"),
+                        "gamma_broadening must be finite and in "
+                        "[1e-30, 1e+30]"),
+    # each exited 0 with a numpy RuntimeWarning (an overflow, or 0/0 where a
+    # square underflowed) before every band and absorbance energy shared
+    # the chain's cap errors.ENERGY_MAX; pytest makes warnings errors
+    **{f"out-of-range-{scenario}-{key}={value}": (
+        scenario, _edited(scenario, **{key: value}), 1,
+        f"{name} must be finite and in [{low}, 1e+30]")
+       for scenario, key, value, name, low in (
+           ("pomeranchuk", "eps21", "1e300", "eps21", "-1e+30"),
+           ("pomeranchuk", "U11", "-1e300", "U11", "-1e+30"),
+           ("pomeranchuk", "U12", "1e300", "U12", "-1e+30"),
+           ("pomeranchuk", "omega", "-1e300", "omega", "-1e+30"),
+           ("absorbance-ed", "eps21", "1e300", "eps21", "-1e+30"),
+           *(("absorbance-ed", key, value, key, "-1e+30")
+             for key in ("t1", "t2", "U11", "U12")
+             for value in ("1e300", "-1e300")),
+           ("absorbance-ed", "gamma_broadening", "1e-300",
+            "gamma_broadening", "1e-30"),
+           ("absorbance-ed", "gamma_broadening", "5e-324",
+            "gamma_broadening", "1e-30"),
+           ("absorbance-ed", "omega_min", "-1e300", "omega", "-1e+30"),
+           ("absorbance-ed", "omega_max", "1e300", "omega", "-1e+30"))},
+    "out-of-range-pomeranchuk-delta_c=5e-324": (
+        "pomeranchuk", _edited("pomeranchuk", delta_c="5e-324"), 1,
+        "cavity detuning must be >= 1e-30"),
     # one row above the grid cap, refused before any array is built
     **{f"grid-above-cap-{scenario}": (
         scenario, _edited(scenario, Nx=1024, Ny=1025), 1,
@@ -557,6 +593,44 @@ def test_refused_config_exits_with_its_code(tmp_path, capsys, run):
     prefix = "config error" if code == 1 else "physics error"
     assert err.startswith(f"{prefix}: ") and needle in err
     assert not any((out / name).exists() for name in CONFIGS[scenario][1])
+
+
+# size keys and the small ranges the fuzz draws them from; every other key
+# but units takes one of FUZZ_VALUES
+FUZZ_SIZES = {"L": (-1, 3), "Nx": (0, 16), "Ny": (0, 16),
+              "n_omega": (0, 64), "jmax": (0, 8), "order": (0, 5),
+              "kx_index": (-8, 8), "ky_index": (-8, 8)}
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "1e-12", "-1e300", "5e-324",
+               "nan", "1.5", "true", "constant"]
+
+
+@st.composite
+def _perturbed_config(draw):
+    scenario = draw(st.sampled_from(sorted(CONFIGS)))
+    keys = [ln.split(" = ")[0] for ln in CONFIGS[scenario][0].splitlines()]
+    key = draw(st.sampled_from([k for k in keys if k != "units"]))
+    if key in FUZZ_SIZES:
+        value = str(draw(st.integers(*FUZZ_SIZES[key])))
+    else:
+        value = draw(st.sampled_from(FUZZ_VALUES))
+    return scenario, key, value, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_perturbed_config())
+@example(("pomeranchuk", "delta_c", "5e-324", 1))
+@example(("absorbance-ed", "gamma_broadening", "1e-300", 2))
+def test_one_perturbed_config_value_reaches_an_exit_code(run):
+    # a bounded config fuzz: any one value set to an extreme, a wrong type
+    # or a small size ends in exit code 0, 1 or 2, with no exception and
+    # (pytest makes them errors) no warning escaping cli.main
+    scenario, key, value, threads = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_edited(scenario, **{key: value}))
+        code = main([scenario, "--config", str(cfg), "--out",
+                     str(Path(tmp) / "out"), "--threads", str(threads)])
+    assert code in (0, 1, 2)
 
 
 def test_gamma_scan_dense_cap_exits_1_before_the_grid(tmp_path, monkeypatch,

@@ -57,6 +57,16 @@ def test_trajectory_validation():
     assert t.dim == 2
 
 
+@pytest.mark.parametrize("times, states", [
+    (np.array([0.0, 1.0, 2.0]), np.eye(2)),   # one time too many
+    (np.array([[0.0], [1.0]]), np.eye(2)),    # times not 1-d
+    (np.array([0.0]), np.array([1.0, 0.0])),  # states not 2-d
+])
+def test_trajectory_rejects_mismatched_shapes(times, states):
+    with pytest.raises(ValueError, match=r"times \(nt,\) and states"):
+        Trajectory(times, states)
+
+
 # -- exact propagation -------------------------------------------------------
 
 def test_evolve_exact_guards():
@@ -152,9 +162,9 @@ def test_evolve_static_guards():
 
 @pytest.mark.parametrize("imaginary", [False, True])
 def test_evolve_static_matches_expm(imaginary):
-    # a real H takes the float64 eigensolve, one with imaginary
-    # off-diagonals the complex128 one; both must match the matrix
-    # exponential
+    # a real H is float64 and takes the real eigensolve, one with imaginary
+    # off-diagonals is complex128 and takes the complex one; both must match
+    # the matrix exponential
     p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
     H = floquet_h2(p, b, include_J2=True)
@@ -164,7 +174,7 @@ def test_evolve_static_matches_expm(imaginary):
         H = H + SparseOperator(0.3j * (a - a.T))
         psi0 = (psi0 + 1j * np.roll(psi0, 5)) / np.sqrt(2.0)
     assert H.hermitian
-    assert bool(H.matrix.data.imag.any()) == imaginary
+    assert H.matrix.dtype == (np.complex128 if imaginary else np.float64)
     times = np.linspace(0.0, 3.0, 7)
     traj = evolve_static(H, psi0, times)
     dense = H.to_dense()

@@ -12,6 +12,9 @@ from floquet_forge import (HubbardParams, SparseOperator, TermSum,
                            commutator)
 from floquet_forge.fock import (hubbard_terms, total_number_terms,
                                 total_sz_terms, two_band_terms)
+from floquet_forge.fswt import floquet_h2, floquet_h4, hfe_h, \
+    hubbard_harmonics
+from floquet_forge.sylvester import hubbard_micromotion
 
 from conftest import embed_sector
 from oracles.dense_fermi import hubbard_dense, jw_annihilators, two_band_dense
@@ -56,6 +59,13 @@ def test_sector_rejects_overfilled():
         build_sector_basis(2, 3, 0)
 
 
+@pytest.mark.parametrize("L", [0, 17])
+def test_sector_rejects_chain_length_outside_range(L):
+    # a basis state is one 64-bit word of 2L occupation bits
+    with pytest.raises(ValueError, match="L must be in 1..16"):
+        build_sector_basis(L, 0, 0)
+
+
 # -- sparse operator algebra -----------------------------------------------
 
 def test_operator_algebra(rng):
@@ -95,6 +105,43 @@ def test_params_reject_non_finite(make):
 def test_operator_rejects_rectangular():
     with pytest.raises(ValueError):
         SparseOperator(np.ones((2, 3)))
+
+
+def test_real_models_give_float64_operators():
+    # every Hamiltonian the chain layer builds is real, so it stays float64
+    # through assembly and algebra and takes the real eigensolve
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    static, drive, _ = hubbard_harmonics(p, b)
+    ops = [static, drive, floquet_h2(p, b, include_J2=True), hfe_h(p, b),
+           floquet_h4(p, b), *hubbard_micromotion(p, b).values()]
+    tb = TwoBandChainParams(L=2, eps21=3.7, t1=0.05, t2=-0.15, U11=1.6,
+                            U12=0.8)
+    ops += build_two_band_chain(tb, build_sector_basis(4, 2, 2)).values()
+    for op in ops:
+        assert op.matrix.dtype == np.float64
+
+
+def test_operator_dtype_follows_its_entries():
+    m = np.array([[0, 1], [1, 0]])
+    op = SparseOperator(m)  # integer entries are promoted
+    assert op.matrix.dtype == np.float64
+    for real in (2.0 * op, op * 2, op @ op - op.dagger(), -op):
+        assert real.matrix.dtype == np.float64
+    # an imaginary scalar or entry makes the operator complex, and a complex
+    # input stays complex with every imaginary part zero: dtype, not values
+    for cplx in (1j * op, op * 1j, op + SparseOperator(1j * m),
+                 SparseOperator(m.astype(np.complex128))):
+        assert cplx.matrix.dtype == np.complex128
+    assert_allclose((1j * op).to_dense(), 1j * m)
+    # a real coefficient stays real in a term list, and prints as before
+    b = build_sector_basis(2, 1, 0)
+    t = TermSum().add(0.5, [("cdag", 1, 0), ("c", 0, 0)])
+    assert t.to_operator(b).matrix.dtype == np.float64
+    t.add(0.25j, [("cdag", 0, 0), ("c", 1, 0)])
+    assert t.to_operator(b).matrix.dtype == np.complex128
+    assert t.dump_lines() == ["0 0.25 Cdag(1,up) C(2,up)",
+                              "0.5 0 Cdag(2,up) C(1,up)"]
 
 
 # -- oracle self-check: canonical anticommutation ---------------------------
@@ -183,6 +230,14 @@ def test_term_sum_builds_number_operator():
 def test_term_sum_rejects_bad_factors(factor, match):
     with pytest.raises(ValueError, match=match):
         TermSum().add(1.0, [factor])
+
+
+def test_term_leaving_the_sector_raises():
+    # a lone creator changes the particle number
+    b = build_sector_basis(3, 1, 1)
+    with pytest.raises(ValueError, match=r"term Cdag\(1,up\) leaves the "
+                                         r"\(n_up=1, n_down=1\) sector"):
+        TermSum().add(1.0, [("cdag", 0, 0)]).to_operator(b)
 
 
 def test_drive_is_one_based_ramp():

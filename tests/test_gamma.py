@@ -417,6 +417,20 @@ def test_screened_denominator_matches_single_mode_at_equal_u(n):
     assert gap < 1e-12
 
 
+def test_screened_denominator_refuses_a_vanishing_screening_sum():
+    # couplings J = Gamma v, with v zero at one momentum, make the pair
+    # screening sum Gamma^-1 J vanish there, so 1/Delta has no inverse
+    grid = BandGrid.square(4, 4, **BANDS)
+    prof = constant_profile(grid, 1.6)
+    v = np.ones(16)
+    v[5] = 0.0
+    j = mf_gamma_matrix(grid, prof, 2.0).matrix @ v
+    prof = InteractionProfile(Vq=prof.Vq,
+                              Jcoupling=(j / np.max(np.abs(j))).reshape(4, 4))
+    with pytest.raises(BandResonance, match="pair screening sum vanishes"):
+        mf_screened_denominator(grid, prof, 2.0)
+
+
 def test_screened_denominator_flat_band(flat8):
     grid, prof = flat8
     dkf = mf_screened_denominator(grid, prof, 2.1)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from floquet_forge import HubbardParams, build_hubbard_operators, \
     build_sector_basis
+from floquet_forge import kernels
 from floquet_forge.errors import PropagationError
 from floquet_forge.kernels import (HamiltonianAction, _tridiagonal_eigh,
                                    lanczos_expm_multiply)
@@ -102,3 +103,14 @@ def test_tridiagonal_eigh_equals_scipy_wrapper(rng):
         ref_theta, ref_S = sla.eigh_tridiagonal(alphas, betas[:m - 1])
         assert np.array_equal(theta, ref_theta), m
         assert np.array_equal(S, ref_S), m
+
+
+def test_tridiagonal_eigh_reports_a_lapack_failure(monkeypatch):
+    # dstevd signals a failed eigensolve only through info; it must not
+    # reach the Lanczos stopping test as eigenpairs
+    def failing(d, e, compute_v):
+        return d, np.eye(d.size), 2
+
+    monkeypatch.setattr(kernels, "dstevd", failing)
+    with pytest.raises(PropagationError, match="at m=2: dstevd info=2"):
+        _tridiagonal_eigh(np.array([1.0, 2.0]), np.array([0.5, 0.0]))

@@ -51,6 +51,20 @@ def test_grid_guards():
         BandGrid.square(5, 5, 3.0, 0.1, -0.1, 0.5, 0.2).gamma_index()
 
 
+def test_grid_rejects_bad_arrays():
+    g = BandGrid.square(4, 4, 3.0, 0.1, -0.1, 0.5, 0.2)
+    fields = dict(kx=g.kx, ky=g.ky, eps1=g.eps1, eps2=g.eps2, occ=g.occ,
+                  U11=0.5, U12=0.2)
+    with pytest.raises(ValueError, match=r"eps1 must have shape \(4, 4\), "
+                                         r"got \(4, 3\)"):
+        BandGrid(**{**fields, "eps1": g.eps1[:, :3]})
+    for bad in (-0.1, 1.5):
+        occ = g.occ.copy()
+        occ[1, 2] = bad
+        with pytest.raises(ValueError, match=r"occupations must lie in"):
+            BandGrid(**{**fields, "occ": occ})
+
+
 def test_grid_doping():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.8, kF=math.pi / 30)
     assert g.nu == pytest.approx(0.998779296875, abs=1e-15)
@@ -63,7 +77,7 @@ def test_cavity_spec_guards():
         CavitySpec(g=0.1, gc0=0.1, delta_c=0.0)
     with pytest.raises(ValueError):
         CavitySpec(g=0.1, gc0=-0.1, delta_c=0.5)
-    with pytest.raises(ValueError, match=r"\|g\| must be"):  # NaN too
+    with pytest.raises(ValueError, match="g must be finite"):  # NaN too
         CavitySpec(g=math.nan, gc0=0.1, delta_c=0.5)
 
 
@@ -144,10 +158,11 @@ def test_exciton_bisection_ends_at_float_resolution():
 
 
 def test_exciton_refuses_an_unresolvable_edge():
-    # at U12 = 1e300 the continuum edge is 2e300 and edge - 1e-9 rounds onto
-    # it, where the screening sum divides by zero; this used to return 1e300
-    # with RuntimeWarnings (errors under pytest) instead of raising
-    g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 1e300)
+    # at U12 = 1e10 the continuum edge is 2e10 and edge - 1e-9 rounds onto
+    # it, where the screening sum divides by zero; at U12 = 1e300 this used
+    # to return 1e300 with RuntimeWarnings (errors under pytest) instead of
+    # raising
+    g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 1e10)
     with pytest.raises(NoExciton, match="too large"):
         exciton_frequency(g)
 
@@ -200,6 +215,26 @@ def test_stark_ratio_is_even_in_k(paper_grid):
     assert np.abs(r - mirrored).max() <= 1e-10
 
 
+def test_stark_ratio_empty_band_fallback():
+    # an empty band binds no exciton and has no occupied edge: the
+    # reference is the smallest zero-frequency detuning anywhere, the
+    # direct gap 2.9 with no Hartree shift at nu = 0
+    g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 0.8, kF=4.5)
+    assert g.nu == 0.0
+    out = stark_bs_ratio(g, 1.0)
+    assert out["reference"] == "band-edge"
+    assert out["tla_ratio"] == pytest.approx((2.9 + 1.0) / (2.9 - 1.0))
+
+
+def test_stark_ratio_refuses_a_drive_on_its_reference(paper_grid):
+    # the detunings stay finite at the bound state, but the two-level
+    # ratio (w_ref + w)/(w_ref - w) diverges there
+    w_ex = exciton_frequency(paper_grid)
+    with pytest.raises(BandResonance, match="drive at the exciton "
+                                            "reference"):
+        stark_bs_ratio(paper_grid, w_ex)
+
+
 def test_stark_ratio_band_edge_fallback():
     # no bound state at U12 = 0; reference falls back to the Hartree-shifted
     # occupied edge 2.9 - U11*nu = 1.3
@@ -210,6 +245,18 @@ def test_stark_ratio_band_edge_fallback():
 
 
 # -- dressed band -------------------------------------------------------------
+
+def test_dressed_hopping_on_a_one_dimensional_grid():
+    # Ny = 1 has no transverse curvature: t_tilde is minus a quarter of the
+    # second difference of eps_tilde across the zone center kx = 0 (index 8)
+    g = BandGrid.square(16, 1, 3.7, 0.05, -0.15, 1.6, 0.8)
+    out = floquet_band(g, 2.0, 0.1)
+    e = out["eps_tilde"][:, 0]
+    h = 2.0 * math.pi / 16
+    assert out["t_tilde"] == pytest.approx(
+        -(e[9] - 2.0 * e[8] + e[7]) / (4.0 * h * h), rel=1e-12)
+    assert out["t_tilde"] != pytest.approx(0.0)
+
 
 def test_floquet_band_zero_drive(paper_grid):
     out = floquet_band(paper_grid, 2.0, 0.0)
