@@ -3,9 +3,13 @@
 Exact propagation of the driven chain (fourth-order commutator-free CFM4:2
 stepping with Krylov exponentials, in the co-moving frame of the drive,
 where the diagonal drive cancels and only the static block's nonzeros carry
-phases), static propagation of candidate
-effective Hamiltonians, Loschmidt return rates, the normalized RMS mismatch
+phases), static propagation of candidate effective Hamiltonians by dense
+diagonalization, Loschmidt return rates, the normalized RMS mismatch
 metric, and the exact dipole absorbance of the two-band chain.
+
+The benchmark and the absorbance read one vector's spectral measure and
+nothing more, so they take it from ``kernels.lanczos_quadrature``, a Gauss
+rule from one Lanczos run, instead of a dense eigensolve of the sector.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from .errors import PhysicsError, PropagationError, check_energy
 from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
                    build_sector_basis, build_two_band_chain)
-from .kernels import HamiltonianAction, lanczos_expm_multiply
+from .kernels import (HamiltonianAction, lanczos_expm_multiply,
+                      lanczos_quadrature)
 
 __all__ = [
     "Trajectory",
@@ -36,7 +41,9 @@ __all__ = [
 NORM_TOL = 1e-9
 # error bound of each Lanczos exponential in evolve_exact, relative to |psi|
 LANCZOS_TOL = 1e-10
-# largest sector diagonalized densely (evolve_static, dipole_excitations)
+# largest sector that return_rate_benchmark propagates exactly, that
+# dipole_excitations enumerates (checked before the basis is built) and that
+# evolve_static diagonalizes densely
 MAX_STATIC_DIM = 8192
 # evolve_exact takes at least this many steps per drive period: from there
 # down, halving the step divides the state error by 14.6-16 (fourth order);
@@ -91,8 +98,8 @@ class Trajectory:
 def cdw_state(b: SectorBasis):
     """Doublons on alternating sites starting at the chain head.
 
-    Defined in the (ceil(L/2), ceil(L/2)) sector; raises if ``b`` is any
-    other sector.
+    A Fock state, so a real unit vector.  Defined in the (ceil(L/2),
+    ceil(L/2)) sector; raises if ``b`` is any other sector.
     """
     want = (b.L + 1) // 2
     if b.n_up != want or b.n_down != want:
@@ -102,7 +109,7 @@ def cdw_state(b: SectorBasis):
     state = 0
     for j in range(0, b.L, 2):
         state |= (1 << j) | (1 << (j + b.L))
-    psi = np.zeros(b.dim, dtype=np.complex128)
+    psi = np.zeros(b.dim)
     psi[b.position(state)] = 1.0
     return psi
 
@@ -263,14 +270,17 @@ def _apply(A, z):
 
 
 def _check_static_dim(dim):
-    """Refuse a sector too large for a dense eigensolve."""
+    """Refuse a sector above ``MAX_STATIC_DIM``."""
     if dim > MAX_STATIC_DIM:
-        raise ValueError(f"dense eigensolve capped at dim "
-                         f"{MAX_STATIC_DIM}, got {dim}")
+        raise ValueError(f"sector capped at dim {MAX_STATIC_DIM}, got {dim}")
 
 
 def evolve_static(H: SparseOperator, psi0, times):
-    """Propagate under a static Hamiltonian by dense diagonalization."""
+    """Propagate under a static Hamiltonian by dense diagonalization.
+
+    The benchmark scores candidates by Lanczos quadrature instead; this
+    whole-state propagation is the reference its tests compare with.
+    """
     _check_static_dim(H.dim)
     if not H.hermitian:
         raise ValueError("static Hamiltonian must be Hermitian")
@@ -334,7 +344,14 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     propagating when the sector exceeds ``MAX_STATIC_DIM`` or a candidate
     is not a Hermitian operator on ``b``.
 
-    With ``threads`` > 1 the candidates are propagated concurrently on a
+    A candidate H scores |sum_j w_j exp(-i theta_j t)|^2, the Gauss rule of
+    ``kernels.lanczos_quadrature`` for |<psi0|exp(-iHt)|psi0>|^2 from the
+    CDW start psi0.  Its Lanczos run stops when the amplitude at the last
+    sample time, where the rule errs most, moves by at most
+    ``kernels.QUADRATURE_TOL`` between checks, and raises
+    ``PropagationError`` at its cap of 2000 steps.
+
+    With ``threads`` > 1 the candidates are scored concurrently on a
     thread pool.  BLAS stays single-threaded, so the result is identical
     for any thread count.
     """
@@ -351,7 +368,8 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     L_ex = return_rate(traj, psi0)
 
     def score(H):
-        return return_rate(evolve_static(H, psi0, traj.times), psi0)
+        theta, w = lanczos_quadrature(H, psi0, traj.times[-1])
+        return np.abs(np.exp(-1j * np.outer(traj.times, theta)) @ w) ** 2
 
     if threads > 1 and len(hams) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -377,11 +395,17 @@ def _lower_band_product_state(L):
 def dipole_excitations(p: TwoBandChainParams):
     """Dipole-coupled excitation energies and weights from the filled band.
 
-    The fully filled band-1 product state is an exact eigenstate (interband
-    kinetic terms are absent and band-1 hopping is Pauli blocked); this is
-    checked before diagonalizing, and ``PhysicsError`` is raised otherwise.
-    Returns (E_n - E_G, |<n|d|G>|^2) arrays.  Raises ``ValueError`` before
-    enumerating the basis when the (L, L) sector exceeds ``MAX_STATIC_DIM``.
+    The fully filled band-1 product state |G> is an exact eigenstate
+    (interband kinetic terms are absent and band-1 hopping is Pauli
+    blocked); this is checked first, and ``PhysicsError`` is raised
+    otherwise.  Returns the Krylov nodes of d|G> less E_G and their Gauss
+    weights, from ``kernels.lanczos_quadrature`` run to breakdown: H0
+    conserves the band-2 occupation, so the Krylov space of d|G> closes
+    inside the one-pair states (after 5 vectors at L=3 and 8 at L=4 for
+    the paper bands).  Each node is an E_n - E_G and its weight the summed
+    |<n|d|G>|^2 of that level, so the weights add up to |d|G>|^2; dark
+    levels do not appear.  Raises ``ValueError`` before enumerating the
+    basis when the (L, L) sector exceeds ``MAX_STATIC_DIM``.
     """
     _check_static_dim(math.comb(2 * p.L, p.L) ** 2)
     b = build_sector_basis(2 * p.L, p.L, p.L)
@@ -395,11 +419,8 @@ def dipole_excitations(p: TwoBandChainParams):
     if purity > 1e-12 * max(1.0, abs(e_g)):
         raise PhysicsError(f"filled lower band is not an eigenstate: "
                            f"off-diagonal weight {purity:.3e}")
-    eps, V = np.linalg.eigh(H.to_dense())
-    psi_g = np.zeros(b.dim, dtype=np.complex128)
-    psi_g[g_idx] = 1.0
-    amps = _apply(V.conj().T, d.matrix @ psi_g)
-    return eps - e_g, np.abs(amps) ** 2
+    theta, w = lanczos_quadrature(H, d.matrix.getcol(g_idx).toarray().ravel())
+    return theta - e_g, w
 
 
 def absorbance_ed(p: TwoBandChainParams, omega_grid, gamma_broadening):

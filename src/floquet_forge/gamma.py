@@ -60,7 +60,10 @@ class InteractionProfile:
 
     ``Vq`` is real with V_q = V_{-q} (indexed by wrapped momentum-difference
     index, so Vq[0, 0] is zero transfer).  ``Jcoupling`` has shape
-    (2, Nx, Ny) — one complex coupling map per spin — and is bounded by 1.
+    (2, Nx, Ny) — one coupling map per spin — and is bounded by 1.  It keeps
+    the type of its input: real couplings are stored as float64 and solved
+    in real arithmetic, complex ones (``phase_winding_profile``) as
+    complex128.
     """
 
     Vq: np.ndarray
@@ -68,7 +71,8 @@ class InteractionProfile:
 
     def __post_init__(self):
         v = np.asarray(self.Vq, dtype=float)
-        j = np.asarray(self.Jcoupling, dtype=np.complex128)
+        j = np.asarray(self.Jcoupling)
+        j = j.astype(np.result_type(j.dtype, np.float64), copy=False)
         if v.ndim != 2:
             raise ValueError(f"Vq must be 2-d, got shape {v.shape}")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(j))):
@@ -378,13 +382,14 @@ def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
     """Pair-screened detuning per final momentum and spin.
 
     1/Delta_kf = sum_k J12_{k,s} [Gamma_MF^{-1}]_{k,kf}; returns shape
-    (2, Nx, Ny), cast to real when the couplings allow it.  One vertex solve
-    per spin: O(N) with no size cap for a constant V_q, a dense inverse
-    capped at ``MAX_DENSE`` momenta otherwise.
+    (2, Nx, Ny), real for real couplings and complex otherwise, since the
+    vertex is real symmetric.  One vertex solve per spin: O(N) with no size
+    cap for a constant V_q, a dense inverse capped at ``MAX_DENSE`` momenta
+    otherwise.
     """
     solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
     nx, ny = grid.kx.size, grid.ky.size
-    out = np.empty((2, nx * ny), dtype=np.complex128)
+    out = np.empty((2, nx * ny), dtype=prof.Jcoupling.dtype)
     for s in (0, 1):
         v = solve(prof.Jcoupling[s].ravel())
         scale = max(1.0, float(np.max(np.abs(v))))
@@ -392,8 +397,6 @@ def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
             raise BandResonance("pair screening sum vanishes at some "
                                 "momentum; denominator undefined")
         out[s] = 1.0 / v
-    if float(np.max(np.abs(out.imag))) <= 1e-12 * float(np.max(np.abs(out))):
-        out = out.real
     return out.reshape(2, nx, ny)
 
 

@@ -14,7 +14,7 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
                            return_rate_benchmark)
 from floquet_forge import dynamics
 from floquet_forge.errors import PhysicsError, PropagationError
-from floquet_forge.fock import SparseOperator
+from floquet_forge.fock import SparseOperator, build_two_band_chain
 from floquet_forge.fswt import (DrivenChain, floquet_h2, hfe_h,
                                 hubbard_harmonics)
 
@@ -373,6 +373,64 @@ def test_benchmark_refuses_bad_candidates_before_propagating(monkeypatch):
     with pytest.raises(ValueError, match="'skew'"):
         return_rate_benchmark(p, b, {"fswt": good, "skew": skew},
                               t_final=0.5)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_benchmark_scores_match_dense_propagation(monkeypatch, L):
+    # each candidate's Gauss-rule score against its return rate under dense
+    # propagation, over the acceptance window; the exact propagation is not
+    # under test here, so it returns the start on the benchmark's samples
+    def frozen(chain, psi0, t_final, dt=None, sample_dt=None):
+        times = dynamics._sample_times(t_final, sample_dt)
+        return Trajectory(times, np.tile(psi0, (times.size, 1)))
+
+    monkeypatch.setattr(dynamics, "evolve_exact", frozen)
+    p = HubbardParams(L=L, J=1.0, U=3.0, g=3.0, omega=12.0)
+    n = (L + 1) // 2
+    b = build_sector_basis(L, n, n)
+    ops = build_hubbard_operators(p, b)
+    fswt = floquet_h2(p, b, include_J2=True)
+    a = sparse.random(b.dim, b.dim, density=0.05, random_state=7)
+    hams = {"h0": ops["h"] + ops["U_op"], "hfe": hfe_h(p, b), "fswt": fswt,
+            "complex": fswt + SparseOperator(0.3j * (a - a.T))}
+    assert hams["complex"].hermitian
+    out = return_rate_benchmark(p, b, hams, t_final=60.0)
+    psi0 = cdw_state(b)
+    for label, H in hams.items():
+        dense = return_rate(evolve_static(H, psi0, out["times"]), psi0)
+        assert np.abs(out["curves"][label] - dense).max() <= 1e-12, label
+
+
+def _merged_lines(levels, weights, tol=1e-9):
+    """Sum the weights of levels within ``tol`` of the one before."""
+    order = np.argsort(levels)
+    levels, weights = levels[order], weights[order]
+    starts = np.flatnonzero(np.diff(levels, prepend=-np.inf) > tol)
+    return levels[starts], np.add.reduceat(weights, starts)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("bands", [(0.05, -0.15, 1.6, 0.8),
+                                   (0.05, -0.15, 0.0, 0.0),
+                                   (0.0, 0.0, 1.6, 0.8)])
+def test_dipole_excitations_match_dense_eigh(L, bands):
+    t1, t2, U11, U12 = bands
+    p = TwoBandChainParams(L=L, eps21=3.7, t1=t1, t2=t2, U11=U11, U12=U12)
+    de, w = dynamics.dipole_excitations(p)
+    # the dense reference: every level of the (L, L) sector, and its
+    # weight |<n|d|G>|^2
+    b = build_sector_basis(2 * L, L, L)
+    ops = build_two_band_chain(p, b)
+    g = b.position(dynamics._lower_band_product_state(L))
+    h = ops["H0"].to_dense()
+    d_g = ops["dipole"].to_dense()[:, g]
+    eps, V = np.linalg.eigh(h)
+    levels, weights = _merged_lines(eps - h[g, g], (V.T @ d_g) ** 2)
+    bright = weights > 1e-10
+    lines, line_w = _merged_lines(de, w)
+    assert_allclose(lines, levels[bright], rtol=0, atol=1e-10)
+    assert_allclose(line_w, weights[bright], rtol=0, atol=1e-10)
+    assert w.sum() == pytest.approx(d_g @ d_g, rel=1e-13)
 
 
 def _refusing_lanczos(monkeypatch, limit):

@@ -73,6 +73,19 @@ def test_constant_profile_fields():
     assert np.all(prof.Jcoupling == 1.0 + 0.0j)
 
 
+def test_profiles_keep_the_coupling_type():
+    # real couplings stay float64 and are solved in real arithmetic; only
+    # the phase winding is complex, and so is its screened denominator
+    grid = BandGrid.square(4, 4, **BANDS)
+    for prof in (constant_profile(grid, 1.6),
+                 valley_dip_profile(grid, 1.6, (1, 1), 0.6)):
+        assert prof.Jcoupling.dtype == np.float64
+        assert mf_screened_denominator(grid, prof, 2.0).dtype == np.float64
+    wind = phase_winding_profile(grid, 1.6, (1, 1), (0, 0), 0.6)
+    assert wind.Jcoupling.dtype == np.complex128
+    assert mf_screened_denominator(grid, wind, 2.0).dtype == np.complex128
+
+
 def test_profile_validation():
     ones = np.ones((4, 4))
     with pytest.raises(ValueError, match="2-d"):

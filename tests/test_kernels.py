@@ -6,11 +6,11 @@ import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
 from floquet_forge import HubbardParams, build_hubbard_operators, \
-    build_sector_basis
+    build_sector_basis, cdw_state
 from floquet_forge import kernels
 from floquet_forge.errors import PropagationError
 from floquet_forge.kernels import (HamiltonianAction, _tridiagonal_eigh,
-                                   lanczos_expm_multiply)
+                                   lanczos_expm_multiply, lanczos_quadrature)
 
 
 def _random_csr(rng, dim=60, density=0.08):
@@ -114,3 +114,52 @@ def test_tridiagonal_eigh_reports_a_lapack_failure(monkeypatch):
     monkeypatch.setattr(kernels, "dstevd", failing)
     with pytest.raises(PropagationError, match="at m=2: dstevd info=2"):
         _tridiagonal_eigh(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+
+
+# -- Lanczos quadrature ------------------------------------------------------
+
+def _chain(L):
+    p = HubbardParams(L=L, J=1.0, U=3.0, g=3.0, omega=12.0)
+    n = (L + 1) // 2
+    b = build_sector_basis(L, n, n)
+    ops = build_hubbard_operators(p, b)
+    return ops["h"] + ops["U_op"], cdw_state(b)
+
+
+def test_quadrature_closes_exactly_on_breakdown():
+    # the L=2 CDW start has weight on 3 of the 4 levels of its sector: the
+    # run ends by breakdown at m = 3, not at m = dim, with the exact levels
+    # and weights, so the rule holds at any t
+    H, psi0 = _chain(2)
+    theta, w = lanczos_quadrature(H, psi0)
+    eps, V = np.linalg.eigh(H.to_dense())
+    amps = (V.T @ psi0) ** 2
+    bright = amps > 1e-20
+    assert theta.size == np.count_nonzero(bright) == 3
+    assert_allclose(theta, eps[bright], rtol=0, atol=1e-13)
+    assert_allclose(w, amps[bright], rtol=0, atol=1e-14)
+    # a convergence check never runs before the run closes
+    assert_allclose(lanczos_quadrature(H, psi0, t=1e3)[0], theta, rtol=0,
+                    atol=1e-13)
+
+
+def test_quadrature_refuses_at_its_cap():
+    H, psi0 = _chain(6)
+    with pytest.raises(PropagationError, match=r"by m=30: the amplitude at "
+                                               r"t=60 last moved"):
+        lanczos_quadrature(H, psi0, t=60.0, m_max=30)
+    with pytest.raises(PropagationError, match="by m=5: the Krylov space "
+                                               "did not close"):
+        lanczos_quadrature(H, psi0, m_max=5)
+
+
+def test_quadrature_of_zero_vector_is_empty():
+    H, psi0 = _chain(2)
+    theta, w = lanczos_quadrature(H, np.zeros_like(psi0), t=1.0)
+    assert theta.size == w.size == 0
+
+
+def test_quadrature_non_finite_recurrence_raises():
+    H = sparse.csr_matrix(np.full((6, 6), np.nan))
+    with pytest.raises(PropagationError, match="not finite at m=1"):
+        lanczos_quadrature(H, np.ones(6), t=1.0)
