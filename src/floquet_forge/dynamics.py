@@ -43,7 +43,8 @@ NORM_TOL = 1e-9
 LANCZOS_TOL = 1e-10
 # largest sector that return_rate_benchmark propagates exactly, that
 # dipole_excitations enumerates (checked before the basis is built) and that
-# evolve_static diagonalizes densely
+# evolve_static diagonalizes densely; it also bounds the Krylov size of
+# kernels.lanczos_quadrature, which ends by m = dim at the latest
 MAX_STATIC_DIM = 8192
 # evolve_exact takes at least this many steps per drive period: from there
 # down, halving the step divides the state error by 14.6-16 (fourth order);
@@ -348,8 +349,8 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     ``kernels.lanczos_quadrature`` for |<psi0|exp(-iHt)|psi0>|^2 from the
     CDW start psi0.  Its Lanczos run stops when the amplitude at the last
     sample time, where the rule errs most, moves by at most
-    ``kernels.QUADRATURE_TOL`` between checks, and raises
-    ``PropagationError`` at its cap of 2000 steps.
+    ``kernels.QUADRATURE_TOL`` between checks, or on breakdown, at
+    m = dim at the latest.
 
     With ``threads`` > 1 the candidates are scored concurrently on a
     thread pool.  BLAS stays single-threaded, so the result is identical

@@ -143,14 +143,20 @@ def test_quadrature_closes_exactly_on_breakdown():
                     atol=1e-13)
 
 
-def test_quadrature_refuses_at_its_cap():
-    H, psi0 = _chain(6)
-    with pytest.raises(PropagationError, match=r"by m=30: the amplitude at "
-                                               r"t=60 last moved"):
-        lanczos_quadrature(H, psi0, t=60.0, m_max=30)
-    with pytest.raises(PropagationError, match="by m=5: the Krylov space "
-                                               "did not close"):
-        lanczos_quadrature(H, psi0, m_max=5)
+def test_quadrature_ends_exact_at_full_dimension():
+    # a dense random Hermitian H has dim distinct levels, all bright from a
+    # random v; at t = 1e4 the amplitude never settles, so the run goes to
+    # m = dim, where the rule is the exact spectral measure
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    H = sparse.csr_matrix(a + a.conj().T)
+    v = rng.normal(size=40) + 1j * rng.normal(size=40)
+    eps, V = np.linalg.eigh(H.toarray())
+    for t in (1e4, None):
+        theta, w = lanczos_quadrature(H, v, t)
+        assert theta.size == 40
+        assert_allclose(theta, eps, rtol=0, atol=1e-11)
+        assert_allclose(w, np.abs(V.conj().T @ v) ** 2, rtol=0, atol=1e-11)
 
 
 def test_quadrature_of_zero_vector_is_empty():
