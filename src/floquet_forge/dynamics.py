@@ -3,13 +3,15 @@
 Exact propagation of the driven chain (fourth-order commutator-free CFM4:2
 stepping with Krylov exponentials, in the co-moving frame of the drive,
 where the diagonal drive cancels and only the static block's nonzeros carry
-phases), static propagation of candidate effective Hamiltonians by dense
-diagonalization, Loschmidt return rates, the normalized RMS mismatch
-metric, and the exact dipole absorbance of the two-band chain.
+phases), Loschmidt return rates, the normalized RMS mismatch metric, and
+the exact dipole absorbance of the two-band chain.
 
-The benchmark and the absorbance read one vector's spectral measure and
-nothing more, so they take it from ``kernels.lanczos_quadrature``, a Gauss
-rule from one Lanczos run, instead of a dense eigensolve of the sector.
+The benchmark scores a candidate effective Hamiltonian, and the absorbance
+reads its spectrum, from one vector's spectral measure and nothing more, so
+both take it from ``kernels.lanczos_quadrature``, a Gauss rule from one
+Lanczos run, instead of a dense eigensolve of the sector.
+``evolve_static`` propagates a whole state by dense diagonalization; it is
+the reference the tests compare the quadrature with.
 """
 
 from __future__ import annotations

@@ -37,8 +37,6 @@ __all__ = [
     "commutator",
     "hubbard_terms",
     "two_band_terms",
-    "total_number_terms",
-    "total_sz_terms",
 ]
 
 UP, DN = 0, 1
@@ -380,22 +378,6 @@ def hubbard_terms(p: HubbardParams):
         for s in (UP, DN):
             drive.add(p.g * (j + 1), [("n", j, s)])
     return {"h": h, "U_op": u, "drive": drive}
-
-
-def total_number_terms(L):
-    t = TermSum()
-    for j in range(L):
-        for s in (UP, DN):
-            t.add(1.0, [("n", j, s)])
-    return t
-
-
-def total_sz_terms(L):
-    t = TermSum()
-    for j in range(L):
-        t.add(0.5, [("n", j, UP)])
-        t.add(-0.5, [("n", j, DN)])
-    return t
 
 
 def build_hubbard_operators(p: HubbardParams, b: SectorBasis):

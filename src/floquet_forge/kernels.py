@@ -1,4 +1,4 @@
-"""The Hamiltonian action, the Lanczos exponential and Lanczos quadrature.
+"""The Hamiltonian action and one Lanczos recurrence with two uses.
 
 ``HamiltonianAction`` applies a CSR matrix with scipy's matvec and counts
 the calls.  ``dynamics.evolve_exact`` steps in the co-moving frame of the
@@ -8,17 +8,21 @@ rescales the action's CSR data in place once per exponential.  Profiles
 show the matvec is a small share of a Lanczos step, so this numpy path is
 the only one.
 
-Each Lanczos iteration diagonalizes the growing tridiagonal T_m to test
-convergence.  It calls LAPACK ``dstevd`` directly, the driver that
-``scipy.linalg.eigh_tridiagonal`` selects, so the eigenpairs and hence the
-stopping iteration are bit-identical to the wrapper's; the wrapper's input
-validation cost about twice the LAPACK call itself (35 against 12 us per
-call at L=6 on a 2-core Xeon VM).
+``_lanczos`` runs the recurrence from one vector: one matvec per step,
+one pass of full reorthogonalization, and the basis.  Two stopping rules
+read it.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
+exponential (Park & Light, J. Chem. Phys. 85, 5870 (1986)): it stops once
+its error estimate meets the tolerance.  ``lanczos_quadrature`` stops on
+breakdown or once a return amplitude settles, and returns the Gauss rule
+of the vector's spectral measure, the nodes and weights from which a
+static candidate's return amplitude and the dipole spectrum are read
+without a dense eigensolve.
 
-``lanczos_quadrature`` runs the same recurrence from one vector to its end
-and returns the Gauss rule of that vector's spectral measure, the nodes and
-weights from which a static candidate's return amplitude and the dipole
-spectrum are read without a dense eigensolve.
+Both diagonalize the tridiagonal T_m with LAPACK ``dstevd`` directly, the
+driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the eigenpairs
+and hence the stopping iteration are bit-identical to the wrapper's; the
+wrapper's input validation cost about twice the LAPACK call itself (35
+against 12 us per call at L=6 on a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ __all__ = ["HamiltonianAction", "lanczos_expm_multiply", "lanczos_quadrature"]
 # eigensolve to 7e-14 or better
 QUADRATURE_TOL = 1e-12
 QUADRATURE_STRIDE = 10
+# lanczos_expm_multiply refuses when its error estimate is still above the
+# tolerance after this many steps; dynamics then halves the step
+LANCZOS_M_MAX = 60
 
 
 class HamiltonianAction:
@@ -76,54 +83,66 @@ def _tridiagonal_eigh(alphas, betas):
     return theta, S
 
 
-def lanczos_expm_multiply(apply_h, v, tau, tol=1e-10, m_max=60):
+def _lanczos(apply_h, v, beta0, steps, dtype=np.complex128):
+    """The Lanczos recurrence from v, |v| = beta0 > 0, one yield per step.
+
+    Step m yields (a, b, V): a = alpha_1..alpha_m and the first m - 1
+    entries of b are T_m, b[m - 1] is the coupling beta_m to the next
+    basis vector, and V[:m] is the orthonormal basis.  One pass of full
+    reorthogonalization keeps the basis clean.  At most ``steps`` steps are
+    taken; the basis grows by doubling, so a short run stores few vectors.
+    """
+    dim = v.shape[0]
+    V = np.empty((min(steps, 2 * QUADRATURE_STRIDE), dim), dtype)
+    V[0] = v / beta0
+    alphas = np.empty(steps)
+    betas = np.empty(steps)
+    for j in range(steps):
+        if j:
+            if j == V.shape[0]:
+                grown = np.empty((min(2 * j, steps), dim), dtype)
+                grown[:j] = V
+                V = grown
+            V[j] = w / beta
+        w = apply_h(V[j])
+        alpha = np.vdot(V[j], w).real
+        w = w - alpha * V[j]
+        if j:
+            w = w - beta * V[j - 1]
+        proj = np.conj(V[:j + 1] @ w.conj())
+        w = w - V[:j + 1].T @ proj
+        beta = float(np.linalg.norm(w))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise PropagationError(
+                f"Lanczos recurrence is not finite at m={j + 1}: "
+                f"alpha={alpha}, beta={beta}")
+        alphas[j] = alpha
+        betas[j] = beta
+        yield alphas[:j + 1], betas[:j + 1], V
+
+
+def lanczos_expm_multiply(apply_h, v, tau, tol=1e-10):
     """w = exp(tau * H) v for a Hermitian action, by the Lanczos method.
 
     apply_h maps a vector to H @ vector; tau is typically -1j*dt.  The
     a-posteriori error estimate is beta_m * |last component of
     exp(tau*T_m) e1|; iteration stops once it drops below ``tol`` relative
-    to ||v||.  Full reorthogonalization keeps the basis clean at the small
-    subspace sizes used here.
+    to ||v||, or on breakdown, and refuses after ``LANCZOS_M_MAX`` steps.
     """
     v = np.asarray(v, dtype=np.complex128)
     beta0 = float(np.linalg.norm(v))
     if beta0 == 0.0:
         return v.copy()
-    V = np.empty((m_max + 1, v.shape[0]), dtype=np.complex128)
-    V[0] = v / beta0
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
-    m = 0
-    u = None
-    err = np.inf
-    for j in range(m_max):
-        w = apply_h(V[j])
-        alpha = np.vdot(V[j], w).real
-        w = w - alpha * V[j]
-        if j > 0:
-            w = w - betas[j - 1] * V[j - 1]
-        # full reorthogonalization (one pass)
-        proj = np.conj(V[:j + 1] @ w.conj())
-        w = w - V[:j + 1].T @ proj
-        alphas[j] = alpha
-        beta = float(np.linalg.norm(w))
-        betas[j] = beta
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise PropagationError(
-                f"Lanczos recurrence is not finite at m={j + 1}: "
-                f"alpha={alpha}, beta={beta}")
-        m = j + 1
-        theta, S = _tridiagonal_eigh(alphas[:m], betas[:m])
+    for a, b, V in _lanczos(apply_h, v, beta0, LANCZOS_M_MAX):
+        theta, S = _tridiagonal_eigh(a, b)
         u = S @ (np.exp(tau * theta) * S[0, :])
+        beta = b[-1]
         err = abs(beta * u[-1])
-        if err <= tol or beta <= 1e-14 * max(1.0, abs(alpha)):
-            break
-        V[j + 1] = w / beta
-    else:
-        raise PropagationError(
-            f"Lanczos exponential did not converge: m={m_max}, "
-            f"|tau|={abs(tau):.3e}, error estimate {err:.3e} > tol {tol:.3e}")
-    return (V[:m].T @ u) * beta0
+        if err <= tol or beta <= 1e-14 * max(1.0, abs(a[-1])):
+            return (V[:a.shape[0]].T @ u) * beta0
+    raise PropagationError(
+        f"Lanczos exponential did not converge: m={LANCZOS_M_MAX}, "
+        f"|tau|={abs(tau):.3e}, error estimate {err:.3e} > tol {tol:.3e}")
 
 
 def lanczos_quadrature(h, v, t=None):
@@ -155,47 +174,22 @@ def lanczos_quadrature(h, v, t=None):
     """
     mat = getattr(h, "matrix", h)
     v = np.asarray(v)
-    dtype = np.result_type(mat.dtype, v.dtype, np.float64)
     beta0 = float(np.linalg.norm(v))
     if beta0 == 0.0:
         return np.empty(0), np.empty(0)
-    dim = v.shape[0]
-    # the basis grows by doubling, so a short run stores few vectors
-    V = np.empty((min(dim, 2 * QUADRATURE_STRIDE), dim), dtype=dtype)
-    V[0] = v / beta0
-    alphas, betas = [], []
+    dtype = np.result_type(mat.dtype, v.dtype, np.float64)
     scale = 0.0
     amp = None
-    for j in range(dim):
-        w = mat @ V[j]
-        alpha = np.vdot(V[j], w).real
-        w = w - alpha * V[j]
-        if j > 0:
-            w = w - betas[j - 1] * V[j - 1]
-        proj = np.conj(V[:j + 1] @ w.conj())
-        w = w - V[:j + 1].T @ proj
-        beta = float(np.linalg.norm(w))
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise PropagationError(
-                f"Lanczos recurrence is not finite at m={j + 1}: "
-                f"alpha={alpha}, beta={beta}")
-        alphas.append(alpha)
-        betas.append(beta)
-        scale = max(scale, abs(alpha), beta)
-        m = j + 1
-        if m == dim or beta <= 1e-10 * scale:
+    for a, b, _ in _lanczos(mat.__matmul__, v, beta0, v.shape[0], dtype):
+        scale = max(scale, abs(a[-1]), b[-1])
+        if b[-1] <= 1e-10 * scale:
             break
-        if t is not None and m % QUADRATURE_STRIDE == 0:
-            theta, S = _tridiagonal_eigh(np.array(alphas), np.array(betas))
+        if t is not None and a.shape[0] % QUADRATURE_STRIDE == 0:
+            theta, S = _tridiagonal_eigh(a, b)
             weights = beta0 ** 2 * S[0] ** 2
             new = np.exp(-1j * t * theta) @ weights
             if amp is not None and abs(new - amp) <= QUADRATURE_TOL:
                 return theta, weights
             amp = new
-        if m == V.shape[0]:
-            grown = np.empty((min(2 * m, dim), dim), dtype)
-            grown[:m] = V
-            V = grown
-        V[m] = w / beta
-    theta, S = _tridiagonal_eigh(np.array(alphas), np.array(betas))
+    theta, S = _tridiagonal_eigh(a, b)
     return theta, beta0 ** 2 * S[0] ** 2

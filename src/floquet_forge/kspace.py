@@ -2,8 +2,8 @@
 
 Everything here lives on a Brillouin-zone grid: Hartree-shifted detunings,
 their interaction screening, the bound-state (exciton) frequency, the
-drive-dressed lower band, and the cavity-mediated forward interaction with
-its Pomeranchuk instability criterion.
+drive-dressed lower band, and the Pomeranchuk instability criterion of the
+cavity-mediated forward interaction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "t_matrix",
     "floquet_band",
     "stark_bs_ratio",
-    "cavity_forward_interaction",
     "pomeranchuk_check",
 ]
 
@@ -303,20 +302,6 @@ def stark_bs_ratio(grid: BandGrid, omega):
             "diverges")
     tla = (w_ref + omega) / (w_ref - omega)
     return {"ratio": delta_bs / delta, "tla_ratio": tla, "reference": ref}
-
-
-def cavity_forward_interaction(grid: BandGrid, cav: CavitySpec, omega,
-                               k, kp):
-    """Cavity-mediated forward-scattering interaction between two momenta.
-
-    -(g gc0)^2 / (N * delta_c * Delta_k * Delta_k'), with g the drive
-    amplitude from ``cav``, Delta the screened detuning and N the grid
-    size.  ``k``/``kp`` are grid index pairs.
-    """
-    delta = screened_detuning(grid, omega)
-    dk = delta[k[0], k[1]]
-    dkp = delta[kp[0], kp[1]]
-    return -(cav.g * cav.gc0) ** 2 / (grid.nsites * cav.delta_c * dk * dkp)
 
 
 def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega):

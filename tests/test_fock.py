@@ -10,8 +10,7 @@ from floquet_forge import (HubbardParams, SparseOperator, TermSum,
                            TwoBandChainParams, build_hubbard_operators,
                            build_sector_basis, build_two_band_chain,
                            commutator)
-from floquet_forge.fock import (hubbard_terms, total_number_terms,
-                                total_sz_terms, two_band_terms)
+from floquet_forge.fock import hubbard_terms, two_band_terms
 from floquet_forge.fswt import floquet_h2, floquet_h4, hfe_h, \
     hubbard_harmonics
 from floquet_forge.sylvester import hubbard_micromotion
@@ -162,11 +161,9 @@ def test_hubbard_operators_match_oracle():
     p = HubbardParams(L=3, J=0.7, U=2.3, g=1.1, omega=9.0)
     b = build_sector_basis(3, 2, 1)
     ops = build_hubbard_operators(p, b)
-    h_d, u_d, n_d, d_d = hubbard_dense(3, 0.7, 2.3, 0.0, 1.1)
+    h_d, u_d, _, d_d = hubbard_dense(3, 0.7, 2.3, 0.0, 1.1)
     assert_allclose(ops["h"].to_dense(), embed_sector(h_d, b), atol=1e-13)
     assert_allclose(ops["U_op"].to_dense(), embed_sector(u_d, b), atol=1e-13)
-    assert_allclose(total_number_terms(3).to_operator(b).to_dense(),
-                    embed_sector(n_d, b), atol=1e-13)
     assert_allclose(ops["drive"].to_dense(), embed_sector(d_d, b), atol=1e-13)
 
 
@@ -193,15 +190,13 @@ def test_zero_couplings_give_zero_operators():
 
 
 def test_hubbard_symmetries():
+    # the sector fixes N and S_z (a term that leaves it is refused, see
+    # test_term_leaving_the_sector_raises), so hermiticity is what is left
     p = HubbardParams(L=4, J=1.0, U=3.0, g=2.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
     ops = build_hubbard_operators(p, b)
-    n_op = total_number_terms(4).to_operator(b)
-    sz = total_sz_terms(4).to_operator(b)
     for k in ("h", "U_op", "drive"):
         assert ops[k].hermitian
-        assert commutator(ops[k], n_op).max_abs() <= 1e-12
-        assert commutator(ops[k], sz).max_abs() <= 1e-12
 
 
 def test_basis_mismatch_raises():
@@ -213,8 +208,6 @@ def test_basis_mismatch_raises():
 
 def test_term_sum_builds_number_operator():
     b = build_sector_basis(3, 2, 1)
-    n = total_number_terms(3).to_operator(b)
-    assert_allclose(n.to_dense(), 3.0 * np.eye(b.dim), atol=1e-14)
     # idempotent density: n^2 = n per mode
     t = TermSum()
     t.add(1.0, [("n", 0, 0), ("n", 0, 0)])

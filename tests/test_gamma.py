@@ -36,7 +36,7 @@ from floquet_forge.gamma import (
     series_vs_inverse,
     valley_dip_profile,
 )
-from floquet_forge.kspace import cavity_forward_interaction, screened_detuning
+from floquet_forge.kspace import screened_detuning
 from oracles import dense_vertex
 
 BANDS = dict(eps21=3.7, t1=0.05, t2=-0.15, U11=1.6, U12=0.8)
@@ -479,8 +479,6 @@ def test_cavity_global_matches_forward_on_flat_band(flat8):
     grid, prof = flat8
     cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
     full = cavity_global_interaction(grid, prof, cav, 2.1, (2, 5), (1, 3))
-    fwd = cavity_forward_interaction(grid, cav, 2.1, (2, 5), (1, 3))
-    assert full == pytest.approx(fwd, rel=1e-12)
     ref = -(cav.g * cav.gc0) ** 2 / (64 * cav.delta_c * 0.9 ** 2)
     assert full == pytest.approx(ref, rel=1e-12)
 

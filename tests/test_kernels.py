@@ -1,4 +1,4 @@
-"""The Hamiltonian action and the Lanczos exponential."""
+"""The Hamiltonian action, the Lanczos exponential and the quadrature."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,11 +80,13 @@ def test_lanczos_exact_on_small_invariant_subspace():
 
 
 def test_lanczos_raises_when_subspace_exhausted(rng):
-    m = rng.normal(size=(40, 40))
+    # |tau| ||H|| is about 2000 here, far beyond what 60 Krylov vectors
+    # resolve
+    m = rng.normal(size=(200, 200))
     m = m + m.T
-    v = rng.normal(size=40) + 0j
-    with pytest.raises(PropagationError):
-        lanczos_expm_multiply(lambda x: m @ x, v, -80.0j, tol=1e-14, m_max=5)
+    v = rng.normal(size=200) + 0j
+    with pytest.raises(PropagationError, match="did not converge: m=60,"):
+        lanczos_expm_multiply(lambda x: m @ x, v, -80.0j, tol=1e-14)
 
 
 def test_lanczos_non_finite_recurrence_raises():
@@ -157,6 +159,23 @@ def test_quadrature_ends_exact_at_full_dimension():
         assert theta.size == 40
         assert_allclose(theta, eps, rtol=0, atol=1e-11)
         assert_allclose(w, np.abs(V.conj().T @ v) ** 2, rtol=0, atol=1e-11)
+
+
+def test_quadrature_rule_reproduces_the_exponential():
+    # one recurrence serves both: the Gauss rule run to breakdown gives
+    # <v|exp(tau H)|v> as the exponential's projection on v, and the
+    # exponential takes one matvec per Krylov vector
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(12, 12))
+    H = sparse.csr_matrix(a + a.T)
+    v = rng.normal(size=12)
+    tau = -3.0j
+    theta, w = lanczos_quadrature(H, v)
+    act = HamiltonianAction(H)
+    psi = lanczos_expm_multiply(act, v, tau, tol=1e-14)
+    assert theta.size == 12
+    assert abs(np.exp(tau * theta) @ w - np.vdot(v, psi)) <= 1e-13
+    assert act.matvecs == theta.size
 
 
 def test_quadrature_of_zero_vector_is_empty():

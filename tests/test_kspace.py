@@ -9,7 +9,6 @@ import pytest
 from floquet_forge import BandGrid, CavitySpec
 from floquet_forge.errors import BandResonance, NoExciton
 from floquet_forge.kspace import (bare_detuning, bs_detuning,
-                                  cavity_forward_interaction,
                                   exciton_frequency, floquet_band,
                                   pomeranchuk_check, screened_detuning,
                                   stark_bs_ratio, t_matrix)
@@ -321,15 +320,6 @@ def test_binding_grows_as_bands_flatten():
 
 
 # -- cavity-mediated interaction ----------------------------------------------
-
-def test_cavity_forward_interaction_structure(paper_grid):
-    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
-    v = cavity_forward_interaction(paper_grid, cav, 2.0, (32, 32), (20, 12))
-    assert v < 0  # attractive below the bound state
-    v_swap = cavity_forward_interaction(paper_grid, cav, 2.0, (20, 12),
-                                        (32, 32))
-    assert v == pytest.approx(v_swap, rel=1e-14)
-
 
 def test_pomeranchuk_triggered_at_reference_point():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.8, kF=math.pi / 30)
