@@ -10,7 +10,7 @@ from floquet_forge import (HubbardParams, SparseOperator, TermSum,
                            TwoBandChainParams, build_hubbard_operators,
                            build_sector_basis, build_two_band_chain,
                            commutator)
-from floquet_forge.fock import hubbard_terms, two_band_terms
+from floquet_forge.fock import hubbard_terms
 from floquet_forge.fswt import floquet_h2, floquet_h4, hfe_h, \
     hubbard_harmonics
 from floquet_forge.sylvester import hubbard_micromotion
