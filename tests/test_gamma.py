@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from floquet_forge import BandGrid, CavitySpec
+from floquet_forge import gamma
 from floquet_forge.cli import main
 from floquet_forge.errors import BandResonance
 from floquet_forge.gamma import (
     MAX_DENSE,
+    VERTEX_CHUNK,
     GammaMatrix,
     InteractionProfile,
     _checked_inverse,
@@ -639,6 +641,57 @@ def test_bound_state_scan_verdicts_agree(square6, k, q):
     assert 0 < sum(dense) < len(dense)
 
 
+def test_selfenergy_verdicts_match_single_pair_loop(square6):
+    """The batched self-energy refuses exactly where one of its pairs does."""
+    grid, prof = square6
+    K = (2, 1)
+    pairs = [((ix, iy), ((K[0] - ix) % 6, (K[1] - iy) % 6))
+             for ix in range(6) for iy in range(6)]
+    k0, q0 = pairs[22]
+    e0 = eigen_sign_analysis(gamma_matrix(grid, prof, k0, q0,
+                                          3.63))["energies"][0]
+    detunings = np.logspace(-16, -1, 60)
+    loop, dense, batched = [], [], []
+    for omega in np.concatenate([e0 - detunings, e0 + detunings]):
+        loop.append(all(_verdict(lambda: _vertex_solver(grid, prof, k, q,
+                                                        omega))
+                        for k, q in pairs))
+        dense.append(all(_verdict(lambda: _checked_inverse(
+            gamma_matrix(grid, prof, k, q, omega).matrix)) for k, q in pairs))
+        batched.append(_verdict(lambda: coulomb_mix_selfenergy(
+            grid, prof, 0.02, omega, K)))
+    assert batched == loop == dense
+    assert 0 < sum(batched) < len(batched)
+
+
+@pytest.mark.parametrize("kind", ["constant", "phase-winding"])
+def test_chunked_selfenergy_matches_per_pair_loop(kind, monkeypatch):
+    """At 48^2 the self-energy runs in several chunks, the last partial."""
+    grid = BandGrid.square(48, 48, **BANDS)
+    prof = _profiles(grid)[kind]
+    n = 48 * 48
+    batches = []
+
+    def spy(grid, prof, k, q, omega):
+        batches.append(len(k))
+        return solver(grid, prof, k, q, omega)
+
+    solver = gamma._vertex_solver
+    monkeypatch.setattr(gamma, "_vertex_solver", spy)
+    batched = coulomb_mix_selfenergy(grid, prof, 0.02, 2.4, (30, 7))
+    rows = VERTEX_CHUNK // n
+    assert batches == [rows] * (n // rows) + [n % rows] and n % rows
+    monkeypatch.undo()
+    loop = 0.0
+    for ix in range(48):
+        for iy in range(48):
+            q = ((30 - ix) % 48, (7 - iy) % 48)
+            v = scattering_strength(grid, prof, 0.02, 2.4, (ix, iy), (ix, iy),
+                                    q)
+            loop += (v * np.conj(prof.Jcoupling[0, ix, iy])).real
+    assert abs(batched - loop) <= 1e-13 * abs(loop)
+
+
 def test_solve_residual_near_pole(square6):
     """At cond ~ 2.5e12 the rank-one inverse is as accurate as LU's."""
     grid, prof = square6
@@ -702,5 +755,8 @@ def test_solve_paths_run_on_paper_grid(paper_grid):
     assert time.process_time() - t0 < 1.0
     assert den.shape == (2, 64, 64) and np.all(np.isfinite(den))
     assert np.isfinite(glob) and np.isfinite(w)
+    # N^2 = 16.8 million pair entries, in chunks of VERTEX_CHUNK
+    assert np.isfinite(coulomb_mix_selfenergy(paper_grid, prof, 0.02, 2.0,
+                                              (3, 5)))
     with pytest.raises(ValueError, match=str(MAX_DENSE)):
         gamma_matrix(paper_grid, prof, (1, 2), (9, 33), 2.0)
