@@ -59,7 +59,8 @@ class HamiltonianAction:
     call, so a caller may rescale its ``data`` in place between calls.  The
     call runs scipy's CSR kernel into a zeroed output, which is what
     ``matrix @ x`` reaches after its type dispatch, so the product is the
-    same to the bit at about half the cost.
+    same to the bit without the dispatch (5.6 against 6.4 us per call at
+    L=6, dim 400, on a 2-core Xeon VM).
     """
 
     def __init__(self, h):
