@@ -1,10 +1,13 @@
 """Time evolution and validation observables.
 
 Exact propagation of the driven chain (fourth-order commutator-free CFM4:2
-stepping with Krylov exponentials, in the co-moving frame of the drive,
+stepping with Chebyshev exponentials, in the co-moving frame of the drive,
 where the diagonal drive cancels and only the static block's nonzeros carry
 phases), Loschmidt return rates, the normalized RMS mismatch metric, and
-the exact dipole absorbance of the two-band chain.
+the exact dipole absorbance of the two-band chain.  One Gershgorin interval
+bounds the spectrum of every exponent of a run, so the Chebyshev degree of
+each step length, and the bound on the whole run's truncation error, are
+fixed before the first step.
 
 The benchmark scores a candidate effective Hamiltonian, and the absorbance
 reads its spectrum, from one vector's spectral measure and nothing more, so
@@ -21,11 +24,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import PhysicsError, PropagationError, check_energy
 from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
                    build_sector_basis, build_two_band_chain)
-from .kernels import (HamiltonianAction, lanczos_expm_multiply,
+from .kernels import (LANCZOS_M_MAX, chebyshev_coefficients,
+                      chebyshev_degree, chebyshev_expm_multiply,
                       lanczos_quadrature)
 
 __all__ = [
@@ -41,8 +46,9 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-# error bound of each Lanczos exponential in evolve_exact, relative to |psi|
-LANCZOS_TOL = 1e-10
+# bound on the Chebyshev truncation error of a whole evolve_exact run,
+# relative to |psi0|; each exponential takes an equal share per unit time
+TRUNCATION_TOL = 1e-10
 # largest sector that return_rate_benchmark propagates exactly, that
 # dipole_excitations enumerates (checked before the basis is built) and that
 # evolve_static diagonalizes densely; it also bounds the Krylov size of
@@ -57,10 +63,12 @@ STEPS_PER_PERIOD_MIN = 5
 # complex128
 MAX_STORED_AMPLITUDES = 2 ** 25
 # largest CFM4 step count times (dim + STEP_OVERHEAD) that evolve_exact
-# takes.  A step costs a fixed part as well as one per state component:
-# 0.17-0.30 ms at dim 4 (L=2), 0.64-0.70 ms at 400 (L=6) and 1.1-1.5 ms at
-# 1225 (L=7), 0.9-3.1 us per (dim + 130) (one core of a 2-core Xeon VM), so
-# the cap is 16-55 min of stepping.  At the T/640 reference step and
+# takes.  A step costs a fixed part as well as one per state component: at
+# the default step, with Chebyshev degrees 6-10, 0.06 ms at dim 4 (L=2),
+# 0.08 ms at 36 (L=4), 0.22-0.27 ms at 400 (L=6), 0.87 ms at 1225 (L=7) and
+# 3.7 ms at 4900 (L=8), 0.41-0.73 us per (dim + 130) (one core of a 2-core
+# Xeon VM), so the cap is 7-13 min of stepping, and up to about six times
+# that at the degree cap of 60.  At the T/640 reference step and
 # omega = 20J, L=6 over t_final = 60 is 6.5e7, L=7 over 20 is 5.5e7, and
 # L=8 (dim 4900) over 60 is 6.1e8
 MAX_STEP_WORK = 2 ** 30
@@ -68,6 +76,8 @@ STEP_OVERHEAD = 130
 # CFM4:2 weights and nodes
 _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 _C1, _C2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+# the CFM4 weight w of any nonzero has |w| <= 2(|a1| + |a2|) = 2/sqrt(3)
+_W_MAX = 2.0 * (abs(_A1) + abs(_A2))
 
 
 @dataclass
@@ -117,21 +127,6 @@ def cdw_state(b: SectorBasis):
     return psi
 
 
-# _krylov_step retries a refused exponential as two halves, this many deep
-_MAX_HALVINGS = 8
-
-
-def _krylov_step(action, psi, tau, depth=0):
-    try:
-        return lanczos_expm_multiply(action, psi, tau, tol=LANCZOS_TOL)
-    except PropagationError:
-        if depth >= _MAX_HALVINGS:
-            raise
-        half = tau / 2.0
-        mid = _krylov_step(action, psi, half, depth + 1)
-        return _krylov_step(action, mid, half, depth + 1)
-
-
 def _sample_times(t_final, stride):
     """k*stride for every whole stride up to t_final, then t_final itself.
 
@@ -146,6 +141,23 @@ def _sample_times(t_final, stride):
     return np.append(times, t_final)
 
 
+def _fitting_step(half_width, t_final, h):
+    """About the longest step below ``h`` whose Chebyshev degree is within
+    ``kernels.LANCZOS_M_MAX``, by bisection on log h: the degree grows with
+    the step even though the step's share of the error budget grows too."""
+    low, high = math.log(h) - 256.0, math.log(h)
+    for _ in range(48):
+        mid = 0.5 * (low + high)
+        step = math.exp(mid)
+        degree, _ = chebyshev_degree(0.5 * step * half_width,
+                                     TRUNCATION_TOL * step / (2.0 * t_final))
+        if degree <= LANCZOS_M_MAX:
+            low = mid
+        else:
+            high = mid
+    return math.exp(low)
+
+
 def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
 
@@ -158,27 +170,48 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     Phi(t) = (2/omega) sin(omega t), where the drive cancels and
     H'(t)_ab = (H0)_ab exp(i Phi(t) (D_a - D_b)) (Eckardt, Rev. Mod. Phys.
     89, 011004 (2017)): only the static block's nonzeros carry phases, and
-    the large diagonal drive leaves the Krylov problem.  Fourth-order
+    the large diagonal drive leaves the exponent.  Fourth-order
     commutator-free stepping, CFM4:2 (Blanes & Moan 2006; Alvermann &
     Fehske, J. Comput. Phys. 230, 5930 (2011)): a step of length h from t
-    applies exp(-i h/2 H0(w)) twice, by Lanczos exponentials with per-step
-    tolerance ``LANCZOS_TOL``, where H0(w) scales each nonzero of H0 by
-    w = 2(a2 exp(i Phi1 delta) + a1 exp(i Phi2 delta)) the first time and
-    with a1 and a2 swapped the second; delta = D_row - D_col on that
+    applies exp(-i h/2 H0(w)) twice, where H0(w) scales each nonzero of H0
+    by w = 2(a2 exp(i Phi1 delta) + a1 exp(i Phi2 delta)) the first time
+    and with a1 and a2 swapped the second; delta = D_row - D_col on that
     nonzero, Phi1,2 = Phi(t + c1,2 h), a1,2 = 1/4 -+ sqrt(3)/6 and
     c1,2 = 1/2 -+ sqrt(3)/6.  Diagonal entries have delta = 0 and keep their
     value.  Each stored state is mapped back by exp(-i Phi(t) D), so
     ``states`` are in the lab frame.
 
+    Each exponential is a Chebyshev series,
+    ``kernels.chebyshev_expm_multiply``.  |w| <= 2/sqrt(3), so the spectrum
+    of every H0(w) lies in one Gershgorin interval [c - R, c + R], taken
+    once per run from H0's diagonal and 2/sqrt(3) times its off-diagonal
+    absolute row sums.  A step of length h has rho = h R/2, and its degree
+    K is the least whose tail bound eps(h) (``kernels.chebyshev_degree``)
+    is at most ``TRUNCATION_TOL`` * h / (2 t_final): each exponential takes
+    an equal share of the budget per unit time.  **Error bound.**  Each
+    CFM4 exponential is unitary and its series differs from it by at most
+    eps in norm, so every stored state differs from the one exact CFM4
+    exponentials give by at most S exp(S) times |psi0|, plus roundoff,
+    where S sums eps over the run's exponentials; S <= ``TRUNCATION_TOL``.
+    This bounds the exponentials, not the CFM4 step's own error, which is
+    fourth order in h.  ``meta`` records ``degrees``, K for each distinct
+    step length, and ``truncation_bound``, S exp(S).  A step length whose
+    K exceeds ``kernels.LANCZOS_M_MAX`` raises ``ValueError`` before the
+    first step, naming K, R and the dt that fits: the width 2R grows with
+    the interaction, about U L/2 for the Hubbard chain.  A step that leaves a
+    non-finite state raises ``PropagationError`` naming its start time, its
+    length, its degree and the run's bound.
+
     ``dt`` is the largest step, at most a fifth of the drive period; the
     default is a tenth.  Samples are stored at k*``sample_dt`` (every step
     when None) and at t_final; each sample interval is cut into the fewest
     equal steps no longer than ``dt``, so every sample lands on its grid
-    point.  ``omega``, ``t_final`` and, when given, ``dt`` and
-    ``sample_dt`` must be finite and positive.  A run that would take more
-    than ``MAX_STEP_WORK`` steps times (dim + ``STEP_OVERHEAD``), or whose
-    samples would store more than ``MAX_STORED_AMPLITUDES`` amplitudes,
-    raises ``ValueError`` before the first step.
+    point, and a run takes at most two step lengths.  ``omega``,
+    ``t_final`` and, when given, ``dt`` and ``sample_dt`` must be finite and
+    positive.  A run that would take more than ``MAX_STEP_WORK`` steps
+    times (dim + ``STEP_OVERHEAD``), or whose samples would store more than
+    ``MAX_STORED_AMPLITUDES`` amplitudes, raises ``ValueError`` before the
+    first step.
     """
     static, drive, omega = chain
     for name, value in (("omega", omega), ("t_final", t_final), ("dt", dt),
@@ -216,46 +249,89 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
             f"the cap of {MAX_STORED_AMPLITUDES} stored amplitudes; raise "
             f"sample_dt")
     times = _sample_times(t_final, sample_dt)
+    # every sample interval but the last spans sample_dt, so the steps take
+    # at most two lengths
+    spans = np.full(times.size - 1, float(sample_dt))
+    spans[-1] = times[-1] - times[-2]
+    counts = np.maximum(1, np.ceil(spans / dt - 1e-9)).astype(int)
+    lengths, length_of = np.unique(spans / counts, return_inverse=True)
 
     psi = np.ascontiguousarray(np.asarray(psi0, dtype=np.complex128))
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"psi0 must be normalized, |psi|={nrm:.12g}")
 
+    # H0 with its whole diagonal stored, so that the shift below reaches
+    # every row; its Gershgorin interval [c - R, c + R] holds the spectrum
+    # of every exponent H0(w)
+    dim = static.dim
+    coo = static.matrix.tocoo()
+    index = np.arange(dim)
+    h0 = sparse.csr_matrix(
+        (np.concatenate([coo.data, np.zeros(dim, coo.dtype)]),
+         (np.concatenate([coo.row, index]), np.concatenate([coo.col, index]))),
+        shape=(dim, dim))
+    rows = np.repeat(index, np.diff(h0.indptr))
+    on_diag = rows == h0.indices
+    energy = h0.data[on_diag].real
+    radius = _W_MAX * np.bincount(
+        rows, np.where(on_diag, 0.0, np.abs(h0.data)), minlength=dim)
+    low, high = (energy - radius).min(), (energy + radius).max()
+    centre, half_width = 0.5 * (high + low), 0.5 * (high - low) or 1.0
+
+    degrees, tails, series = {}, [], []
+    for h in lengths.tolist():
+        degree, tail = chebyshev_degree(
+            0.5 * h * half_width, TRUNCATION_TOL * h / (2.0 * t_final))
+        if degree > LANCZOS_M_MAX:
+            raise ValueError(
+                f"Chebyshev degree {degree} of a step of length h={h:.4g} "
+                f"exceeds the cap of {LANCZOS_M_MAX}: the exponents' "
+                f"spectral radius is R={half_width:.4g}; take dt <= "
+                f"{_fitting_step(half_width, t_final, h):.4g}")
+        degrees[h] = degree
+        tails.append(tail)
+        series.append(chebyshev_coefficients(0.5 * h * half_width, degree)
+                      * np.exp(-0.5j * h * centre))
+    total = 2.0 * float(counts @ np.array(tails)[length_of])
+    bound = total * math.exp(total)
+
     def phi(t):
         return (2.0 / omega) * math.sin(omega * t)
 
     # delta = D_row - D_col on each nonzero of H0, and the phases exp(i Phi
-    # delta) are taken once per distinct delta; the action owns a complex
-    # copy of H0 whose data is rescaled per exponential
-    h0 = static.matrix
-    rows = np.repeat(np.arange(h0.shape[0]), np.diff(h0.indptr))
+    # delta) are taken once per distinct delta.  2X = 2(H0(w) - c)/R has its
+    # spectrum in [-2, 2]: ``scaled`` holds 2 H0/R, with 2(H0_aa - c)/R on
+    # the diagonal, where delta = 0 and w = 1, and each exponential writes
+    # its weights times ``scaled`` into the data of ``twice_x``
     deltas, which = np.unique(diag[rows] - diag[h0.indices],
                               return_inverse=True)
-    action = HamiltonianAction(h0.astype(np.complex128))
+    jdeltas = 1j * deltas
+    scaled = (2.0 / half_width) * h0.data
+    scaled[on_diag] = (2.0 / half_width) * (energy - centre)
+    twice_x = h0.astype(np.complex128)
+    weights = 2.0 * np.array([[_A2, _A1], [_A1, _A2]])
     states = np.empty((times.size, psi.size), dtype=np.complex128)
     states[0] = psi
-    steps = 0
-    for k in range(1, times.size):
-        t0, span = times[k - 1], times[k] - times[k - 1]
-        n = max(1, math.ceil(span / dt - 1e-9))
-        h = span / n
+    for k, (n, which_length) in enumerate(zip(counts.tolist(),
+                                              length_of.tolist()), 1):
+        h, coeffs = lengths[which_length], series[which_length]
         for j in range(n):
-            t = t0 + j * h
-            e1 = np.exp(1j * phi(t + _C1 * h) * deltas)
-            e2 = np.exp(1j * phi(t + _C2 * h) * deltas)
-            try:
-                for a, b in ((_A2, _A1), (_A1, _A2)):
-                    w = 2.0 * (a * e1 + b * e2)
-                    np.multiply(h0.data, w[which], out=action.matrix.data)
-                    psi = _krylov_step(action, psi, -0.5j * h)
-            except PropagationError as exc:
+            t = times[k - 1] + j * h
+            e = np.exp(np.multiply.outer((phi(t + _C1 * h),
+                                          phi(t + _C2 * h)), jdeltas))
+            for w in weights @ e:
+                np.multiply(scaled, w[which], out=twice_x.data)
+                psi = chebyshev_expm_multiply(twice_x, psi, coeffs)
+            if not math.isfinite(np.vdot(psi, psi).real):
                 raise PropagationError(
-                    f"step from t={t:.6g} of length h={h:.6g} failed after "
-                    f"{_MAX_HALVINGS} halvings: {exc}") from exc
+                    f"step from t={t:.6g} of length h={h:.6g} left a "
+                    f"non-finite state (Chebyshev degree {coeffs.size - 1}, "
+                    f"run truncation bound {bound:.3g})")
         states[k] = np.exp(-1j * phi(times[k]) * diag) * psi
-        steps += n
-    return Trajectory(times, states, meta={"steps": steps})
+    return Trajectory(times, states,
+                      meta={"steps": int(counts.sum()), "degrees": degrees,
+                            "truncation_bound": bound})
 
 
 def _apply(A, z):

@@ -40,7 +40,8 @@ class NoExciton(PhysicsError):
 
 
 class PropagationError(PhysicsError):
-    """Krylov exponential failed to converge within its subspace limit."""
+    """Propagation failed: a non-finite state, a non-finite Lanczos
+    recurrence, or a Lanczos exponential that did not converge."""
 
 
 # largest |energy|, and inverse of the smallest frequency, cavity detuning

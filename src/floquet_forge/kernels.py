@@ -1,28 +1,36 @@
-"""The Hamiltonian action and one Lanczos recurrence with two uses.
+"""The Hamiltonian action, the Chebyshev exponential and one Lanczos
+recurrence.
+
+``chebyshev_expm_multiply`` is the exponential of the exact propagation: a
+truncated Chebyshev expansion of exp(-i rho X) v for a Hermitian X whose
+spectrum lies in [-1, 1] (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)).  It takes no inner product and no eigensolve, and its error bound,
+2 sum_{k>K} |J_k(rho)| <= 2 sum_{k>K} (rho/2)^k / k!, is known before the
+first matvec, so ``chebyshev_degree`` picks the degree K for a tolerance
+and ``chebyshev_coefficients`` gives the K + 1 weights.
+``dynamics.evolve_exact`` steps in the co-moving frame of the drive, where
+the diagonal drive cancels and only the static block's nonzeros carry
+time-dependent phases; it bounds every exponent's spectrum once per run
+and rescales one CSR matrix's data in place per exponential.
 
 ``HamiltonianAction`` applies a CSR matrix with scipy's matvec and counts
-the calls.  ``dynamics.evolve_exact`` steps in the co-moving frame of the
-drive, where the diagonal drive cancels and only the static block's
-nonzeros carry time-dependent phases, so it needs no drive term here: it
-rescales the action's CSR data in place once per exponential.  Profiles
-show the matvec is a small share of a Lanczos step, so this numpy path is
-the only one.
-
-``_lanczos`` runs the recurrence from one vector: one matvec per step,
-one pass of full reorthogonalization, and the basis.  Two stopping rules
-read it.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
+the calls.  ``_lanczos`` runs the recurrence from one vector: one matvec
+per step, one pass of full reorthogonalization, and the basis.  Two
+stopping rules read it.  ``lanczos_quadrature`` stops on breakdown or once
+a return amplitude settles, and returns the Gauss rule of the vector's
+spectral measure, the nodes and weights from which a static candidate's
+return amplitude and the dipole spectrum are read without a dense
+eigensolve.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
 exponential (Park & Light, J. Chem. Phys. 85, 5870 (1986)): it stops once
-its error estimate meets the tolerance.  ``lanczos_quadrature`` stops on
-breakdown or once a return amplitude settles, and returns the Gauss rule
-of the vector's spectral measure, the nodes and weights from which a
-static candidate's return amplitude and the dipole spectrum are read
-without a dense eigensolve.
+its error estimate meets the tolerance.  No scenario calls it, or
+``HamiltonianAction``, since the exact propagation took the Chebyshev
+series; the benchmark harness still does.
 
-Both diagonalize the tridiagonal T_m with LAPACK ``dstevd`` directly, the
-driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the eigenpairs
-and hence the stopping iteration are bit-identical to the wrapper's; the
-wrapper's input validation cost about twice the LAPACK call itself (35
-against 12 us per call at L=6 on a 2-core Xeon VM).
+Both Lanczos runs diagonalize the tridiagonal T_m with LAPACK ``dstevd``
+directly, the driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the
+eigenpairs and hence the stopping iteration are bit-identical to the
+wrapper's; the wrapper's input validation cost about twice the LAPACK call
+itself (35 against 12 us per call at L=6 on a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 from scipy.linalg.lapack import dstevd
 from scipy.sparse import _sparsetools
 
@@ -38,7 +47,9 @@ from .errors import PropagationError
 # No compiled kernel exists; kept because perfbench/run.py reports it.
 HAVE_COMPILED = False
 
-__all__ = ["HamiltonianAction", "lanczos_expm_multiply", "lanczos_quadrature"]
+__all__ = ["HamiltonianAction", "chebyshev_coefficients", "chebyshev_degree",
+           "chebyshev_expm_multiply", "lanczos_expm_multiply",
+           "lanczos_quadrature"]
 
 # lanczos_quadrature stops once its amplitude moves by at most QUADRATURE_TOL
 # between checks QUADRATURE_STRIDE steps apart.  The error falls faster than
@@ -48,7 +59,8 @@ __all__ = ["HamiltonianAction", "lanczos_expm_multiply", "lanczos_quadrature"]
 QUADRATURE_TOL = 1e-12
 QUADRATURE_STRIDE = 10
 # lanczos_expm_multiply refuses when its error estimate is still above the
-# tolerance after this many steps; dynamics then halves the step
+# tolerance after this many steps; dynamics.evolve_exact refuses a run whose
+# Chebyshev degree exceeds it, so no exponential takes more matvecs
 LANCZOS_M_MAX = 60
 
 
@@ -75,6 +87,84 @@ class HamiltonianAction:
         _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices,
                                 m.data, x, y)
         return y
+
+
+def chebyshev_degree(rho, tol):
+    """The least degree K whose Chebyshev series of exp(-i rho x) errs by at
+    most ``tol`` on [-1, 1], and that error bound.
+
+    The series' tail is 2 sum_{k>K} |J_k(rho)| and |J_k(rho)| <=
+    (rho/2)^k / k!.  Once K + 2 > rho/2 the terms from k = K + 1 on fall by
+    at least the ratio q = (rho/2)/(K + 2), so the tail is at most
+    2 (rho/2)^{K+1} / (K+1)! / (1 - q); below that the bound is infinite.
+    It falls with K, so K is found by doubling and bisection, in logarithms,
+    and stays finite for any finite ``rho``.
+    """
+    if not (math.isfinite(rho) and rho >= 0.0 and tol > 0.0):
+        raise ValueError(f"need a finite rho >= 0 and tol > 0, got "
+                         f"rho={rho}, tol={tol}")
+    if rho == 0.0:
+        return 0, 0.0
+    half = 0.5 * rho
+    log_half, log_tol = math.log(half), math.log(tol)
+
+    def log_tail(K):
+        q = half / (K + 2)
+        if q >= 1.0:
+            return math.inf
+        return (math.log(2.0) + (K + 1) * log_half - math.lgamma(K + 2)
+                - math.log1p(-q))
+
+    low, high = -1, 1
+    while log_tail(high) > log_tol:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if log_tail(mid) <= log_tol:
+            high = mid
+        else:
+            low = mid
+    return high, math.exp(log_tail(high))
+
+
+def chebyshev_coefficients(rho, degree):
+    """c_0 = J_0(rho) and c_k = 2 (-i)^k J_k(rho), k = 1..degree.
+
+    These are the Chebyshev coefficients of exp(-i rho x) on [-1, 1], so
+    sum_k c_k T_k(X) approximates exp(-i rho X).  numpy's interpolant at
+    2 (degree + 1) Chebyshev points gives them; its aliasing enters through
+    J_{3 degree + 4} and beyond, far below roundoff, and no Bessel routine
+    is needed.
+    """
+    c = chebinterpolate(lambda x: np.exp(-1j * rho * x), 2 * degree + 1)
+    return c[:degree + 1]
+
+
+def chebyshev_expm_multiply(twice_x, v, coeffs):
+    """sum_k coeffs[k] T_k(X) v, where ``twice_x`` is the CSR matrix 2X.
+
+    With X = (H - c)/R Hermitian and its spectrum inside [-1, 1], and
+    ``coeffs`` from :func:`chebyshev_coefficients` at rho = tau R times
+    exp(-i tau c), this is exp(-i tau H) v to within the bound of
+    :func:`chebyshev_degree`, times |v|.  The recurrence
+    T_{k+1}(X) v = 2X T_k(X) v - T_{k-1}(X) v runs through scipy's CSR
+    kernel, which accumulates y += 2X x into a row preset to -T_{k-1} v:
+    two numpy calls per term and one matvec per degree.  ``twice_x`` and
+    ``v`` are complex128; v has unit stride.
+    """
+    n = v.shape[0]
+    degree = coeffs.shape[0] - 1
+    Y = np.empty((degree + 1, n), np.complex128)
+    Y[0] = v
+    args = (n, n, twice_x.indptr, twice_x.indices, twice_x.data)
+    if degree:
+        Y[1] = 0.0
+        _sparsetools.csr_matvec(*args, Y[0], Y[1])
+        Y[1] *= 0.5
+    for k in range(1, degree):
+        np.negative(Y[k - 1], out=Y[k + 1])
+        _sparsetools.csr_matvec(*args, Y[k], Y[k + 1])
+    return coeffs @ Y
 
 
 def _tridiagonal_eigh(alphas, betas):

@@ -211,21 +211,28 @@ def test_exciton_unclosed_root_exits_2(tmp_path, capsys):
 
 
 def test_propagation_failure_exits_2(tmp_path, monkeypatch, capsys):
-    # an unreachable Lanczos tolerance exhausts the Krylov subspace on every
-    # step halving; the failure must reach exit code 2, not a traceback
-    from floquet_forge import dynamics
+    # a Chebyshev series that leaves a non-finite state in mid-run must
+    # reach exit code 2, naming the step, not a traceback or written files
+    from floquet_forge import dynamics, kernels
 
-    real = dynamics.lanczos_expm_multiply
+    calls = []
 
-    def unreachable(action, psi, tau, tol):
-        return real(action, psi, tau, tol=1e-300)
+    def poisoned(twice_x, v, coeffs):
+        calls.append(1)
+        out = kernels.chebyshev_expm_multiply(twice_x, v, coeffs)
+        if len(calls) > 10:
+            out[:] = np.inf
+        return out
 
-    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", unreachable)
-    code, _ = run_cli(tmp_path, "bench-return-rate",
-                      "units = J\nL = 6\nU = 3.0\ng = 3.0\nomega = 12.0\n"
-                      "t_final = 0.5\n")
+    monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", poisoned)
+    code, out = run_cli(tmp_path, "bench-return-rate",
+                        "units = J\nL = 6\nU = 3.0\ng = 3.0\nomega = 12.0\n"
+                        "t_final = 0.5\n")
     assert code == 2
-    assert "physics error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and "non-finite state" in err
+    assert "from t=" in err and "of length h=" in err
+    assert not (out / "return_rate.csv").exists()
 
 
 @pytest.mark.parametrize("timing", [
@@ -464,13 +471,15 @@ def test_unwritable_output_dir_exits_1(tmp_path, capsys):
 
 def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
                                                         monkeypatch, capsys):
+    # a PropagationError raised inside the exact propagation's series, here
+    # forced, leaves through exit code 2 with no output written
     from floquet_forge import dynamics
     from floquet_forge.errors import PropagationError
 
     def refuse(*args, **kwargs):
         raise PropagationError("refused")
 
-    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", refuse)
+    monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", refuse)
     code, out = run_cli(tmp_path, "bench-return-rate",
                         CONFIGS["bench-return-rate"][0])
     assert code == 2
@@ -572,6 +581,13 @@ REFUSED = {
         scenario, _edited(scenario, Nx=1024, Ny=1025), 1,
         "grid capped at 1048576 points")
        for scenario in ("kspace-map", "exciton", "pomeranchuk")},
+    # the Chebyshev degree of the exact propagation grows with U: at U = 1e6
+    # the default step needs thousands, above the cap of 60; a Lanczos
+    # exponential used to adapt to the CDW start and run
+    "chebyshev-degree-above-cap": (
+        "bench-return-rate",
+        _edited("bench-return-rate", U="1e6", t_final="1.0"), 1,
+        "exceeds the cap of 60: the exponents' spectral radius is R="),
     # regimes where the quantity is undefined
     "exciton-edge-below-zero": ("exciton", _edited("exciton", U11=10.0), 2,
                                 "no positive-frequency window"),

@@ -1,4 +1,5 @@
 """Exact propagation, return rates, the mismatch metric, and ED absorbance."""
+import re
 import time
 
 import numpy as np
@@ -12,14 +13,14 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
                            build_sector_basis, cdw_state, evolve_exact,
                            evolve_static, nrmse, return_rate,
                            return_rate_benchmark)
-from floquet_forge import dynamics
+from floquet_forge import dynamics, kernels
 from floquet_forge.errors import PhysicsError, PropagationError
 from floquet_forge.fock import SparseOperator, build_two_band_chain
 from floquet_forge.fswt import (DrivenChain, floquet_h2, hfe_h,
                                 hubbard_harmonics)
 
 from conftest import embed_sector
-from oracles import driven_ode
+from oracles import driven_ode, floquet_dense
 from oracles.dense_fermi import hubbard_dense
 
 
@@ -113,7 +114,7 @@ def test_step_cap_refuses_before_the_first_step(monkeypatch):
 
 def test_step_cap_counts_the_fixed_cost_of_a_step(monkeypatch):
     # L=2 (dim 4) at omega = 1e6 is 9.5e7 steps over t_final = 60: 3.8e8
-    # steps times dim, under the cap, but about 5 h of stepping at 0.2 ms
+    # steps times dim, under the cap, but about 1.6 h of stepping at 0.06 ms
     # a step; counting 130 per step refuses it before the sample grid
     def no_grid(*args, **kwargs):
         raise AssertionError("sample grid built above the step cap")
@@ -222,7 +223,7 @@ def test_sample_times_land_on_the_grid():
 
 
 def test_exact_propagation_matches_ode_oracle():
-    # the Krylov stepping against DOP853 on dense arrays from the oracle
+    # the CFM4 stepping against DOP853 on dense arrays from the oracle
     # Hamiltonian; the error is fourth order in the step
     L, U, g, omega = 4, 3.0, 3.0, 12.0
     p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=omega)
@@ -433,65 +434,110 @@ def test_dipole_excitations_match_dense_eigh(L, bands):
     assert w.sum() == pytest.approx(d_g @ d_g, rel=1e-13)
 
 
-def _refusing_lanczos(monkeypatch, limit):
-    """Make the Lanczos exponential refuse every |tau| above ``limit``."""
-    real = dynamics.lanczos_expm_multiply
+def _poisoned_series(monkeypatch, after):
+    """Make every Chebyshev series after the first ``after`` return NaN."""
     calls = []
 
-    def refusing(action, psi, tau, tol):
-        calls.append(tau)
-        if abs(tau) > limit:
-            raise PropagationError(f"refused |tau| = {abs(tau):.3g}")
-        return real(action, psi, tau, tol=tol)
+    def poisoned(twice_x, v, coeffs):
+        calls.append(coeffs.size)
+        out = kernels.chebyshev_expm_multiply(twice_x, v, coeffs)
+        if len(calls) > after:
+            out[0] = np.nan
+        return out
 
-    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", refusing)
+    monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", poisoned)
     return calls
 
 
-def test_krylov_step_halving_recovers_and_gives_up(monkeypatch):
-    # a refused step is retried as two half steps, which land on the same
-    # trajectory; a step refused at every size surfaces PropagationError
-    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
-    b = build_sector_basis(4, 2, 2)
-    chain = hubbard_harmonics(p, b)
-    psi0 = cdw_state(b)
-    plain = evolve_exact(chain, psi0, 2.0)
-    dt = 2.0 / plain.meta["steps"]
-    # each step takes two exponentials of |tau| = dt/2, and each is refused
-    # once and retried as two halves
-    calls = _refusing_lanczos(monkeypatch, 0.3 * dt)
-    halved = evolve_exact(chain, psi0, 2.0)
-    assert len(calls) == 2 * 3 * plain.meta["steps"]
-    assert np.abs(halved.states - plain.states).max() <= 1e-10
-    _refusing_lanczos(monkeypatch, 0.0)
-    with pytest.raises(PropagationError):
-        evolve_exact(chain, psi0, 2.0)
-
-
 def test_failed_step_names_its_time_and_length(monkeypatch):
-    # a step refused at every size leaves evolve_exact as the same
-    # PropagationError, now naming where the step started and its length
+    # a step that leaves a non-finite state ends the run as a
+    # PropagationError naming where the step started, its length, its
+    # Chebyshev degree and the run's truncation bound
     p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
     chain, psi0 = hubbard_harmonics(p, b), cdw_state(b)
-    real = dynamics.lanczos_expm_multiply
-    _refusing_lanczos(monkeypatch, 0.0)
-    with pytest.raises(PropagationError,
-                       match=r"from t=0 of length h=0\.05 failed after 8 "
-                             r"halvings: refused"):
+    clean = evolve_exact(chain, psi0, 1.0, dt=0.05)
+    degree = max(clean.meta["degrees"].values())
+    bound = clean.meta["truncation_bound"]
+    calls = _poisoned_series(monkeypatch, 0)
+    with pytest.raises(PropagationError, match=re.escape(
+            f"from t=0 of length h=0.05 left a non-finite state (Chebyshev "
+            f"degree {degree}, run truncation bound {bound:.3g})")):
         evolve_exact(chain, psi0, 1.0, dt=0.05)
+    assert calls == [degree + 1] * 2
     # the first three steps (two exponentials each) pass, the fourth fails
-    calls = []
-
-    def late(action, psi, tau, tol):
-        calls.append(tau)
-        if len(calls) > 6:
-            raise PropagationError("refused late")
-        return real(action, psi, tau, tol=tol)
-
-    monkeypatch.setattr(dynamics, "lanczos_expm_multiply", late)
+    _poisoned_series(monkeypatch, 6)
     with pytest.raises(PropagationError, match=r"from t=0\.15 of length"):
         evolve_exact(chain, psi0, 1.0, dt=0.05)
+
+
+def test_degree_cap_refuses_before_the_first_step(monkeypatch):
+    # the degree grows with the spectral width, about U L/2: at U = 1e6 the
+    # default step would need a degree in the thousands, and is refused,
+    # naming the degree, R and a dt that fits, before any series runs
+    b = build_sector_basis(4, 2, 2)
+    chain = hubbard_harmonics(HubbardParams(L=4, J=1.0, U=1e6, g=3.0,
+                                            omega=12.0), b)
+    psi0 = cdw_state(b)
+
+    def unreachable(*args):
+        raise AssertionError("a series ran above the degree cap")
+
+    monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", unreachable)
+    with pytest.raises(ValueError) as exc:
+        evolve_exact(chain, psi0, 1.0)
+    got = re.search(r"Chebyshev degree (\d+) of a step of length h=\S+ "
+                    r"exceeds the cap of 60: the exponents' spectral radius "
+                    r"is R=(\S+); take dt <= (\S+)$", str(exc.value))
+    assert got, str(exc.value)
+    assert int(got.group(1)) > 1000 and float(got.group(2)) >= 1e6
+    # the dt it names fits the cap
+    monkeypatch.undo()
+    traj = evolve_exact(chain, psi0, 0.002, dt=float(got.group(3)))
+    assert max(traj.meta["degrees"].values()) <= kernels.LANCZOS_M_MAX
+
+
+@pytest.mark.parametrize("tol", [dynamics.TRUNCATION_TOL, 1e-8])
+def test_exact_propagation_matches_dense_cfm4_oracle(monkeypatch, tol):
+    # the same CFM4 steps with dense expm exponentials: the lab-frame states
+    # at whole periods differ only by the Chebyshev truncation, which must
+    # stay within the run's a-priori bound plus roundoff.  The bound is
+    # tight here (the error is 0.58-0.65 of it), so a tenth of it is a floor
+    monkeypatch.setattr(dynamics, "TRUNCATION_TOL", tol)
+    L, U, g, omega = 4, 3.0, 3.0, 12.0
+    p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=omega)
+    b = build_sector_basis(L, 2, 2)
+    h, u_op, _, drive = hubbard_dense(L, 1.0, U, 0.0, g)
+    period = 2.0 * np.pi / omega
+    step = floquet_dense.period_propagator(
+        embed_sector(h + u_op, b), np.diag(embed_sector(drive, b)).real,
+        omega, 10)
+    psi = cdw_state(b)
+    traj = evolve_exact(hubbard_harmonics(p, b), psi, 6 * period,
+                        sample_dt=period)
+    assert traj.meta["steps"] == 60
+    bound = traj.meta["truncation_bound"]
+    assert 0.0 < bound <= tol * (1.0 + 1e-9)
+    err = 0.0
+    for state in traj.states:
+        err = max(err, np.linalg.norm(state - psi))
+        psi = step @ psi
+    assert bound / 10.0 <= err <= bound + 1e-13
+
+
+def test_trajectory_meta_records_degrees_and_bound():
+    # one degree per distinct step length: t_final = 1.02 at sample_dt =
+    # 0.1 cuts the last sample interval short, so there are two
+    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(4, 2, 2)
+    traj = evolve_exact(hubbard_harmonics(p, b), cdw_state(b), 1.02,
+                        sample_dt=0.1)
+    degrees = traj.meta["degrees"]
+    assert sorted(degrees) == pytest.approx([0.02, 0.05])
+    assert all(1 <= K <= kernels.LANCZOS_M_MAX for K in degrees.values())
+    assert degrees[min(degrees)] <= degrees[max(degrees)]
+    assert traj.meta["steps"] == 10 * 2 + 1
+    assert 0.0 < traj.meta["truncation_bound"] <= dynamics.TRUNCATION_TOL
 
 
 def test_propagation_dt_convergence():

@@ -1,8 +1,12 @@
-"""The Hamiltonian action, the Lanczos exponential and the quadrature."""
+"""The Hamiltonian action, the Chebyshev and Lanczos exponentials and the
+quadrature."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
+import scipy.special
 from numpy.testing import assert_allclose
 
 from floquet_forge import HubbardParams, build_hubbard_operators, \
@@ -10,6 +14,8 @@ from floquet_forge import HubbardParams, build_hubbard_operators, \
 from floquet_forge import kernels
 from floquet_forge.errors import PropagationError
 from floquet_forge.kernels import (HamiltonianAction, _tridiagonal_eigh,
+                                   chebyshev_coefficients, chebyshev_degree,
+                                   chebyshev_expm_multiply,
                                    lanczos_expm_multiply, lanczos_quadrature)
 
 
@@ -35,8 +41,8 @@ def test_action_matches_plain_matvec(rng):
 
 
 def test_action_reads_rescaled_data(rng):
-    # evolve_exact rescales the action's CSR data in place before each
-    # exponential; the next call must apply the rescaled matrix
+    # the action reads its CSR data at every call, so data rescaled in
+    # place between calls must be what the next call applies
     mat = _random_csr(rng)
     x = rng.normal(size=60) + 1j * rng.normal(size=60)
     act = HamiltonianAction(mat.copy())
@@ -56,6 +62,92 @@ def test_action_accepts_sparse_operator():
     x = np.ones(b.dim, dtype=np.complex128)
     assert_allclose(act(x), h0.to_dense() @ x, atol=1e-12)
 
+
+# -- Chebyshev exponential --------------------------------------------------
+
+def _tail_bound(rho, K):
+    """2 sum_{k>K} (rho/2)^k / k!, summed until the terms vanish."""
+    total, k = 0.0, K + 1
+    term = (rho / 2.0) ** k / math.factorial(k)
+    while term > 1e-300:
+        total += term
+        k += 1
+        term *= rho / 2.0 / k
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.25, 1.0, 3.7, 27.0])
+@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-15])
+def test_chebyshev_degree_is_the_least_that_bounds_the_tail(rho, tol):
+    K, bound = chebyshev_degree(rho, tol)
+    # the closed-form bound is no smaller than the summed one, and meets tol
+    # at K but at no smaller degree
+    assert _tail_bound(rho, K) <= bound * (1.0 + 1e-12) <= tol
+    if K:
+        q = rho / 2.0 / (K + 1)
+        assert q >= 1.0 or 2.0 * (rho / 2.0) ** K / math.factorial(K) \
+            / (1.0 - q) > tol
+    # the bound holds the Bessel tail itself
+    k = np.arange(K + 1, K + 200)
+    assert 2.0 * np.abs(scipy.special.jv(k, rho)).sum() <= bound
+
+
+def test_chebyshev_degree_is_finite_at_any_finite_rho():
+    assert chebyshev_degree(0.0, 1e-10) == (0, 0.0)
+    K, bound = chebyshev_degree(1e28, 1e-10)
+    assert 1e28 < K < 2e28 and bound <= 1e-10
+    for rho, tol in ((np.inf, 1e-10), (np.nan, 1e-10), (-1.0, 1e-10),
+                     (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            chebyshev_degree(rho, tol)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.25, 3.7, 27.0])
+def test_chebyshev_coefficients_are_bessel_values(rho):
+    # c_0 = J_0 and c_k = 2 (-i)^k J_k, to roundoff, from numpy alone
+    K = 60
+    k = np.arange(K + 1)
+    want = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * scipy.special.jv(k, rho)
+    assert_allclose(chebyshev_coefficients(rho, K), want, rtol=0, atol=5e-15)
+
+
+@pytest.mark.parametrize("dim", [3, 7, 20, 60, 100])
+@pytest.mark.parametrize("tau", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("tol", [1e-4, 1e-10])
+def test_chebyshev_series_matches_dense_expm(dim, tau, tol):
+    # a dense random Hermitian H, shifted and scaled into [-1, 1] by its
+    # Gershgorin interval: the series meets exp(-i tau H) v within the
+    # a-priori bound of its degree, plus roundoff
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    H = a + a.conj().T
+    energy = H.diagonal().real
+    radius = np.abs(H).sum(axis=1) - np.abs(energy)
+    low, high = (energy - radius).min(), (energy + radius).max()
+    centre, half_width = (high + low) / 2.0, (high - low) / 2.0
+    twice_x = sparse.csr_matrix(2.0 * (H - centre * np.eye(dim)) / half_width)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    K, bound = chebyshev_degree(tau * half_width, tol)
+    coeffs = (chebyshev_coefficients(tau * half_width, K)
+              * np.exp(-1j * tau * centre))
+    got = chebyshev_expm_multiply(twice_x, v, coeffs)
+    err = np.linalg.norm(got - sla.expm(-1j * tau * H) @ v)
+    assert err <= (bound + 1e-13 * (K + 1)) * np.linalg.norm(v)
+
+
+def test_chebyshev_series_of_degree_zero_and_one():
+    # degree 0 is c_0 v; degree 1 adds c_1 X v, taken as half of 2X v
+    x = np.array([[0.5, 0.2], [0.2, -0.3]])
+    v = np.array([1.0, 2.0j])
+    twice_x = sparse.csr_matrix(2.0 * x + 0j)
+    coeffs = np.array([0.7 + 0.1j, -0.2j])
+    assert_allclose(chebyshev_expm_multiply(twice_x, v, coeffs[:1]),
+                    coeffs[0] * v, rtol=0, atol=1e-15)
+    assert_allclose(chebyshev_expm_multiply(twice_x, v, coeffs),
+                    coeffs[0] * v + coeffs[1] * (x @ v), rtol=0, atol=1e-15)
+
+
+# -- Lanczos exponential -----------------------------------------------------
 
 def test_lanczos_matches_dense_expm(rng):
     mat = _random_csr(rng)
