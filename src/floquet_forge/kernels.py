@@ -22,9 +22,8 @@ spectral measure, the nodes and weights from which a static candidate's
 return amplitude and the dipole spectrum are read without a dense
 eigensolve.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
 exponential (Park & Light, J. Chem. Phys. 85, 5870 (1986)): it stops once
-its error estimate meets the tolerance.  No scenario calls it, or
-``HamiltonianAction``, since the exact propagation took the Chebyshev
-series; the benchmark harness still does.
+its error estimate meets the tolerance.  No scenario calls it or
+``HamiltonianAction``; perfbench's warm-up and tracer still do.
 
 Both Lanczos runs diagonalize the tridiagonal T_m with LAPACK ``dstevd``
 directly, the driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the

@@ -582,8 +582,7 @@ REFUSED = {
         "grid capped at 1048576 points")
        for scenario in ("kspace-map", "exciton", "pomeranchuk")},
     # the Chebyshev degree of the exact propagation grows with U: at U = 1e6
-    # the default step needs thousands, above the cap of 60; a Lanczos
-    # exponential used to adapt to the CDW start and run
+    # the default step needs thousands, above the cap of 60
     "chebyshev-degree-above-cap": (
         "bench-return-rate",
         _edited("bench-return-rate", U="1e6", t_final="1.0"), 1,

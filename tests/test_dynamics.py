@@ -497,6 +497,21 @@ def test_degree_cap_refuses_before_the_first_step(monkeypatch):
     assert max(traj.meta["degrees"].values()) <= kernels.LANCZOS_M_MAX
 
 
+def _error_against_dense_oracle(chain, h0, psi, periods=6):
+    """Largest state error of ``evolve_exact`` at whole periods against the
+    same CFM4 steps with dense expm exponentials, and the run's bound."""
+    period = 2.0 * np.pi / chain.omega
+    step = floquet_dense.period_propagator(h0, chain.drive.diagonal(),
+                                           chain.omega, 10)
+    traj = evolve_exact(chain, psi, periods * period, sample_dt=period)
+    assert traj.meta["steps"] == 10 * periods
+    err = 0.0
+    for state in traj.states:
+        err = max(err, np.linalg.norm(state - psi))
+        psi = step @ psi
+    return err, traj.meta["truncation_bound"]
+
+
 @pytest.mark.parametrize("tol", [dynamics.TRUNCATION_TOL, 1e-8])
 def test_exact_propagation_matches_dense_cfm4_oracle(monkeypatch, tol):
     # the same CFM4 steps with dense expm exponentials: the lab-frame states
@@ -505,24 +520,28 @@ def test_exact_propagation_matches_dense_cfm4_oracle(monkeypatch, tol):
     # tight here (the error is 0.58-0.65 of it), so a tenth of it is a floor
     monkeypatch.setattr(dynamics, "TRUNCATION_TOL", tol)
     L, U, g, omega = 4, 3.0, 3.0, 12.0
-    p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=omega)
     b = build_sector_basis(L, 2, 2)
-    h, u_op, _, drive = hubbard_dense(L, 1.0, U, 0.0, g)
-    period = 2.0 * np.pi / omega
-    step = floquet_dense.period_propagator(
-        embed_sector(h + u_op, b), np.diag(embed_sector(drive, b)).real,
-        omega, 10)
-    psi = cdw_state(b)
-    traj = evolve_exact(hubbard_harmonics(p, b), psi, 6 * period,
-                        sample_dt=period)
-    assert traj.meta["steps"] == 60
-    bound = traj.meta["truncation_bound"]
+    h, u_op, _, _ = hubbard_dense(L, 1.0, U, 0.0, g)
+    chain = hubbard_harmonics(HubbardParams(L=L, J=1.0, U=U, g=g,
+                                            omega=omega), b)
+    err, bound = _error_against_dense_oracle(chain, embed_sector(h + u_op, b),
+                                             cdw_state(b))
     assert 0.0 < bound <= tol * (1.0 + 1e-9)
-    err = 0.0
-    for state in traj.states:
-        err = max(err, np.linalg.norm(state - psi))
-        psi = step @ psi
     assert bound / 10.0 <= err <= bound + 1e-13
+
+
+@pytest.mark.parametrize("amplitude", [30.0, 100.0])
+def test_truncation_bound_holds_where_gershgorin_is_exact(amplitude):
+    # a two-level dimer's Gershgorin interval is its spectrum, and a strong
+    # drive turns the phases of a step's two nodes apart until the CFM4
+    # weight nears its bound |w| = 2/sqrt(3): the error reaches 0.72 of the
+    # bound at amplitude 30, and bounding |w| by 1 instead leaves errors of
+    # 3.9-5.9 times the bound it states
+    h0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    chain = DrivenChain(SparseOperator(sparse.csr_matrix(h0)),
+                        SparseOperator(sparse.diags([0.0, amplitude])), 12.0)
+    err, bound = _error_against_dense_oracle(chain, h0, np.array([1.0, 0.0]))
+    assert err <= bound + 1e-13
 
 
 def test_trajectory_meta_records_degrees_and_bound():
