@@ -193,21 +193,27 @@ class Emitter:
     def write_csv(self, name, header, columns):
         """Write equal-length columns, each value formatted by ``fmt``.
 
-        Each distinct value of a column is formatted once: values are told
-        apart by their bits, so 0.0 and -0.0 keep their own text, and every
-        row is gathered from those strings.  Rows are streamed to the file
-        in blocks of ``CSV_BLOCK``, so a million-row table never sits in
-        memory as text.
+        Each distinct value of a column is formatted once and every row is
+        gathered from those strings; ``_distinct`` finds the values without
+        sorting the column.  Rows are streamed to the file in blocks of
+        ``CSV_BLOCK``, so a million-row table never sits in memory as text.
+        A header whose length is not the column count, or columns of
+        unequal length, raise ``ValueError`` before the file is opened.
         """
         import numpy as np
 
         cols = [np.ascontiguousarray(c) for c in columns]
+        lengths = [len(c) for c in cols]
+        if len(header) != len(cols):
+            raise ValueError(f"{name}: {len(header)} header names for "
+                             f"{len(cols)} columns")
+        if len(set(lengths)) > 1:
+            raise ValueError(f"{name}: columns of unequal lengths {lengths}")
         tables = []
         for i, c in enumerate(cols):
-            bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
-            uniq, inverse = np.unique(bits, return_inverse=True)
+            values, inverse = _distinct(c)
             sep = "," if i < len(cols) - 1 else "\n"
-            text = [fmt(v) + sep for v in uniq.view(c.dtype).tolist()]
+            text = [fmt(v) + sep for v in values]
             tables.append((np.array(text, dtype=object), inverse))
         n = len(cols[0])
         path = self.outdir / name
@@ -235,6 +241,28 @@ class Emitter:
                 (self.outdir / name).read_bytes()).hexdigest()
             lines.append(f"sha256.{name} = {digest}")
         (self.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _distinct(c):
+    """The distinct values of column ``c`` and each row's index into them.
+
+    An integer column whose span max - min is no longer than the column
+    takes every value from min to max, indexed by its offset from min: no
+    sort, no hashing.  Any other column is deduplicated by hashing, floats
+    by their bits so that 0.0, -0.0 and each NaN payload keep their own
+    text, and only the distinct values are sorted to look rows up.
+    """
+    import numpy as np
+
+    if c.dtype.kind in "iu" and c.size:
+        lo, hi = c.min(), c.max()
+        if int(hi) - int(lo) <= c.size:
+            # c - lo wraps in c's dtype; read unsigned, it is the exact
+            # offset, because the span fits in as many bits
+            return range(int(lo), int(hi) + 1), (c - lo).view(f"u{c.itemsize}")
+    bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+    uniq = np.sort(np.unique(bits, sorted=False))
+    return uniq.view(c.dtype).tolist(), np.searchsorted(uniq, bits)
 
 
 # ---------------------------------------------------------------------------

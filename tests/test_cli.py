@@ -7,6 +7,7 @@ checked byte-for-byte, including under Python-level sharding.
 
 import hashlib
 import inspect
+import re
 import tempfile
 import time
 from fractions import Fraction
@@ -703,6 +704,59 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block):
     assert text == _naive_csv(header, columns)
     assert text.splitlines()[2:4] == ["-1,-0,0,1,-0", "0,0,0,2,0"]
     assert em.files == ["t.csv"]
+
+
+_U64_TOP = np.uint64(2 ** 64 - 1)
+_DEDUPE_TABLES = {
+    # an integer span wider than the column is hashed, not offset
+    "wide-int": [np.array([0, 1000, -5, 1000, 7, -5, 0]),
+                 np.array([2 ** 62, -(2 ** 63), 2 ** 63 - 1, 3, 3, 0, 1])],
+    # at and above 2**63, hashed (wide) and offset (narrow)
+    "uint64": [np.array([2 ** 63, 2 ** 64 - 1, 0, 2 ** 63, 2 ** 63 + 1],
+                        dtype=np.uint64),
+               _U64_TOP - np.array([0, 2, 1, 4, 0], dtype=np.uint64)],
+    # spans past 127 make c - min wrap inside int8
+    "int8": [np.arange(-128, 128, dtype=np.int8)[::-1],
+             np.int8(np.arange(256) % 201 - 100),
+             np.int8(np.arange(256) % 7 - 3),
+             np.arange(256) % 5 - 300],
+    "one-row": [np.array([-4]), np.array([-0.0]), np.array([True])],
+    "constant": [np.full(9, -3), np.full(9, 2.5), np.zeros(9, np.uint8)],
+    "bool": [np.array([True, False, False, True, True]),
+             np.array([False] * 5)],
+}
+
+
+@pytest.mark.parametrize("block", [None, 3, 7])
+@pytest.mark.parametrize("table", sorted(_DEDUPE_TABLES))
+def test_write_csv_dedupe_paths(tmp_path, monkeypatch, block, table):
+    if block is not None:
+        monkeypatch.setattr("floquet_forge.cli.CSV_BLOCK", block)
+    columns = _DEDUPE_TABLES[table]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = Emitter(tmp_path, "test", {}).write_csv("t.csv", header, columns)
+    assert path.read_text() == _naive_csv(header, columns)
+
+
+def test_write_csv_bool_text(tmp_path):
+    path = Emitter(tmp_path, "test", {}).write_csv(
+        "b.csv", ["flag", "n"], [np.array([True, False]), np.arange(2)])
+    assert path.read_text() == "flag,n\ntrue,0\nfalse,1\n"
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b"], [np.arange(2), np.arange(5)], "lengths [2, 5]"),
+    (["a", "b"], [np.arange(5), np.arange(2)], "lengths [5, 2]"),
+    (["a", "b", "c"], [np.arange(2), np.arange(2)],
+     "3 header names for 2 columns"),
+], ids=["longer", "shorter", "header"])
+def test_write_csv_refuses_malformed_table(tmp_path, header, columns,
+                                           message):
+    em = Emitter(tmp_path, "test", {})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        em.write_csv("bad.csv", header, columns)
+    assert not (tmp_path / "bad.csv").exists()
+    assert em.files == []
 
 
 def test_write_csv_empty_table(tmp_path):
