@@ -706,7 +706,6 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block):
     assert em.files == ["t.csv"]
 
 
-_U64_TOP = np.uint64(2 ** 64 - 1)
 _DEDUPE_TABLES = {
     # an integer span wider than the column is hashed, not offset
     "wide-int": [np.array([0, 1000, -5, 1000, 7, -5, 0]),
@@ -714,7 +713,8 @@ _DEDUPE_TABLES = {
     # at and above 2**63, hashed (wide) and offset (narrow)
     "uint64": [np.array([2 ** 63, 2 ** 64 - 1, 0, 2 ** 63, 2 ** 63 + 1],
                         dtype=np.uint64),
-               _U64_TOP - np.array([0, 2, 1, 4, 0], dtype=np.uint64)],
+               np.uint64(2 ** 64 - 1)
+               - np.array([0, 2, 1, 4, 0], dtype=np.uint64)],
     # spans past 127 make c - min wrap inside int8
     "int8": [np.arange(-128, 128, dtype=np.int8)[::-1],
              np.int8(np.arange(256) % 201 - 100),
