@@ -367,6 +367,7 @@ def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
     from .gamma import MAX_DENSE, constant_profile, gamma_matrix
+    from .kernels import _rank_one_eigvalsh
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -381,13 +382,19 @@ def run_gamma_scan(cfg, em: Emitter):
     prof = constant_profile(grid, cfg["U_coulomb"])
     gm = gamma_matrix(grid, prof, (cfg["kx_index"], cfg["ky_index"]),
                       (cfg["qx_index"], cfg["qy_index"]), cfg["omega"])
+    # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
+    # without the eigenvectors nothing here reads.  The constant V_q makes
+    # the vertex diag(delta) + c 11^T with c = U/N, whose eigenvalues the
+    # secular equation gives without a dense eigensolve.  A single momentum
+    # has no off-diagonal, and c = 0 keeps its entry exact where a large U
+    # would cancel in delta + c.  They are found before any file is written
+    c = float(prof.Vq[0, 0]) / gm.dim if gm.dim > 1 else 0.0
+    lam = _rank_one_eigvalsh(np.diag(gm.matrix) - c, np.ones(gm.dim), c)
+    energies = gm.omega - lam[::-1]
     idx = np.arange(gm.dim)
     em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
                  [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),
-                  gm.matrix.ravel(), np.zeros(gm.dim ** 2)])
-    # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
-    # without the eigenvectors nothing here reads
-    energies = gm.omega - np.linalg.eigvalsh(gm.matrix)[::-1]
+                  gm.matrix.ravel(), np.zeros(gm.dim ** 2, dtype=np.int8)])
     em.write_csv("eigen.csv", ["j", "E_j"],
                  [np.arange(len(energies)), energies])
 

@@ -30,6 +30,10 @@ directly, the driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the
 eigenpairs and hence the stopping iteration are bit-identical to the
 wrapper's; the wrapper's input validation cost about twice the LAPACK call
 itself (35 against 12 us per call at L=6 on a 2-core Xeon VM).
+
+``_rank_one_eigvalsh`` gives the eigenvalues of a diagonal plus a rank-one
+matrix from its secular equation, through LAPACK ``dlasd4``; ``gamma-scan``
+reads the spectrum of its constant-V_q vertex from it.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate
-from scipy.linalg.lapack import dstevd
+from scipy.linalg.lapack import dlasd4, dstevd
 from scipy.sparse import _sparsetools
 
-from .errors import PropagationError
+from .errors import PhysicsError, PropagationError
 
 # No compiled kernel exists; kept because perfbench/run.py reports it.
 HAVE_COMPILED = False
@@ -180,6 +184,83 @@ def _tridiagonal_eigh(alphas, betas):
         raise PropagationError(f"tridiagonal eigensolve failed at m={m}: "
                                f"dstevd info={info}")
     return theta, S
+
+
+def _rank_one_eigvalsh(d, z, rho):
+    """Ascending eigenvalues of diag(d) + rho z z^T, from its secular equation.
+
+    The d are sorted, then deflated in two steps.  A group of m equal d has
+    m - 1 eigenvalues at that d, since a rotation within the group leaves a
+    single weight, the group's norm of z.  Then, as LAPACK ``dlaed2`` does
+    (Dongarra & Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)), with
+    unit-norm weights w and tol = 8 eps max(d_max - d_min, rho |z|^2): a
+    weight with rho |w| <= tol leaves its d as an eigenvalue, and two
+    neighbouring poles d_a < d_b rotate into one, of weight hypot(w_a, w_b),
+    leaving d_a c^2 + d_b s^2 (c = w_b/hypot, s = w_a/hypot) as an
+    eigenvalue, when the coupling this drops, (d_b - d_a) c s, is at most
+    tol.  The remaining poles interlace the remaining eigenvalues, the
+    roots of 1 + rho sum_g w_g^2 / (d_g - lambda) (Golub, SIAM Rev. 15, 318
+    (1973); Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)).  With
+    d'_g = sqrt(d_g - d_0) these are lambda = d_0 + sigma^2 for the roots
+    sigma of the singular-value form that LAPACK ``dlasd4`` finds, one per
+    call, in O(K) each for K poles.  The problem is scaled to unit size
+    first, so that no square overflows, and rho < 0 negates the matrix.
+    Each eigenvalue is within a few eps max(|d|, |rho| |z|^2) of the exact
+    one, the accuracy of a dense symmetric eigensolve.
+    """
+    d = np.asarray(d, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if rho < 0.0:
+        return -_rank_one_eigvalsh(-d, z, -rho)[::-1]
+    order = np.argsort(d)
+    d = d[order]
+    z2 = z[order] ** 2
+    rho = float(rho) * float(np.sum(z2))
+    if rho == 0.0:
+        return d
+    first = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+    eigen = [np.delete(d, first)]
+    shift = d[0]
+    scale = max(float(d[-1] - shift), rho)
+    x = ((d[first] - shift) / scale).tolist()
+    w = np.sqrt(np.add.reduceat(z2, first) / np.sum(z2)).tolist()
+    rho /= scale
+    tol = 8.0 * np.finfo(float).eps
+    deflated, poles, weights = [], [], []
+    prev = None
+    for xj, wj in zip(x, w):
+        if rho * wj <= tol:
+            deflated.append(xj)
+        elif prev is None:
+            prev = xj, wj
+        else:
+            xp, wp = prev
+            tau = math.hypot(wp, wj)
+            c, s = wj / tau, wp / tau
+            if (xj - xp) * c * s <= tol:
+                deflated.append(xp * c * c + xj * s * s)
+                prev = xp * s * s + xj * c * c, tau
+            else:
+                poles.append(xp)
+                weights.append(wp)
+                prev = xj, wj
+    if prev is not None:
+        poles.append(prev[0])
+        weights.append(prev[1])
+        weights = np.array(weights)
+        norm = float(np.linalg.norm(weights))
+        # dlasd4 assumes a unit-norm z; the deflated weights left it
+        weights /= norm
+        rho *= norm * norm
+        sqrt_poles = np.sqrt(np.array(poles) - poles[0])
+        for i in range(len(poles)):
+            _, sigma, _, info = dlasd4(i, sqrt_poles, weights, rho)
+            if info or not math.isfinite(sigma):
+                raise PhysicsError(f"secular equation failed at root {i} of "
+                                   f"{len(poles)}: dlasd4 info={info}")
+            deflated.append(poles[0] + sigma * sigma)
+    eigen.append(shift + scale * np.array(deflated))
+    return np.sort(np.concatenate(eigen))
 
 
 def _lanczos(apply_h, v, beta0, steps, dtype=np.complex128):

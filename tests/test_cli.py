@@ -903,6 +903,23 @@ def test_gamma_scan_outputs(tmp_path):
     assert np.all(np.diff(energies) >= -1e-12)
 
 
+def test_gamma_scan_failed_root_exits_2(tmp_path, monkeypatch, capsys):
+    # a root of the vertex's secular equation that LAPACK does not find
+    # leaves through exit code 2, naming it, before any file is written
+    from floquet_forge import kernels
+
+    def failing(i, d, z, rho):
+        return d, np.nan, d, 1
+
+    monkeypatch.setattr(kernels, "dlasd4", failing)
+    code, out = run_cli(tmp_path, "gamma-scan", CONFIGS["gamma-scan"][0])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and "dlasd4 info=1" in err
+    assert not (out / "gamma_matrix.csv").exists()
+    assert not (out / "eigen.csv").exists()
+
+
 @pytest.mark.parametrize("profile", ["valley-dip", "phase-winding"])
 def test_gamma_scan_coupling_profile_exits_1(tmp_path, monkeypatch, capsys,
                                              profile):

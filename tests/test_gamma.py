@@ -288,6 +288,48 @@ def test_series_doubling_matches_term_by_term_sum(chain8, pole_offset):
             <= 1e-13 * np.max(np.abs(plain)), n_terms
 
 
+def _count_inv(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_series_inverse_matches_dense_inverse(monkeypatch, constant):
+    # a constant V_q takes the inverse from the rank-one solver, with no
+    # dense inversion; any other V_q keeps the dense one
+    grid = BandGrid.square(6, 6, **BANDS)
+    if constant:
+        prof = constant_profile(grid, 1.6)
+    else:
+        d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
+        vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
+        prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
+    want = np.linalg.inv(gamma_matrix(grid, prof, (1, 2), (2, 1),
+                                      10.0).matrix)
+    calls = _count_inv(monkeypatch)
+    out = series_vs_inverse(grid, prof, (1, 2), (2, 1), 10.0, n_terms=30)
+    assert calls == ([] if constant else [(36, 36)])
+    assert np.max(np.abs(out["inverse"] - want)) \
+        <= 1e-13 * np.max(np.abs(want))
+    assert out["converged"] and out["max_dev"] < 1e-12
+
+
+def test_series_singular_vertex_raises(chain8):
+    # the solver gives the dense inverse's singularity verdict: at a pair
+    # eigenenergy the vertex has a zero eigenvalue
+    grid, prof = chain8
+    e = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))["energies"]
+    with pytest.raises(BandResonance, match="singular"):
+        series_vs_inverse(grid, prof, (0, 0), (0, 0), e[0], n_terms=4)
+
+
 def _rho_by_eigvals(grid, prof, omega):
     g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
     return float(np.max(np.abs(np.linalg.eigvals(g @ eta))))
@@ -338,24 +380,52 @@ def test_series_rho_mixed_sign_diagonal_keeps_eigvals(chain8, monkeypatch):
     assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_gamma_scan_energies_match_eigen_sign_analysis(tmp_path):
-    # the CLI takes eigenvalues only; the energies and their order must be
-    # those eigen_sign_analysis gives with its eigenvectors
-    grid = BandGrid.square(6, 6, **BANDS)
+def _scan_energies(tmp_path, n, U, k=(3, 2), q=(1, 0)):
+    """eigen.csv of one gamma-scan run on the n x n grid, and its vertex."""
+    grid = BandGrid.square(n, n, **BANDS)
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text("units = eV\nNx = 6\nNy = 6\n"
-                   + "".join(f"{k} = {v!r}\n" for k, v in BANDS.items())
-                   + "omega = 3.63\nU_coulomb = 1.6\nkx_index = 3\n"
-                   "ky_index = 2\nqx_index = 1\n")
+    cfg.write_text(f"units = eV\nNx = {n}\nNy = {n}\n"
+                   + "".join(f"{key} = {v!r}\n" for key, v in BANDS.items())
+                   + f"omega = 3.63\nU_coulomb = {U!r}\nkx_index = {k[0]}\n"
+                   f"ky_index = {k[1]}\nqx_index = {q[0]}\n"
+                   f"qy_index = {q[1]}\n")
     assert main(["gamma-scan", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "eigen.csv").read_text().splitlines()[1:]
     got = np.array([float(r.split(",")[1]) for r in rows])
-    gm = gamma_matrix(grid, constant_profile(grid, 1.6), (3, 2), (1, 0),
-                      3.63)
+    return got, gamma_matrix(grid, constant_profile(grid, U), k, q, 3.63)
+
+
+def test_gamma_scan_energies_match_eigen_sign_analysis(tmp_path):
+    # the CLI takes eigenvalues only; the energies and their order must be
+    # those eigen_sign_analysis gives with its eigenvectors
+    got, gm = _scan_energies(tmp_path, 6, 1.6)
     want = eigen_sign_analysis(gm)["energies"]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gamma_scan_energies_match_eigen_sign_analysis_16x16(tmp_path):
+    # 256 momenta, where the vertex diagonal has both exact ties and
+    # distinct values, as on the benchmark's 32 x 32 grid
+    got, gm = _scan_energies(tmp_path, 16, 1.6, k=(5, 11), q=(2, 7))
+    want = eigen_sign_analysis(gm)["energies"]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("U", [0.0, 1e-300, -1e-300, 1.6, -1.6, 1e25, -1e25,
+                               1e300, -1e300])
+@pytest.mark.parametrize("n", [1, 6])
+def test_gamma_scan_energies_at_any_coulomb_strength(tmp_path, n, U):
+    # the secular equation deflates what a tiny or huge U makes degenerate;
+    # every U the config accepts ends in exit 0 with eigvalsh's energies,
+    # also for a single momentum, whose vertex has no off-diagonal
+    got, gm = _scan_energies(tmp_path, n, U)
+    want = gm.omega - np.linalg.eigvalsh(gm.matrix)[::-1]
+    assert np.all(np.isfinite(got))
+    scale = max(1.0, float(np.linalg.norm(gm.matrix, 2)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # ------------------------------------------------------------- bound states

@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 from floquet_forge import HubbardParams, build_hubbard_operators, \
     build_sector_basis, cdw_state
 from floquet_forge import kernels
-from floquet_forge.errors import PropagationError
-from floquet_forge.kernels import (HamiltonianAction, _tridiagonal_eigh,
+from floquet_forge.errors import PhysicsError, PropagationError
+from floquet_forge.kernels import (HamiltonianAction, _rank_one_eigvalsh,
+                                   _tridiagonal_eigh,
                                    chebyshev_coefficients, chebyshev_degree,
                                    chebyshev_expm_multiply,
                                    lanczos_expm_multiply, lanczos_quadrature)
@@ -211,6 +212,62 @@ def test_tridiagonal_eigh_reports_a_lapack_failure(monkeypatch):
     monkeypatch.setattr(kernels, "dstevd", failing)
     with pytest.raises(PropagationError, match="at m=2: dstevd info=2"):
         _tridiagonal_eigh(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+
+
+# -- eigenvalues of a diagonal plus rank one -------------------------------
+
+def _rank_one_cases():
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=40)
+    z = rng.normal(size=40)
+    ties = np.repeat(rng.normal(size=8), 5)
+    ulp = ties.copy()
+    ulp[1::5] = np.nextafter(ulp[1::5], np.inf)
+    ulp[2::5] = np.nextafter(ulp[2::5], -np.inf)
+    small_z = z.copy()
+    small_z[::4] = 0.0
+    small_z[1::4] = 1e-300
+    return {
+        "distinct": (d, z),
+        "exact-ties": (ties, z),
+        "ties-1-ulp-apart": (ulp, z),
+        "zero-and-tiny-weights": (d, small_z),
+        "ties-and-tiny-weights": (ulp, small_z),
+        "one-distinct-d": (np.full(12, 0.3), z[:12]),
+        "all-weights-zero": (d, np.zeros(40)),
+        "one-entry": (d[:1], z[:1]),
+        "two-entries": (d[:2], z[:2]),
+        "unit-weights": (ties, np.ones(40)),
+    }
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.6, -1.6, 1e-300, -1e-300, 1e-8,
+                                 -1e8, 1e25, -1e25, 1e300, -1e300])
+@pytest.mark.parametrize("case", sorted(_rank_one_cases()))
+def test_rank_one_eigvalsh_matches_eigvalsh(case, rho):
+    # the secular equation with deflation against the dense eigensolve, to
+    # within the dense solve's own backward error
+    d, z = _rank_one_cases()[case]
+    a = np.diag(d) + rho * np.outer(z, z)
+    want = np.linalg.eigvalsh(a)
+    got = _rank_one_eigvalsh(d, z, rho)
+    assert got.shape == want.shape
+    assert np.all(np.diff(got) >= 0.0)
+    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("info, sigma", [(1, 0.5), (0, np.nan)])
+def test_rank_one_eigvalsh_reports_a_lapack_failure(monkeypatch, info, sigma):
+    # dlasd4 signals a failed root through info, or leaves a NaN; neither
+    # may reach the caller as an eigenvalue
+    def failing(i, d, z, rho):
+        return d, sigma, d, info
+
+    monkeypatch.setattr(kernels, "dlasd4", failing)
+    with pytest.raises(PhysicsError,
+                       match=f"at root 0 of 3: dlasd4 info={info}"):
+        _rank_one_eigvalsh(np.array([0.0, 1.0, 2.0]), np.ones(3), 1.0)
 
 
 # -- Lanczos quadrature ------------------------------------------------------
