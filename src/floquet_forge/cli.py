@@ -366,8 +366,8 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import MAX_DENSE, constant_profile, gamma_matrix
-    from .kernels import _rank_one_eigvalsh
+    from .gamma import (MAX_DENSE, _vertex_eigvalsh, constant_profile,
+                        gamma_matrix)
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -380,17 +380,15 @@ def run_gamma_scan(cfg, em: Emitter):
                           f"got {cfg['Nx']}x{cfg['Ny']}")
     grid = _grid_from_cfg(cfg, em)
     prof = constant_profile(grid, cfg["U_coulomb"])
-    gm = gamma_matrix(grid, prof, (cfg["kx_index"], cfg["ky_index"]),
-                      (cfg["qx_index"], cfg["qy_index"]), cfg["omega"])
+    k = (cfg["kx_index"], cfg["ky_index"])
+    q = (cfg["qx_index"], cfg["qy_index"])
+    gm = gamma_matrix(grid, prof, k, q, cfg["omega"])
     # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
-    # without the eigenvectors nothing here reads.  The constant V_q makes
-    # the vertex diag(delta) + c 11^T with c = U/N, whose eigenvalues the
-    # secular equation gives without a dense eigensolve.  A single momentum
-    # has no off-diagonal, and c = 0 keeps its entry exact where a large U
-    # would cancel in delta + c.  They are found before any file is written
-    c = float(prof.Vq[0, 0]) / gm.dim if gm.dim > 1 else 0.0
-    lam = _rank_one_eigvalsh(np.diag(gm.matrix) - c, np.ones(gm.dim), c)
-    energies = gm.omega - lam[::-1]
+    # without the eigenvectors nothing here reads; the constant V_q gives
+    # the eigenvalues from the secular equation, found before any file is
+    # written
+    energies = gm.omega - _vertex_eigvalsh(grid, prof, k, q,
+                                           cfg["omega"])[::-1]
     idx = np.arange(gm.dim)
     em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
                  [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),

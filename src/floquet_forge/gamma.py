@@ -16,14 +16,15 @@ The functions that need the whole vertex (``gamma_matrix``,
 capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series by
 doubling, in about 2 log2(n_terms) dense products (15 at the default 200),
 takes the spectral radius from a symmetric eigensolve when the vertex
-diagonal has one sign, and its exact inverse from ``_vertex_solver``.  The
-solve-based functions read the inverse only through ``_vertex_solver`` as
-well: for a constant V_q the vertex is a diagonal plus a rank-one term,
-solved by Sherman-Morrison in O(N) per column without forming the matrix
-and without a size cap; any other V_q takes the capped dense inverse.  The
-same structure gives the CLI's ``gamma-scan`` its eigenvalues from the
-secular equation (``kernels._rank_one_eigvalsh``), in place of a dense
-eigensolve.  The solver takes a batch of (k, q) pairs and works on all of
+diagonal has one sign, and, for a constant V_q, its exact inverse from
+``_vertex_solver``.  The solve-based functions read the inverse only
+through ``_vertex_solver`` as well: for a constant V_q the vertex is a
+diagonal plus a rank-one term (``_rank_one_split``), solved by
+Sherman-Morrison in O(N) per column without forming the matrix and without
+a size cap; any other V_q takes the capped dense inverse.  The same
+structure gives ``_vertex_eigvalsh``, which the CLI's ``gamma-scan`` reads,
+its eigenvalues from the secular equation (``kernels._rank_one_eigvalsh``),
+in place of a dense eigensolve.  The solver takes a batch of (k, q) pairs and works on all of
 them in array operations over rows.  The self-energy, which needs the
 vertex at (k, K - k) for every grid momentum k, is one batch of rank-one
 solves, O(N^2) in array operations, taken in chunks of ``VERTEX_CHUNK``
@@ -256,6 +257,36 @@ def _rank_one(prof: InteractionProfile):
     return bool(np.all(prof.Vq == prof.Vq[0, 0]))
 
 
+def _rank_one_split(grid: BandGrid, prof: InteractionProfile, k, q, omega):
+    """Split a constant-V_q vertex as diag(D) + c 11^T; returns (a, D, c).
+
+    ``a`` is the vertex diagonal at the pairs (k, q), as
+    ``_vertex_diagonal`` gives it, c = U/N and D = a - c.  A single
+    momentum has no off-diagonal, and takes c = 0 so that D = a exactly,
+    where a large U would cancel in (a - c) + c.
+    """
+    a = _vertex_diagonal(grid, prof, k, q, omega)
+    n = a.shape[-1]
+    c = float(prof.Vq[0, 0]) / n if n > 1 else 0.0
+    return a, a - c, c
+
+
+def _vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q, omega):
+    """Ascending eigenvalues of the vertex at one pair (k, q).
+
+    For a constant V_q they come from the secular equation of
+    diag(D) + c 11^T (``kernels._rank_one_eigvalsh``), without forming the
+    matrix; any other V_q takes ``np.linalg.eigvalsh`` of the dense vertex.
+    """
+    if not _rank_one(prof):
+        return np.linalg.eigvalsh(gamma_matrix(grid, prof, k, q,
+                                               omega).matrix)
+    from .kernels import _rank_one_eigvalsh
+
+    _, d, c = _rank_one_split(grid, prof, k, q, omega)
+    return _rank_one_eigvalsh(d, np.ones(d.size), c)
+
+
 def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Return ``solve``, solve(b) = Gamma^{-1} b, for the vertices at (k, q).
 
@@ -270,7 +301,8 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     and is given here, before any solve.
 
     With a constant V_q = U each vertex is diag(D) + c 11^T with c = U/N and
-    D = diag(Gamma) - c, a diagonal plus a rank-one term, whose inverse
+    D = diag(Gamma) - c (``_rank_one_split``), a diagonal plus a rank-one
+    term, whose inverse
     Sherman-Morrison gives in O(N) without forming the matrix.  It is used
     in a pivoted form: with j the smallest |D_j|, every row p != j of
     Gamma x = b gives x_p = (b_p - b_j + D_j x_j)/D_p, and row j gives
@@ -309,9 +341,8 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
                              for bb, m in zip(b, inv)])
         return solve
 
-    a = _vertex_diagonal(grid, prof, k, q, omega).reshape(-1, n)
-    c = float(prof.Vq[0, 0]) / n
-    d = a - c
+    a, d, c = _rank_one_split(grid, prof, k, q, omega)
+    a, d = a.reshape(-1, n), d.reshape(-1, n)
     j = np.argmin(np.abs(d), axis=1)[:, None]
     pivot = np.arange(n) == j
     if np.any((d == 0.0) & ~pivot):
@@ -336,8 +367,7 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     for bound in (np.abs(gam) * r0 * r1, np.abs(c / den) * r1,
                   np.abs((1.0 + c * s) / den)):
         largest = np.maximum(largest, bound)
-    scale = np.maximum(np.max(np.abs(a), axis=1),
-                       max(1.0, abs(c) if n > 1 else 0.0))
+    scale = np.maximum(np.max(np.abs(a), axis=1), max(1.0, abs(c)))
     # a non-finite bound fails the comparison, so it refuses too
     if not np.all(largest * np.finfo(float).eps * scale <= 1e-3):
         raise BandResonance("vertex matrix is numerically singular")
@@ -387,11 +417,12 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     for all the products).  A mixed-sign diagonal can give K complex
     eigenvalues and keeps ``eigvals``.
 
-    The exact inverse is read column by column from ``_vertex_solver``,
-    with its singularity verdict: O(N^2) by Sherman-Morrison for a
-    constant V_q (0.005-0.014 s at N = 576 on one core of a 2-core Xeon VM,
-    against 0.03-0.04 s for ``np.linalg.inv``), and the dense inverse for
-    any other V_q.
+    For a constant V_q the exact inverse is read column by column from
+    ``_vertex_solver``, with its singularity verdict: O(N^2) by
+    Sherman-Morrison (0.005-0.014 s at N = 576 on one core of a 2-core Xeon
+    VM, against 0.03-0.04 s for ``np.linalg.inv``).  Any other V_q takes the
+    dense inverse of the vertex already built here, with the same verdict
+    as the solver's dense path.
     """
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
@@ -415,7 +446,10 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
             power = power @ power
             if bit == "1":
                 power = kernel @ power
-    inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
+    if _rank_one(prof):
+        inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
+    else:
+        inverse = _checked_inverse(gm.matrix)
     dev = float(np.max(np.abs(series - inverse)))
     return {"series": series, "inverse": inverse, "max_dev": dev,
             "rho": rho, "converged": rho < 1.0}

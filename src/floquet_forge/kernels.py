@@ -189,16 +189,15 @@ def _tridiagonal_eigh(alphas, betas):
 def _rank_one_eigvalsh(d, z, rho):
     """Ascending eigenvalues of diag(d) + rho z z^T, from its secular equation.
 
-    The d are sorted, then deflated in two steps.  A group of m equal d has
-    m - 1 eigenvalues at that d, since a rotation within the group leaves a
-    single weight, the group's norm of z.  Then, as LAPACK ``dlaed2`` does
-    (Dongarra & Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)), with
-    unit-norm weights w and tol = 8 eps max(d_max - d_min, rho |z|^2): a
-    weight with rho |w| <= tol leaves its d as an eigenvalue, and two
-    neighbouring poles d_a < d_b rotate into one, of weight hypot(w_a, w_b),
-    leaving d_a c^2 + d_b s^2 (c = w_b/hypot, s = w_a/hypot) as an
-    eigenvalue, when the coupling this drops, (d_b - d_a) c s, is at most
-    tol.  The remaining poles interlace the remaining eigenvalues, the
+    The d are sorted, then deflated as LAPACK ``dlaed2`` does (Dongarra &
+    Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)).  With unit-norm
+    weights w and tol = 8 eps max(d_max - d_min, rho |z|^2), a weight with
+    rho |w| <= tol leaves its d as an eigenvalue, and two neighbouring poles
+    d_a <= d_b rotate into one, of weight hypot(w_a, w_b), leaving
+    d_a c^2 + d_b s^2 (c = w_b/hypot, s = w_a/hypot) as an eigenvalue, when
+    the coupling this drops, (d_b - d_a) c s, is at most tol.  A group of m
+    equal d is the case of no coupling, and leaves m - 1 eigenvalues at
+    that d.  The remaining poles interlace the remaining eigenvalues, the
     roots of 1 + rho sum_g w_g^2 / (d_g - lambda) (Golub, SIAM Rev. 15, 318
     (1973); Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)).  With
     d'_g = sqrt(d_g - d_0) these are lambda = d_0 + sigma^2 for the roots
@@ -218,12 +217,10 @@ def _rank_one_eigvalsh(d, z, rho):
     rho = float(rho) * float(np.sum(z2))
     if rho == 0.0:
         return d
-    first = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
-    eigen = [np.delete(d, first)]
     shift = d[0]
     scale = max(float(d[-1] - shift), rho)
-    x = ((d[first] - shift) / scale).tolist()
-    w = np.sqrt(np.add.reduceat(z2, first) / np.sum(z2)).tolist()
+    x = ((d - shift) / scale).tolist()
+    w = np.sqrt(z2 / np.sum(z2)).tolist()
     rho /= scale
     tol = 8.0 * np.finfo(float).eps
     deflated, poles, weights = [], [], []
@@ -259,8 +256,7 @@ def _rank_one_eigvalsh(d, z, rho):
                 raise PhysicsError(f"secular equation failed at root {i} of "
                                    f"{len(poles)}: dlasd4 info={info}")
             deflated.append(poles[0] + sigma * sigma)
-    eigen.append(shift + scale * np.array(deflated))
-    return np.sort(np.concatenate(eigen))
+    return np.sort(shift + scale * np.array(deflated))
 
 
 def _lanczos(apply_h, v, beta0, steps, dtype=np.complex128):

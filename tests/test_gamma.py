@@ -321,6 +321,33 @@ def test_series_inverse_matches_dense_inverse(monkeypatch, constant):
     assert out["converged"] and out["max_dev"] < 1e-12
 
 
+@pytest.mark.parametrize("u", [1.6, 1e25, -1e25])
+def test_series_inverse_of_a_single_momentum_is_exact(u):
+    # one momentum has no off-diagonal, so the inverse is 1/a exactly even
+    # where a large U would cancel in (a - U) + U
+    grid = BandGrid.square(1, 1, **BANDS)
+    prof = constant_profile(grid, u)
+    a = gamma_matrix(grid, prof, (0, 0), (0, 0), 10.0).matrix[0, 0]
+    out = series_vs_inverse(grid, prof, (0, 0), (0, 0), 10.0)
+    assert out["inverse"][0, 0] == 1.0 / a
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_vertex_eigvalsh_matches_dense_eigvalsh(constant):
+    # the secular equation for a constant V_q, the dense eigensolve else
+    grid = BandGrid.square(6, 6, **BANDS)
+    if constant:
+        prof = constant_profile(grid, -1.6)
+    else:
+        d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
+        vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
+        prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
+    m = gamma_matrix(grid, prof, (1, 2), (2, 1), 10.0).matrix
+    got = gamma._vertex_eigvalsh(grid, prof, (1, 2), (2, 1), 10.0)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(m))) \
+        <= 1e-13 * max(1.0, np.linalg.norm(m, 2))
+
+
 def test_series_singular_vertex_raises(chain8):
     # the solver gives the dense inverse's singularity verdict: at a pair
     # eigenenergy the vertex has a zero eigenvalue
