@@ -366,8 +366,8 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import (MAX_DENSE, _vertex_eigvalsh, constant_profile,
-                        gamma_matrix)
+    from .gamma import (MAX_DENSE, _rank_one_vertex_eigvalsh,
+                        constant_profile, gamma_matrix)
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -387,8 +387,8 @@ def run_gamma_scan(cfg, em: Emitter):
     # without the eigenvectors nothing here reads; the constant V_q gives
     # the eigenvalues from the secular equation, found before any file is
     # written
-    energies = gm.omega - _vertex_eigvalsh(grid, prof, k, q,
-                                           cfg["omega"])[::-1]
+    energies = gm.omega - _rank_one_vertex_eigvalsh(grid, prof, k, q,
+                                                    cfg["omega"])[::-1]
     idx = np.arange(gm.dim)
     em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
                  [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),

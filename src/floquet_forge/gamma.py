@@ -22,10 +22,11 @@ through ``_vertex_solver`` as well: for a constant V_q the vertex is a
 diagonal plus a rank-one term (``_rank_one_split``), solved by
 Sherman-Morrison in O(N) per column without forming the matrix and without
 a size cap; any other V_q takes the capped dense inverse.  The same
-structure gives ``_vertex_eigvalsh``, which the CLI's ``gamma-scan`` reads,
-its eigenvalues from the secular equation (``kernels._rank_one_eigvalsh``),
-in place of a dense eigensolve.  The solver takes a batch of (k, q) pairs and works on all of
-them in array operations over rows.  The self-energy, which needs the
+structure gives ``_rank_one_vertex_eigvalsh``, which the CLI's
+``gamma-scan`` reads, its eigenvalues from the secular equation
+(``kernels._rank_one_eigvalsh``), in place of a dense eigensolve.  The
+solver takes a batch of (k, q) pairs and works on all of them in array
+operations over rows.  The self-energy, which needs the
 vertex at (k, K - k) for every grid momentum k, is one batch of rank-one
 solves, O(N^2) in array operations, taken in chunks of ``VERTEX_CHUNK``
 entries.
@@ -271,16 +272,13 @@ def _rank_one_split(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     return a, a - c, c
 
 
-def _vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q, omega):
-    """Ascending eigenvalues of the vertex at one pair (k, q).
+def _rank_one_vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q,
+                              omega):
+    """Ascending eigenvalues of the constant-V_q vertex at one pair (k, q).
 
-    For a constant V_q they come from the secular equation of
-    diag(D) + c 11^T (``kernels._rank_one_eigvalsh``), without forming the
-    matrix; any other V_q takes ``np.linalg.eigvalsh`` of the dense vertex.
+    They come from the secular equation of diag(D) + c 11^T
+    (``kernels._rank_one_eigvalsh``), without forming the matrix.
     """
-    if not _rank_one(prof):
-        return np.linalg.eigvalsh(gamma_matrix(grid, prof, k, q,
-                                               omega).matrix)
     from .kernels import _rank_one_eigvalsh
 
     _, d, c = _rank_one_split(grid, prof, k, q, omega)

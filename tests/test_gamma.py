@@ -332,22 +332,6 @@ def test_series_inverse_of_a_single_momentum_is_exact(u):
     assert out["inverse"][0, 0] == 1.0 / a
 
 
-@pytest.mark.parametrize("constant", [True, False])
-def test_vertex_eigvalsh_matches_dense_eigvalsh(constant):
-    # the secular equation for a constant V_q, the dense eigensolve else
-    grid = BandGrid.square(6, 6, **BANDS)
-    if constant:
-        prof = constant_profile(grid, -1.6)
-    else:
-        d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
-        vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
-        prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
-    m = gamma_matrix(grid, prof, (1, 2), (2, 1), 10.0).matrix
-    got = gamma._vertex_eigvalsh(grid, prof, (1, 2), (2, 1), 10.0)
-    assert np.max(np.abs(got - np.linalg.eigvalsh(m))) \
-        <= 1e-13 * max(1.0, np.linalg.norm(m, 2))
-
-
 def test_series_singular_vertex_raises(chain8):
     # the solver gives the dense inverse's singularity verdict: at a pair
     # eigenenergy the vertex has a zero eigenvalue
