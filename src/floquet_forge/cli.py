@@ -1,17 +1,18 @@
 """Configuration-driven scenario runner.
 
-``floquet-forge <scenario> --config <file> [--out <dir>] [--threads N]``
+``floquet-forge <scenario> --config <file> [--out <dir>] [--threads 1]``
 
 Scenarios read a flat ``key = value`` config (with ``#`` comments and a
 mandatory ``units`` key), emit deterministic CSV/text files plus a manifest
 with input echo, library version, grid sizes, and sha256 checksums.  The
-output directory is ``--out`` (default: the working directory) and the
-thread count is ``--threads`` (default 1, read by ``bench-return-rate``
-only); neither has a second name in the config or the environment.  A
-key whose value a run would ignore is refused: ``include_J2`` at
-``order = 4``, a nonzero ``g`` in ``kspace-map`` unless ``quantity =
-dressed``, and any ``gamma-scan`` profile but ``constant``.  Exit codes: 0
-ok, 1 config error, 2 physics error.
+output directory is ``--out`` (default: the working directory); it has no
+second name in the config or the environment.  Every scenario runs on one
+thread, and ``--threads`` accepts only 1: the benchmark harness passes it
+to every job.  A key whose value a run would ignore is refused:
+``include_J2`` at ``order = 4``, a nonzero ``g`` in ``kspace-map`` unless
+``quantity = dressed``, and any ``gamma-scan`` profile but ``constant``.
+An integer key must fit in 64 bits.  Exit codes: 0 ok, 1 config error, 2
+physics error.
 """
 
 import argparse
@@ -27,6 +28,9 @@ __all__ = ["main", "parse_config"]
 
 # rows formatted per block by Emitter.write_csv
 CSV_BLOCK = 1 << 16
+# largest absorbance-ed grid: absorbance_ed holds a few n_omega times
+# (Krylov nodes) temporaries, and spectrum.csv has n_omega rows
+MAX_N_OMEGA = 2 ** 20
 
 
 def fmt(x):
@@ -78,6 +82,8 @@ def _coerce(key, raw, typ):
                           f"{typ.__name__}") from exc
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
+    if typ is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"key {key!r}: must fit in 64 bits, got {raw!r}")
     return value
 
 
@@ -289,18 +295,20 @@ def _grid_from_cfg(cfg, em: Emitter):
     return grid
 
 
-def run_bench_return_rate(cfg, em: Emitter, threads):
-    from .dynamics import return_rate_benchmark
+def run_bench_return_rate(cfg, em: Emitter):
+    from .dynamics import _check_static_dim, return_rate_benchmark
     from .fock import build_sector_basis
     from .fswt import floquet_h2, hfe_h
 
     p = _chain_from_cfg(cfg, em)
     n = (p.L + 1) // 2
+    # refused before the basis is enumerated: L=16 has C(16, 8)^2 states
+    _check_static_dim(math.comb(p.L, n) ** 2)
     b = build_sector_basis(p.L, n, n)
     em.note_grid("sector_dim", b.dim)
     hams = {"fswt": floquet_h2(p, b, include_J2=True), "hfe": hfe_h(p, b)}
     res = return_rate_benchmark(p, b, hams, cfg["t_final"], dt=cfg.get("dt"),
-                                sample_dt=cfg["sample_dt"], threads=threads)
+                                sample_dt=cfg["sample_dt"])
     curves = res["curves"]
     em.write_csv("return_rate.csv", ["t", "L_exact", "L_fswt", "L_hfe"],
                  [res["times"], res["L_exact"], curves["fswt"],
@@ -405,6 +413,9 @@ def run_absorbance_ed(cfg, em: Emitter):
 
     if cfg["n_omega"] < 2:
         raise ConfigError(f"n_omega must be >= 2, got {cfg['n_omega']}")
+    if cfg["n_omega"] > MAX_N_OMEGA:
+        raise ConfigError(f"n_omega capped at {MAX_N_OMEGA}, got "
+                          f"{cfg['n_omega']}")
     if not cfg["omega_max"] > cfg["omega_min"]:
         raise ConfigError("omega_max must exceed omega_min")
     p = TwoBandChainParams(L=cfg["L"], eps21=cfg["eps21"], t1=cfg["t1"],
@@ -468,10 +479,10 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="candidates bench-return-rate scores at once")
+                        help="thread count; only 1 is accepted")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(f"config error: thread count must be >= 1, got {args.threads}",
+    if args.threads != 1:
+        print(f"config error: thread count must be 1, got {args.threads}",
               file=sys.stderr)
         return 1
 
@@ -479,11 +490,7 @@ def main(argv=None):
         raw = parse_config(args.config)
         cfg = validate_config(args.scenario, raw)
         em = Emitter(Path(args.out), args.scenario, cfg)
-        # only the benchmark shards its work; no other runner takes threads
-        if args.scenario == "bench-return-rate":
-            run_bench_return_rate(cfg, em, args.threads)
-        else:
-            RUNNERS[args.scenario](cfg, em)
+        RUNNERS[args.scenario](cfg, em)
         em.finish()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

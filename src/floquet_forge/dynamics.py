@@ -13,14 +13,14 @@ The benchmark scores a candidate effective Hamiltonian, and the absorbance
 reads its spectrum, from one vector's spectral measure and nothing more, so
 both take it from ``kernels.lanczos_quadrature``, a Gauss rule from one
 Lanczos run, instead of a dense eigensolve of the sector.
-``evolve_static`` propagates a whole state by dense diagonalization; it is
-the reference the tests compare the quadrature with.
+``evolve_static`` propagates a whole state by dense diagonalization in
+plain numpy; no scenario calls it, and it is the reference the tests
+compare the quadrature with.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,20 +334,6 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
                             "truncation_bound": bound})
 
 
-def _apply(A, z):
-    """A @ z for a complex array z, in real arithmetic when A is real.
-
-    A C-contiguous complex array viewed as float64 interleaves real and
-    imaginary parts along its last axis, so one real GEMM maps both without
-    a complex copy of A.
-    """
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    if np.iscomplexobj(A):
-        return A @ z
-    y = (A @ z.reshape(z.shape[0], -1).view(np.float64)).view(np.complex128)
-    return y.reshape((A.shape[0],) + z.shape[1:])
-
-
 def _check_static_dim(dim):
     """Refuse a sector above ``MAX_STATIC_DIM``."""
     if dim > MAX_STATIC_DIM:
@@ -365,18 +351,11 @@ def evolve_static(H: SparseOperator, psi0, times):
         raise ValueError("static Hamiltonian must be Hermitian")
     times = np.asarray(times, dtype=float)
     # a real H takes the float64 eigensolve and gives a real V: 0.46 against
-    # 2.6 s in complex128 at dim 1225 (L=7) on one core of a 2-core Xeon VM
+    # 2.6 s in complex128 at dim 1225 (L=7) on one core of a 2-core Xeon VM;
+    # the states are built in complex arithmetic, a small cost next to it
     eps, V = np.linalg.eigh(H.to_dense())
-    # coef[n, t] = exp(-i eps_n t) <n|psi0>, built in place: the phase goes
-    # into the real part, which then becomes its cosine
-    coef = np.empty((eps.size, times.size), dtype=np.complex128)
-    phase = coef.real
-    np.outer(eps, times, out=phase)
-    np.sin(phase, out=coef.imag)
-    np.negative(coef.imag, out=coef.imag)
-    np.cos(phase, out=phase)
-    coef *= _apply(V.conj().T, psi0)[:, None]
-    states = _apply(V, coef).T
+    coef = np.exp(-1j * np.outer(times, eps)) * (V.conj().T @ psi0)
+    states = coef @ V.T
     return Trajectory(times, states)
 
 
@@ -413,8 +392,7 @@ def nrmse(L_approx, L_exact, times):
     return math.sqrt(ms) / mean_ex
 
 
-def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
-                          threads=1):
+def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1):
     """Loschmidt benchmark: exact drive versus static candidates.
 
     ``hams`` maps labels to static SparseOperators.  Returns times, the
@@ -428,11 +406,8 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
     CDW start psi0.  Its Lanczos run stops when the amplitude at the last
     sample time, where the rule errs most, moves by at most
     ``kernels.QUADRATURE_TOL`` between checks, or on breakdown, at
-    m = dim at the latest.
-
-    With ``threads`` > 1 the candidates are scored concurrently on a
-    thread pool.  BLAS stays single-threaded, so the result is identical
-    for any thread count.
+    m = dim at the latest.  The candidates are scored one after another:
+    at 15-30 ms each, a thread pool was slower than the serial loop.
     """
     from .fswt import hubbard_harmonics
 
@@ -450,12 +425,7 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1,
         theta, w = lanczos_quadrature(H, psi0, traj.times[-1])
         return np.abs(np.exp(-1j * np.outer(traj.times, theta)) @ w) ** 2
 
-    if threads > 1 and len(hams) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rates = list(ex.map(score, hams.values()))
-    else:
-        rates = [score(H) for H in hams.values()]
-    curves = dict(zip(hams, rates))
+    curves = {label: score(H) for label, H in hams.items()}
     errors = {label: nrmse(lr, L_ex, traj.times)
               for label, lr in curves.items()}
     return {"times": traj.times, "L_exact": L_ex, "curves": curves,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floquet_forge.cli import RUNNERS, Emitter, fmt, main
+from floquet_forge.cli import MAX_N_OMEGA, RUNNERS, Emitter, fmt, main
 
 PAPER_BANDS = """\
 eps21 = 3.7
@@ -114,19 +114,6 @@ def test_reruns_are_byte_identical(tmp_path):
     _, out2 = run_cli(tmp_path, "bench-return-rate", cfg_text, "b")
     for name in expected + ["manifest.txt"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_sharding_does_not_change_bytes(tmp_path):
-    cfg_text, expected = CONFIGS["bench-return-rate"]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(cfg_text)
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    assert main(["bench-return-rate", "--config", str(cfg),
-                 "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["bench-return-rate", "--config", str(cfg),
-                 "--out", str(out4), "--threads", "4"]) == 0
-    for name in expected + ["manifest.txt"]:
-        assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
 # ------------------------------------------------------------- exit codes
@@ -391,20 +378,22 @@ def test_kspace_map_g_without_dressed_exits_1(tmp_path, monkeypatch, capsys,
 
 
 def test_nonpositive_threads_exits_1(tmp_path, capsys):
+    # every scenario runs on one thread, so --threads accepts 1 alone
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIGS["exciton"][0])
-    code = main(["exciton", "--config", str(cfg), "--threads", "0"])
-    assert code == 1
-    assert "thread count" in capsys.readouterr().err
+    for threads in ("0", "2"):
+        code = main(["exciton", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--threads", threads])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "thread count" in err
+    assert not (tmp_path / "out").exists()
 
 
-def test_only_the_benchmark_runner_takes_threads():
-    # --threads shards bench-return-rate's candidates; every other runner
-    # would ignore a thread count, so none takes one
+def test_every_runner_takes_cfg_and_em():
     for scenario, run in RUNNERS.items():
-        if scenario != "bench-return-rate":
-            assert list(inspect.signature(run).parameters) == ["cfg", "em"], \
-                scenario
+        assert list(inspect.signature(run).parameters) == ["cfg", "em"], \
+            scenario
 
 
 def test_absorbance_cap_exits_1_before_enumerating(tmp_path, monkeypatch,
@@ -421,6 +410,66 @@ def test_absorbance_cap_exits_1_before_enumerating(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and "8192" in err
     assert not (out / "spectrum.csv").exists()
+
+
+def test_bench_cap_exits_1_before_enumerating(tmp_path, monkeypatch, capsys):
+    # L=9 has a (5, 5) sector of C(9, 5)^2 = 15876 states, above the cap of
+    # 8192: the run must refuse before building the basis
+    def no_basis(*args, **kwargs):
+        raise AssertionError("basis enumerated above the dense cap")
+
+    monkeypatch.setattr("floquet_forge.fock.build_sector_basis", no_basis)
+    cfg_text = CONFIGS["bench-return-rate"][0].replace("L = 4", "L = 9")
+    code, out = run_cli(tmp_path, "bench-return-rate", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "8192" in err and "15876" in err
+    assert not (out / "return_rate.csv").exists()
+
+
+def test_absorbance_n_omega_cap_exits_1_before_the_grid(tmp_path, monkeypatch,
+                                                       capsys):
+    # a trillion frequencies would ask np.linspace for 7.28 TiB
+    def no_grid(*args, **kwargs):
+        raise AssertionError("frequency grid allocated above the cap")
+
+    monkeypatch.setattr("numpy.linspace", no_grid)
+    for n_omega in (MAX_N_OMEGA + 1, 10 ** 12):
+        cfg_text = _edited("absorbance-ed", n_omega=n_omega)
+        code, out = run_cli(tmp_path, "absorbance-ed", cfg_text, str(n_omega))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(MAX_N_OMEGA) in err
+        assert not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["100000000000000000000", str(2 ** 63),
+                                   str(-2 ** 63 - 1)])
+def test_integer_key_beyond_64_bits_exits_1(tmp_path, capsys, value):
+    # the gamma-scan indices reach numpy as int64: a wider value is refused
+    # when the config is read, as is any other integer key
+    cfg_text = _edited("gamma-scan", kx_index=value)
+    code, out = run_cli(tmp_path, "gamma-scan", cfg_text)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "64 bits" in err
+    assert not (out / "gamma_matrix.csv").exists()
+
+
+def test_integer_keys_at_the_64_bit_limits_reach_an_exit_code(tmp_path):
+    # the widest accepted values end in a documented exit code, not an
+    # overflow inside numpy
+    for scenario, key in (("gamma-scan", "kx_index"),
+                          ("gamma-scan", "qy_index"),
+                          ("absorbance-ed", "n_omega"), ("exciton", "Nx"),
+                          ("strong-drive", "jmax"),
+                          ("derive-hamiltonian", "order"),
+                          ("bench-return-rate", "L")):
+        for value in (2 ** 63 - 1, -2 ** 63):
+            code, _ = run_cli(tmp_path, scenario,
+                              _edited(scenario, **{key: value}),
+                              f"{scenario}-{key}-{value}")
+            assert code in (0, 1, 2), (scenario, key, value)
 
 
 def test_strong_drive_jmax_above_cap_exits_1(tmp_path, capsys):
@@ -629,23 +678,25 @@ def _perturbed_config(draw):
         value = str(draw(st.integers(*FUZZ_SIZES[key])))
     else:
         value = draw(st.sampled_from(FUZZ_VALUES))
-    return scenario, key, value, draw(st.integers(1, 4))
+    return scenario, key, value
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_perturbed_config())
-@example(("pomeranchuk", "delta_c", "5e-324", 1))
-@example(("absorbance-ed", "gamma_broadening", "1e-300", 2))
+@example(("pomeranchuk", "delta_c", "5e-324"))
+@example(("absorbance-ed", "gamma_broadening", "1e-300"))
+@example(("absorbance-ed", "n_omega", "1000000000000"))
+@example(("gamma-scan", "kx_index", "100000000000000000000"))
 def test_one_perturbed_config_value_reaches_an_exit_code(run):
     # a bounded config fuzz: any one value set to an extreme, a wrong type
     # or a small size ends in exit code 0, 1 or 2, with no exception and
     # (pytest makes them errors) no warning escaping cli.main
-    scenario, key, value, threads = run
+    scenario, key, value = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_edited(scenario, **{key: value}))
         code = main([scenario, "--config", str(cfg), "--out",
-                     str(Path(tmp) / "out"), "--threads", str(threads)])
+                     str(Path(tmp) / "out"), "--threads", "1"])
     assert code in (0, 1, 2)
 
 

@@ -328,21 +328,6 @@ def test_effective_hamiltonian_ladder_is_monotone():
     assert out["norm_drift"] <= 1e-9
 
 
-def test_benchmark_threads_do_not_change_results():
-    p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
-    b = build_sector_basis(4, 2, 2)
-    ops = build_hubbard_operators(p, b)
-    hams = {"hfe": hfe_h(p, b), "h0": ops["h"] + ops["U_op"],
-            "fswt": floquet_h2(p, b, include_J2=True)}
-    one = return_rate_benchmark(p, b, hams, t_final=5.0, threads=1)
-    two = return_rate_benchmark(p, b, hams, t_final=5.0, threads=2)
-    assert list(one["curves"]) == list(two["curves"]) == list(hams)
-    assert list(one["nrmse"]) == list(two["nrmse"]) == list(hams)
-    for label in hams:
-        assert np.array_equal(one["curves"][label], two["curves"][label])
-        assert one["nrmse"][label] == two["nrmse"][label]
-
-
 def test_benchmark_refuses_static_cap_before_propagating(monkeypatch):
     # L=9 has sector dim 15876, above the dense static cap: the benchmark
     # must refuse before the exact propagation, not after it
