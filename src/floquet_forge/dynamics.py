@@ -407,7 +407,7 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1):
     sample time, where the rule errs most, moves by at most
     ``kernels.QUADRATURE_TOL`` between checks, or on breakdown, at
     m = dim at the latest.  The candidates are scored one after another:
-    at 15-30 ms each, a thread pool was slower than the serial loop.
+    at 15-30 ms each, a thread pool costs more than it saves.
     """
     from .fswt import hubbard_harmonics
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floquet_forge.cli import MAX_N_OMEGA, RUNNERS, Emitter, fmt, main
+from floquet_forge.cli import RUNNERS, Emitter, fmt, main
 
 PAPER_BANDS = """\
 eps21 = 3.7
@@ -427,35 +427,6 @@ def test_bench_cap_exits_1_before_enumerating(tmp_path, monkeypatch, capsys):
     assert not (out / "return_rate.csv").exists()
 
 
-def test_absorbance_n_omega_cap_exits_1_before_the_grid(tmp_path, monkeypatch,
-                                                       capsys):
-    # a trillion frequencies would ask np.linspace for 7.28 TiB
-    def no_grid(*args, **kwargs):
-        raise AssertionError("frequency grid allocated above the cap")
-
-    monkeypatch.setattr("numpy.linspace", no_grid)
-    for n_omega in (MAX_N_OMEGA + 1, 10 ** 12):
-        cfg_text = _edited("absorbance-ed", n_omega=n_omega)
-        code, out = run_cli(tmp_path, "absorbance-ed", cfg_text, str(n_omega))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and str(MAX_N_OMEGA) in err
-        assert not (out / "spectrum.csv").exists()
-
-
-@pytest.mark.parametrize("value", ["100000000000000000000", str(2 ** 63),
-                                   str(-2 ** 63 - 1)])
-def test_integer_key_beyond_64_bits_exits_1(tmp_path, capsys, value):
-    # the gamma-scan indices reach numpy as int64: a wider value is refused
-    # when the config is read, as is any other integer key
-    cfg_text = _edited("gamma-scan", kx_index=value)
-    code, out = run_cli(tmp_path, "gamma-scan", cfg_text)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "64 bits" in err
-    assert not (out / "gamma_matrix.csv").exists()
-
-
 def test_integer_keys_at_the_64_bit_limits_reach_an_exit_code(tmp_path):
     # the widest accepted values end in a documented exit code, not an
     # overflow inside numpy
@@ -583,6 +554,18 @@ REFUSED = {
                          "quantity must be"),
     "one-frequency": ("absorbance-ed", _edited("absorbance-ed", n_omega=1),
                       1, "n_omega must be >= 2"),
+    # one frequency above the cap; a trillion would ask np.linspace for
+    # 7.28 TiB
+    "frequencies-above-cap": ("absorbance-ed",
+                              _edited("absorbance-ed", n_omega=2 ** 20 + 1),
+                              1, "n_omega capped at 1048576"),
+    # the gamma-scan indices reach numpy as int64; every integer key is
+    # refused beyond 64 bits when the config is read
+    **{f"beyond-64-bits-{value}": (
+        "gamma-scan", _edited("gamma-scan", kx_index=value), 1,
+        "must fit in 64 bits")
+       for value in ("100000000000000000000", str(2 ** 63),
+                     str(-2 ** 63 - 1))},
     "empty-window": ("absorbance-ed",
                      _edited("absorbance-ed", omega_max=2.0), 1,
                      "omega_max must exceed omega_min"),
