@@ -175,7 +175,6 @@ class SparseOperator:
         m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
         m.sum_duplicates()
         m.eliminate_zeros()
-        m.sort_indices()
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got {m.shape}")
         self.matrix = m

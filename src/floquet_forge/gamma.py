@@ -502,6 +502,7 @@ def _scattering(grid: BandGrid, prof: InteractionProfile, g, omega,
     N per pair on the rank-one path and N^2 on the dense one.
     """
     _check_spins(s)
+    check_energy("g", g)
     nx, ny = grid.kx.size, grid.ky.size
     n = nx * ny
     den = omega + (grid.eps1 - grid.eps2).ravel()

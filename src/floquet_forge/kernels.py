@@ -13,23 +13,18 @@ the diagonal drive cancels and only the static block's nonzeros carry
 time-dependent phases; it bounds every exponent's spectrum once per run
 and rescales one CSR matrix's data in place per exponential.
 
-``HamiltonianAction`` applies a CSR matrix with scipy's matvec and counts
-the calls.  ``_lanczos`` runs the recurrence from one vector: one matvec
-per step, one pass of full reorthogonalization, and the basis.  Two
-stopping rules read it.  ``lanczos_quadrature`` stops on breakdown or once
-a return amplitude settles, and returns the Gauss rule of the vector's
-spectral measure, the nodes and weights from which a static candidate's
-return amplitude and the dipole spectrum are read without a dense
-eigensolve.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
+``HamiltonianAction`` applies a CSR matrix by ``@`` and counts the calls.
+``_lanczos`` runs the recurrence from one vector: one matvec per step, one
+pass of full reorthogonalization, and the basis.  Two stopping rules read
+it, each through the eigenpairs of the tridiagonal T_m from
+``scipy.linalg.eigh_tridiagonal``.  ``lanczos_quadrature`` stops on
+breakdown or once a return amplitude settles, and returns the Gauss rule of
+the vector's spectral measure, the nodes and weights from which a static
+candidate's return amplitude and the dipole spectrum are read without a
+dense eigensolve.  ``lanczos_expm_multiply`` is the short-iterative Lanczos
 exponential (Park & Light, J. Chem. Phys. 85, 5870 (1986)): it stops once
 its error estimate meets the tolerance.  No scenario calls it or
 ``HamiltonianAction``; perfbench's warm-up and tracer still do.
-
-Both Lanczos runs diagonalize the tridiagonal T_m with LAPACK ``dstevd``
-directly, the driver that ``scipy.linalg.eigh_tridiagonal`` selects, so the
-eigenpairs and hence the stopping iteration are bit-identical to the
-wrapper's; the wrapper's input validation cost about twice the LAPACK call
-itself (35 against 12 us per call at L=6 on a 2-core Xeon VM).
 
 ``_rank_one_eigvalsh`` gives the eigenvalues of a diagonal plus a rank-one
 matrix from its secular equation, through LAPACK ``dlasd4``; ``gamma-scan``
@@ -42,7 +37,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate
-from scipy.linalg.lapack import dlasd4, dstevd
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dlasd4
 from scipy.sparse import _sparsetools
 
 from .errors import PhysicsError, PropagationError
@@ -71,11 +67,7 @@ class HamiltonianAction:
     """Callable y = H @ x for a CSR matrix H; ``matvecs`` counts the calls.
 
     H is a CSR matrix or a SparseOperator.  ``matrix`` is read at every
-    call, so a caller may rescale its ``data`` in place between calls.  The
-    call runs scipy's CSR kernel into a zeroed output, which is what
-    ``matrix @ x`` reaches after its type dispatch, so the product is the
-    same to the bit without the dispatch (5.6 against 6.4 us per call at
-    L=6, dim 400, on a 2-core Xeon VM).
+    call, so a caller may rescale its ``data`` in place between calls.
     """
 
     def __init__(self, h):
@@ -84,12 +76,7 @@ class HamiltonianAction:
 
     def __call__(self, x):
         self.matvecs += 1
-        m = self.matrix
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        y = np.zeros(m.shape[0], dtype=np.result_type(m.dtype, x.dtype))
-        _sparsetools.csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices,
-                                m.data, x, y)
-        return y
+        return self.matrix @ x
 
 
 def chebyshev_degree(rho, tol):
@@ -174,16 +161,16 @@ def _tridiagonal_eigh(alphas, betas):
     """Eigenpairs (theta, S) of the symmetric tridiagonal T_m.
 
     ``alphas`` is the diagonal of length m; the first m - 1 entries of
-    ``betas`` are the off-diagonal.  ``betas`` needs at least one entry even
-    when m = 1: dstevd rejects an empty off-diagonal, and ignores it for a
-    1x1 matrix.
+    ``betas`` are the off-diagonal.  A failed LAPACK eigensolve raises
+    PropagationError: numpy's LinAlgError is a ValueError, which the CLI
+    would report as a config error.
     """
     m = alphas.shape[0]
-    theta, S, info = dstevd(alphas, betas[:max(m - 1, 1)], compute_v=1)
-    if info:
-        raise PropagationError(f"tridiagonal eigensolve failed at m={m}: "
-                               f"dstevd info={info}")
-    return theta, S
+    try:
+        return eigh_tridiagonal(alphas, betas[:m - 1])
+    except np.linalg.LinAlgError as exc:
+        raise PropagationError(
+            f"tridiagonal eigensolve failed at m={m}: {exc}") from exc
 
 
 def _rank_one_eigvalsh(d, z, rho):
@@ -273,25 +260,20 @@ def _lanczos(apply_h, v, beta0, steps, dtype=np.complex128):
     V[0] = v / beta0
     alphas = np.empty(steps)
     betas = np.empty(steps)
-    w = np.empty(dim, dtype)
-    scratch = np.empty(dim, dtype)
     for j in range(steps):
         if j:
             if j == V.shape[0]:
                 grown = np.empty((min(2 * j, steps), dim), dtype)
                 grown[:j] = V
                 V = grown
-            np.divide(w, beta, out=V[j])
+            V[j] = w / beta
         hv = apply_h(V[j])
         alpha = np.vdot(V[j], hv).real
-        np.subtract(hv, np.multiply(alpha, V[j], out=scratch), out=w)
+        w = hv - alpha * V[j]
         if j:
-            w -= np.multiply(beta, V[j - 1], out=scratch)
-        proj = np.conj(V[:j + 1] @ w.conj())
-        w -= np.matmul(V[:j + 1].T, proj, out=scratch)
-        # np.linalg.norm's own formula, without its dispatch
-        beta = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag)
-                         if w.dtype.kind == "c" else w.dot(w))
+            w -= beta * V[j - 1]
+        w -= V[:j + 1].T @ np.conj(V[:j + 1] @ w.conj())
+        beta = np.linalg.norm(w)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise PropagationError(
                 f"Lanczos recurrence is not finite at m={j + 1}: "

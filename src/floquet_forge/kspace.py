@@ -96,7 +96,9 @@ class BandGrid:
             if not kF > 0:
                 raise ValueError(f"kF must be positive, got {kF}")
             k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-            occ[k2 < kF ** 2] = 0.0
+            # every |k| is at most pi sqrt(2) < 2 pi, so any kF past 2 pi
+            # empties the band as 2 pi does, and its square cannot overflow
+            occ[k2 < min(kF, 2.0 * math.pi) ** 2] = 0.0
         return cls(kx=kx, ky=ky, eps1=eps1, eps2=eps2, occ=occ,
                    U11=U11, U12=U12)
 
@@ -273,6 +275,7 @@ def floquet_band(grid: BandGrid, omega, g):
     eps_tilde = eps1 - g^2/Delta - g^2/Delta_BS; ``t_tilde`` is the
     zone-center curvature hopping of the dressed band.
     """
+    check_energy("g", g)
     delta = screened_detuning(grid, omega)
     delta_bs = bs_detuning(grid, omega)
     eps_t = grid.eps1 - g ** 2 / delta - g ** 2 / delta_bs

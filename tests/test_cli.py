@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floquet_forge.cli import RUNNERS, Emitter, fmt, main
+from floquet_forge.cli import RUNNERS, SCHEMAS, Emitter, fmt, main
 
 PAPER_BANDS = """\
 eps21 = 3.7
@@ -508,22 +508,23 @@ def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
     assert not (out / "return_rate.csv").exists()
 
 
-@pytest.mark.parametrize("scenario", ["bench-return-rate",
-                                      "derive-hamiltonian"])
-@pytest.mark.parametrize("key, bad", [("g", "1e300"), ("omega", "1e300"),
-                                      ("omega", "1e-300")])
+@pytest.mark.parametrize("key, bad, scenario", [
+    (key, bad, scenario)
+    for scenario in ("bench-return-rate", "derive-hamiltonian")
+    for key, bad in (("g", "1e300"), ("omega", "1e300"), ("omega", "1e-300"))
+] + [("g", "1e300", "kspace-map")])
 def test_energy_out_of_float_range_exits_1(tmp_path, capsys, scenario, key,
                                            bad):
     # g ** 2 / omega ** 2 used to escape as OverflowError (g or omega =
-    # 1e300) or ZeroDivisionError (omega = 1e-300)
-    cfg_text, names = CONFIGS[scenario]
-    lines = [f"{key} = {bad}" if ln.split(" = ")[0] == key else ln
-             for ln in cfg_text.splitlines()]
-    code, out = run_cli(tmp_path, scenario, "\n".join(lines) + "\n")
+    # 1e300) or ZeroDivisionError (omega = 1e-300); kspace-map squares g
+    # only for the dressed band
+    extra = {"quantity": "dressed"} if scenario == "kspace-map" else {}
+    code, out = run_cli(tmp_path, scenario,
+                        _edited(scenario, **extra, **{key: bad}))
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
-    assert not any((out / name).exists() for name in names)
+    assert not any((out / name).exists() for name in CONFIGS[scenario][1])
 
 
 def _edited(scenario, **changes):
@@ -647,16 +648,18 @@ def test_refused_config_exits_with_its_code(tmp_path, capsys, run):
 # but units takes one of FUZZ_VALUES
 FUZZ_SIZES = {"L": (-1, 3), "Nx": (0, 16), "Ny": (0, 16),
               "n_omega": (0, 64), "jmax": (0, 8), "order": (0, 5),
-              "kx_index": (-8, 8), "ky_index": (-8, 8)}
+              "kx_index": (-8, 8), "ky_index": (-8, 8),
+              "qx_index": (-8, 8), "qy_index": (-8, 8)}
 FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "1e-12", "-1e300", "5e-324",
                "nan", "1.5", "true", "constant"]
 
 
 @st.composite
 def _perturbed_config(draw):
+    # every key the scenario accepts, so optional keys that CONFIGS omits
+    # (kF, dt, jmax, ...) are drawn too
     scenario = draw(st.sampled_from(sorted(CONFIGS)))
-    keys = [ln.split(" = ")[0] for ln in CONFIGS[scenario][0].splitlines()]
-    key = draw(st.sampled_from([k for k in keys if k != "units"]))
+    key = draw(st.sampled_from(sorted(SCHEMAS[scenario]["keys"])))
     if key in FUZZ_SIZES:
         value = str(draw(st.integers(*FUZZ_SIZES[key])))
     else:
@@ -670,6 +673,8 @@ def _perturbed_config(draw):
 @example(("absorbance-ed", "gamma_broadening", "1e-300"))
 @example(("absorbance-ed", "n_omega", "1000000000000"))
 @example(("gamma-scan", "kx_index", "100000000000000000000"))
+@example(("exciton", "kF", "1e300"))
+@example(("kspace-map", "kF", "1e300"))
 def test_one_perturbed_config_value_reaches_an_exit_code(run):
     # a bounded config fuzz: any one value set to an extreme, a wrong type
     # or a small size ends in exit code 0, 1 or 2, with no exception and
@@ -908,6 +913,25 @@ def test_kspace_map_dressed_band_matches_floquet_band(tmp_path):
     kx, ky = np.meshgrid(grid.kx, grid.ky, indexing="ij")
     assert np.array_equal(data, np.column_stack(
         [kx.ravel(), ky.ravel(), band["eps_tilde"].ravel()]))
+
+
+@pytest.mark.parametrize("scenario", ["exciton", "kspace-map"])
+def test_kf_past_the_zone_runs_as_any_emptying_kf(tmp_path, scenario):
+    # kF ** 2 used to escape as OverflowError at kF = 1e200; every kF above
+    # the grid's largest |k|, pi sqrt(2), empties the band alike
+    (code_a, out_a), (code_b, out_b) = (
+        run_cli(tmp_path, scenario, _edited(scenario, kF=kf), name=kf)
+        for kf in ("1e100", "1e200"))
+    assert code_a == code_b
+    names = sorted(p.name for p in out_a.glob("*"))
+    assert names == sorted(p.name for p in out_b.glob("*"))
+    for name in names:
+        if name == "manifest.txt":
+            man_a, man_b = read_manifest(out_a), read_manifest(out_b)
+            del man_a["input.kF"], man_b["input.kF"]
+            assert man_a == man_b
+        else:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_absorbance_peak_on_flat_chain(tmp_path):

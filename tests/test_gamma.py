@@ -588,6 +588,18 @@ def test_winding_suppresses_coulomb_mixing():
                                                     abs=1e-9)
 
 
+def test_drive_amplitude_beyond_energy_cap_raises(square6):
+    # g ** 2 used to escape as OverflowError at g = 1e200
+    grid, prof = square6
+    args = (grid, prof, 1e200, 3.63)
+    with pytest.raises(ValueError, match="g must be finite"):
+        scattering_strength(*args, (1, 2), (4, 5), (2, 1))
+    with pytest.raises(ValueError, match="g must be finite"):
+        interaction_weight(*args, (1, 2), (4, 5), (2, 1))
+    with pytest.raises(ValueError, match="g must be finite"):
+        coulomb_mix_selfenergy(*args, (3, 3))
+
+
 def test_spin_labels_validated(square6):
     grid, prof = square6
     cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
