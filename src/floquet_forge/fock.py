@@ -12,6 +12,12 @@ lists are only built, summed and dumped: all operator algebra (adjoints,
 products, commutators) happens on :class:`SparseOperator`.  Coefficients and
 matrices keep their type: every model here is real, so its operators are
 float64; an imaginary coefficient or scalar makes an operator complex128.
+
+Assembly applies each distinct hop prefix of a term list once and masks its
+source states by each term's trailing densities.  The (row, col, value)
+triplets keep term-by-term COO order, so the duplicates of a matrix entry are
+summed in the same order, and every matrix has the same bits, as when each
+term is applied on its own.
 """
 
 from __future__ import annotations
@@ -239,8 +245,12 @@ class SparseOperator:
 
 
 def commutator(a, b):
-    """[a, b] = a@b - b@a for SparseOperator inputs."""
-    return a @ b - b @ a
+    """[a, b] = a@b - b@a for SparseOperator inputs.
+
+    A product has no duplicate entries, so its values do not depend on its
+    index order: the difference is canonicalized once, not each product.
+    """
+    return SparseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +300,59 @@ class TermSum:
 
     # -- materialization ------------------------------------------------
     def to_operator(self, basis):
-        """Assemble the operator matrix on the given sector basis."""
-        dim = basis.dim
+        """Assemble the operator matrix on the given sector basis.
+
+        A monomial splits into its hop prefix, which runs up to its last
+        non-density factor, and its trailing densities, which act first and
+        so only mask the source states.  Each distinct prefix is applied
+        and its targets located once per call; each term then emits its
+        (row, col, value) triplets in term order, so the COO order (and
+        with it the order in which duplicates are summed) is that of a
+        term-by-term assembly.  A term raises only if it keeps a source
+        state whose target leaves the sector.
+        """
+        states, dim, L = basis.states, basis.dim, basis.L
+        # prefix -> (states, columns, rows, amplitudes) of the sources it
+        # keeps alive, and whether it leaves the sector: a monomial shifts
+        # (n_up, n_down) by fixed amounts, so all its targets stay or none do
+        prefixes = {}
         rows, cols, vals = [], [], []
         for ops, coeff in self.terms.items():
             if coeff == 0:
                 continue
-            st, amp, alive = _apply_ops(basis.states, ops, basis.L)
-            if not alive.any():
+            if not all(0 <= site < L for _, site, _ in ops):
+                raise ValueError(
+                    f"term {' '.join(map(_op_str, ops))} has a site outside "
+                    f"1..{L}")
+            k = len(ops)
+            while k and ops[k - 1][0] == "n":
+                k -= 1
+            prefix = ops[:k]
+            hit = prefixes.get(prefix)
+            if hit is None:
+                st, amp, alive = _apply_ops(states, prefix, L)
+                src = np.nonzero(alive)[0]
+                pos = np.searchsorted(states, st[src])
+                leaves = np.any(states[np.minimum(pos, dim - 1)] != st[src])
+                hit = prefixes[prefix] = (states[src], src, pos, amp[src],
+                                          leaves)
+            occ, src, pos, amp, leaves = hit
+            if k < len(ops):
+                dens = 0
+                for _, site, spin in ops[k:]:
+                    dens |= 1 << (site + spin * L)
+                dens = np.uint64(dens)
+                keep = (occ & dens) == dens
+                src, pos, amp = src[keep], pos[keep], amp[keep]
+            if not len(amp):
                 continue
-            targets = st[alive]
-            pos = np.searchsorted(basis.states, targets)
-            if np.any(pos >= dim) or np.any(basis.states[pos] != targets):
+            if leaves:
                 raise ValueError(
                     f"term {' '.join(map(_op_str, ops))} leaves the "
                     f"(n_up={basis.n_up}, n_down={basis.n_down}) sector")
             rows.append(pos)
-            cols.append(np.nonzero(alive)[0])
-            vals.append(coeff * amp[alive])
+            cols.append(src)
+            vals.append(coeff * amp)
         if not rows:
             return SparseOperator(sparse.csr_matrix((dim, dim)))
         mat = sparse.coo_matrix(

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy import sparse
+
 from floquet_forge import (HubbardParams, SparseOperator, TermSum,
                            TwoBandChainParams, build_hubbard_operators,
                            build_sector_basis, build_two_band_chain,
                            commutator)
-from floquet_forge.fock import hubbard_terms
-from floquet_forge.fswt import floquet_h2, floquet_h4, hfe_h, \
-    hubbard_harmonics
-from floquet_forge.sylvester import hubbard_micromotion
+from floquet_forge.fock import (_apply_ops, _op_str, hubbard_terms,
+                                two_band_terms)
+from floquet_forge.fswt import floquet_h2, floquet_h2_terms, floquet_h4, \
+    hfe_h, hubbard_harmonics
+from floquet_forge.sylvester import (hubbard_micromotion,
+                                     hubbard_micromotion_terms)
 
 from conftest import embed_sector
 from oracles.dense_fermi import hubbard_dense, jw_annihilators, two_band_dense
@@ -231,6 +235,110 @@ def test_term_leaving_the_sector_raises():
     with pytest.raises(ValueError, match=r"term Cdag\(1,up\) leaves the "
                                          r"\(n_up=1, n_down=1\) sector"):
         TermSum().add(1.0, [("cdag", 0, 0)]).to_operator(b)
+
+
+def test_prefix_leaving_the_sector_raises_when_a_dressing_keeps_a_state():
+    # both terms share the prefix Cdag(1,up); n(0,up) kills every source of
+    # the first, n(1,dn) keeps some sources of the second, which then raises
+    # naming the whole term
+    b = build_sector_basis(3, 1, 1)
+    t = TermSum().add(1.0, [("cdag", 0, 0), ("n", 0, 0)])
+    t.add(1.0, [("cdag", 0, 0), ("n", 1, 1)])
+    with pytest.raises(ValueError, match=r"term Cdag\(1,up\) N\(2,dn\) "
+                                         r"leaves the \(n_up=1, n_down=1\)"):
+        t.to_operator(b)
+
+
+def test_prefix_leaving_the_sector_passes_when_its_dressing_kills_it():
+    # Cdag(1,up) N(1,up) vanishes on every state: nothing leaves the sector
+    b = build_sector_basis(3, 1, 1)
+    t = TermSum().add(1.0, [("cdag", 0, 0), ("n", 0, 0)])
+    assert t.to_operator(b).nnz == 0
+    t.add(2.0, [("n", 2, 0)])
+    assert_allclose(t.to_operator(b).to_dense(),
+                    np.diag(2.0 * ((b.states >> 2) & 1)))
+
+
+@pytest.mark.parametrize("site, shown", [(4, 5), (-1, 0), (70, 71)])
+def test_term_with_a_site_outside_the_chain_raises(site, shown):
+    # site 4 of an L=4 basis would alias bit 4, site 0 spin down
+    b = build_sector_basis(4, 2, 2)
+    t = TermSum().add(1.0, [("n", site, 0)])
+    with pytest.raises(ValueError, match=rf"term N\({shown},up\) has a site "
+                                         r"outside 1\.\.4"):
+        t.to_operator(b)
+
+
+def _term_by_term(tsum, basis):
+    """Each monomial applied and located on its own, in term order."""
+    dim = basis.dim
+    rows, cols, vals = [], [], []
+    for ops, coeff in tsum.terms.items():
+        if coeff == 0:
+            continue
+        st, amp, alive = _apply_ops(basis.states, ops, basis.L)
+        if not alive.any():
+            continue
+        targets = st[alive]
+        pos = np.searchsorted(basis.states, targets)
+        if np.any(pos >= dim) or np.any(basis.states[pos] != targets):
+            raise ValueError(f"term {' '.join(map(_op_str, ops))} leaves")
+        rows.append(pos)
+        cols.append(np.nonzero(alive)[0])
+        vals.append(coeff * amp[alive])
+    if not rows:
+        return SparseOperator(sparse.csr_matrix((dim, dim)))
+    return SparseOperator(sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim)))
+
+
+def assert_same_bits(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a.matrix, name), getattr(b.matrix, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _model_term_lists(L, omega):
+    p = HubbardParams(L=L, J=1.0, U=3.0, g=omega / 4.0, omega=omega)
+    yield "h2", floquet_h2_terms(p, include_J2=True)
+    for key, t in hubbard_micromotion_terms(p).items():
+        yield f"f{key}", t
+    yield from hubbard_terms(p).items()
+
+
+@pytest.mark.parametrize("L, omega", [(3, 9.0), (5, 12.0), (6, 20.0)])
+def test_assembly_is_bitwise_term_by_term(L, omega):
+    # shared prefixes must not change the order in which duplicates are
+    # summed: floquet_h4's trace is roundoff of zero and shows any change
+    b = build_sector_basis(L, (L + 1) // 2, L // 2)
+    for name, t in _model_term_lists(L, omega):
+        assert_same_bits(t.to_operator(b), _term_by_term(t, b))
+    cplx = TermSum().add(0.5j, [("cdag", 1, 0), ("c", 0, 0), ("n", 2, 1)])
+    cplx = cplx + floquet_h2_terms(
+        HubbardParams(L=L, J=1.0, U=3.0, g=2.0, omega=omega))
+    assert_same_bits(cplx.to_operator(b), _term_by_term(cplx, b))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_two_band_assembly_is_bitwise_term_by_term(L):
+    p = TwoBandChainParams(L=L, eps21=3.7, t1=0.05, t2=-0.15, U11=1.6,
+                           U12=0.8)
+    b = build_sector_basis(2 * L, L, L)
+    for t in two_band_terms(p).values():
+        assert_same_bits(t.to_operator(b), _term_by_term(t, b))
+
+
+def test_commutator_is_bitwise_the_difference_of_products():
+    p = HubbardParams(L=5, J=1.0, U=3.0, g=3.0, omega=12.0)
+    b = build_sector_basis(5, 3, 2)
+    f = hubbard_micromotion(p, b)
+    h2 = floquet_h2(p, b, include_J2=True)
+    for x, y in ((f[(1, 1)], h2), (f[(2, 2)], f[(1, -1)]),
+                 (1j * f[(1, 1)], h2), (f[(3, 1)], 0.5j * f[(1, -1)])):
+        c = commutator(x, y)
+        assert c.matrix.has_canonical_format
+        assert_same_bits(c, (x @ y) - (y @ x))
 
 
 def test_drive_is_one_based_ramp():
