@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-
 from scipy import sparse
 
 from floquet_forge import (HubbardParams, SparseOperator, TermSum,
@@ -293,7 +292,7 @@ def _term_by_term(tsum, basis):
         shape=(dim, dim)))
 
 
-def assert_same_bits(a, b):
+def _assert_same_bits(a, b):
     for name in ("data", "indices", "indptr"):
         x, y = getattr(a.matrix, name), getattr(b.matrix, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
@@ -301,10 +300,9 @@ def assert_same_bits(a, b):
 
 def _model_term_lists(L, omega):
     p = HubbardParams(L=L, J=1.0, U=3.0, g=omega / 4.0, omega=omega)
-    yield "h2", floquet_h2_terms(p, include_J2=True)
-    for key, t in hubbard_micromotion_terms(p).items():
-        yield f"f{key}", t
-    yield from hubbard_terms(p).items()
+    return [floquet_h2_terms(p, include_J2=True),
+            *hubbard_micromotion_terms(p).values(),
+            *hubbard_terms(p).values()]
 
 
 @pytest.mark.parametrize("L, omega", [(3, 9.0), (5, 12.0), (6, 20.0)])
@@ -312,12 +310,12 @@ def test_assembly_is_bitwise_term_by_term(L, omega):
     # shared prefixes must not change the order in which duplicates are
     # summed: floquet_h4's trace is roundoff of zero and shows any change
     b = build_sector_basis(L, (L + 1) // 2, L // 2)
-    for name, t in _model_term_lists(L, omega):
-        assert_same_bits(t.to_operator(b), _term_by_term(t, b))
+    for t in _model_term_lists(L, omega):
+        _assert_same_bits(t.to_operator(b), _term_by_term(t, b))
     cplx = TermSum().add(0.5j, [("cdag", 1, 0), ("c", 0, 0), ("n", 2, 1)])
     cplx = cplx + floquet_h2_terms(
         HubbardParams(L=L, J=1.0, U=3.0, g=2.0, omega=omega))
-    assert_same_bits(cplx.to_operator(b), _term_by_term(cplx, b))
+    _assert_same_bits(cplx.to_operator(b), _term_by_term(cplx, b))
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -326,7 +324,7 @@ def test_two_band_assembly_is_bitwise_term_by_term(L):
                            U12=0.8)
     b = build_sector_basis(2 * L, L, L)
     for t in two_band_terms(p).values():
-        assert_same_bits(t.to_operator(b), _term_by_term(t, b))
+        _assert_same_bits(t.to_operator(b), _term_by_term(t, b))
 
 
 def test_commutator_is_bitwise_the_difference_of_products():
@@ -338,7 +336,7 @@ def test_commutator_is_bitwise_the_difference_of_products():
                  (1j * f[(1, 1)], h2), (f[(3, 1)], 0.5j * f[(1, -1)])):
         c = commutator(x, y)
         assert c.matrix.has_canonical_format
-        assert_same_bits(c, (x @ y) - (y @ x))
+        _assert_same_bits(c, (x @ y) - (y @ x))
 
 
 def test_drive_is_one_based_ramp():
