@@ -141,23 +141,6 @@ def _sample_times(t_final, stride):
     return np.append(times, t_final)
 
 
-def _fitting_step(half_width, t_final, h):
-    """About the longest step below ``h`` whose Chebyshev degree is within
-    ``kernels.LANCZOS_M_MAX``, by bisection on log h: the degree grows with
-    the step even though the step's share of the error budget grows too."""
-    low, high = math.log(h) - 256.0, math.log(h)
-    for _ in range(48):
-        mid = 0.5 * (low + high)
-        step = math.exp(mid)
-        degree, _ = chebyshev_degree(0.5 * step * half_width,
-                                     TRUNCATION_TOL * step / (2.0 * t_final))
-        if degree <= LANCZOS_M_MAX:
-            low = mid
-        else:
-            high = mid
-    return math.exp(low)
-
-
 def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
 
@@ -197,10 +180,10 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     fourth order in h.  ``meta`` records ``degrees``, K for each distinct
     step length, and ``truncation_bound``, S exp(S).  A step length whose
     K exceeds ``kernels.LANCZOS_M_MAX`` raises ``ValueError`` before the
-    first step, naming K, R and the dt that fits: the width 2R grows with
-    the interaction, about U L/2 for the Hubbard chain.  A step that leaves a
-    non-finite state raises ``PropagationError`` naming its start time, its
-    length, its degree and the run's bound.
+    first step, naming K, R and h halved until it fits, within 2x of the
+    longest dt that fits (2R grows as U L/2 in the Hubbard chain).  A step
+    that leaves a non-finite state raises ``PropagationError`` naming its
+    start time, its length, its degree and the run's bound.
 
     ``dt`` is the largest step, at most a fifth of the drive period; the
     default is a tenth.  Samples are stored at k*``sample_dt`` (every step
@@ -279,16 +262,22 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     low, high = (energy - radius).min(), (energy + radius).max()
     centre, half_width = 0.5 * (high + low), 0.5 * (high - low) or 1.0
 
+    def degree_of(h):
+        return chebyshev_degree(0.5 * h * half_width,
+                                TRUNCATION_TOL * h / (2.0 * t_final))
+
     degrees, tails, series = {}, [], []
     for h in lengths.tolist():
-        degree, tail = chebyshev_degree(
-            0.5 * h * half_width, TRUNCATION_TOL * h / (2.0 * t_final))
+        degree, tail = degree_of(h)
         if degree > LANCZOS_M_MAX:
+            fit = 0.5 * h
+            while degree_of(fit)[0] > LANCZOS_M_MAX:
+                fit *= 0.5
             raise ValueError(
                 f"Chebyshev degree {degree} of a step of length h={h:.4g} "
                 f"exceeds the cap of {LANCZOS_M_MAX}: the exponents' "
                 f"spectral radius is R={half_width:.4g}; take dt <= "
-                f"{_fitting_step(half_width, t_final, h):.4g}")
+                f"{fit:.4g}")
         degrees[h] = degree
         tails.append(tail)
         series.append(chebyshev_coefficients(0.5 * h * half_width, degree)

@@ -55,23 +55,23 @@ def hubbard_harmonics(p: HubbardParams, b: SectorBasis):
 _first_order_ladder = _ladder
 
 
+def _renormalized_chain(p: HubbardParams):
+    """The model's terms with each hop at -J(1 - g^2/omega^2), set on its
+    keys, not through a smaller J, which ``HubbardParams`` would bound."""
+    terms = hubbard_terms(p)
+    ren = -p.J * (1.0 - p.g ** 2 / p.omega ** 2)
+    return TermSum(dict.fromkeys(terms["h"].terms, ren)) + terms["U_op"]
+
+
 def floquet_h2_terms(p: HubbardParams, include_J2=False):
     """Static effective Hamiltonian through order g^2 as a term list.
 
-    Bandwidth-renormalized hopping -J(1 - g^2/omega^2), the bare interaction
-    and the density-dressed correlated hopping.  With ``include_J2`` the
-    order-(J^2 g^2) block (doublon exchange plus interior three-site
-    processes) is added.
+    The renormalized chain of :func:`hfe_h` plus the density-dressed
+    correlated hopping; with ``include_J2``, also the order-(J^2 g^2) block
+    (doublon exchange plus interior three-site processes).
     """
     beta, gamma, delta = _ladder(p.U, p.omega)
-    t = TermSum()
-    ren = -p.J * (1.0 - p.g ** 2 / p.omega ** 2)
-    for j in range(p.L - 1):
-        for s in (0, 1):
-            t.add(ren, [("cdag", j + 1, s), ("c", j, s)])
-            t.add(ren, [("cdag", j, s), ("c", j + 1, s)])
-    for j in range(p.L):
-        t.add(p.U, [("n", j, 0), ("n", j, 1)])
+    t = _renormalized_chain(p)
     half = 0.5 * (beta + gamma)
     _dressed_hops(t, p.L, p.J * p.g ** 2 / p.omega ** 2,
                   (0.0, half, half, delta))
@@ -158,13 +158,13 @@ def hfe_h(p: HubbardParams, b: SectorBasis):
     """High-frequency-expansion reference Hamiltonian through 1/omega^2.
 
     The 1/omega term, the j = +-1 commutator of identical drive harmonics,
-    vanishes; the 1/omega^2 double commutators reduce to a pure bandwidth
-    renormalization for the linear density ramp.
+    vanishes; for the linear density ramp the 1/omega^2 term is
+    -(g/omega)^2 h, so this is the renormalized bare chain, to which
+    :func:`floquet_h2` adds the density-dressed hops.
     """
-    h0, drive, _ = hubbard_harmonics(p, b)
-    x = commutator(commutator(drive, h0), drive)
-    corr = 0.5 * (x + x.dagger())
-    return h0 + (1.0 / p.omega ** 2) * corr
+    if b.L != p.L:
+        raise ValueError(f"basis has L={b.L}, params have L={p.L}")
+    return _renormalized_chain(p).to_operator(b)
 
 
 def spin_exchange(U, J, g, omega):

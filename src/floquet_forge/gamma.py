@@ -282,7 +282,7 @@ def _rank_one_vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q,
     from .kernels import _rank_one_eigvalsh
 
     _, d, c = _rank_one_split(grid, prof, k, q, omega)
-    return _rank_one_eigvalsh(d, np.ones(d.size), c)
+    return _rank_one_eigvalsh(d, c)
 
 
 def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):

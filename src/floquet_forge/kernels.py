@@ -173,14 +173,14 @@ def _tridiagonal_eigh(alphas, betas):
             f"tridiagonal eigensolve failed at m={m}: {exc}") from exc
 
 
-def _rank_one_eigvalsh(d, z, rho):
-    """Ascending eigenvalues of diag(d) + rho z z^T, from its secular equation.
+def _rank_one_eigvalsh(d, rho):
+    """Ascending eigenvalues of diag(d) + rho 11^T, from its secular equation.
 
     The d are sorted, then deflated as LAPACK ``dlaed2`` does (Dongarra &
-    Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)).  With unit-norm
-    weights w and tol = 8 eps max(d_max - d_min, rho |z|^2), a weight with
-    rho |w| <= tol leaves its d as an eigenvalue, and two neighbouring poles
-    d_a <= d_b rotate into one, of weight hypot(w_a, w_b), leaving
+    Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)).  With the n
+    unit-norm weights w = 1/sqrt(n) and tol = 8 eps max(d_max - d_min, n rho),
+    n rho |w| <= tol leaves every d as an eigenvalue, and two neighbouring
+    poles d_a <= d_b rotate into one, of weight hypot(w_a, w_b), leaving
     d_a c^2 + d_b s^2 (c = w_b/hypot, s = w_a/hypot) as an eigenvalue, when
     the coupling this drops, (d_b - d_a) c s, is at most tol.  A group of m
     equal d is the case of no coupling, and leaves m - 1 eigenvalues at
@@ -191,23 +191,19 @@ def _rank_one_eigvalsh(d, z, rho):
     sigma of the singular-value form that LAPACK ``dlasd4`` finds, one per
     call, in O(K) each for K poles.  The problem is scaled to unit size
     first, so that no square overflows, and rho < 0 negates the matrix.
-    Each eigenvalue is within a few eps max(|d|, |rho| |z|^2) of the exact
+    Each eigenvalue is within a few eps max(|d|, n |rho|) of the exact
     one, the accuracy of a dense symmetric eigensolve.
     """
-    d = np.asarray(d, dtype=float)
-    z = np.asarray(z, dtype=float)
+    d = np.sort(np.asarray(d, dtype=float))
     if rho < 0.0:
-        return -_rank_one_eigvalsh(-d, z, -rho)[::-1]
-    order = np.argsort(d)
-    d = d[order]
-    z2 = z[order] ** 2
-    rho = float(rho) * float(np.sum(z2))
+        return -_rank_one_eigvalsh(-d, -rho)[::-1]
+    rho = float(rho) * d.size
     if rho == 0.0:
         return d
     shift = d[0]
     scale = max(float(d[-1] - shift), rho)
     x = ((d - shift) / scale).tolist()
-    w = np.sqrt(z2 / np.sum(z2)).tolist()
+    w = [math.sqrt(1.0 / d.size)] * d.size
     rho /= scale
     tol = 8.0 * np.finfo(float).eps
     deflated, poles, weights = [], [], []

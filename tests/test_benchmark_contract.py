@@ -9,7 +9,9 @@ A second subprocess makes the calls of the chain workloads: the run
 environment, the chain warm-up, the ladder margin and a small
 ``bench-return-rate`` through the CLI.  A third runs one bz-dense series
 job, which checks ``rho`` and the inverse against the references and the
-series against the inverse.  A fourth runs one chain-score job, which
+series against the inverse, and bz-dense's two CLI jobs, a gamma-scan and
+the band suite, whose emitted files it checks against the references.  A
+fourth runs one chain-score job, which
 checks the order-g^4 block's norm and trace (roundoff of an exact zero, so
 it moves with any change to the order of a sum in its assembly), the
 derived terms and the strong-drive harmonics against the references.
@@ -88,6 +90,29 @@ SERIES_SCRIPT = textwrap.dedent("""
 def test_bz_dense_series_job_matches_references(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SERIES_SCRIPT, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+CLI_JOBS_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    root, work = Path(sys.argv[1]), Path(sys.argv[2])
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    ctx = workloads.setup("bz-dense", work)
+    groups = workloads.candidates()
+    for job in (groups["gamma-scan"][0], groups["bz-dense-fixed"][0]):
+        _, errors = workloads.run_job(ctx, job)
+        assert errors == [], (job.kind, errors)
+""")
+
+
+def test_bz_dense_cli_jobs_match_references(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_JOBS_SCRIPT, str(ROOT), str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

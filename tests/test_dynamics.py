@@ -476,9 +476,23 @@ def test_degree_cap_refuses_before_the_first_step(monkeypatch):
                     r"is R=(\S+); take dt <= (\S+)$", str(exc.value))
     assert got, str(exc.value)
     assert int(got.group(1)) > 1000 and float(got.group(2)) >= 1e6
-    # the dt it names fits the cap
+    # the dt it names fits the cap over the same run, where a series is
+    # reached only past the degree check, and twice that dt does not
+    dt = float(got.group(3))
+
+    class Fits(Exception):
+        pass
+
+    def fits(*args):
+        raise Fits
+
+    monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", fits)
+    with pytest.raises(Fits):
+        evolve_exact(chain, psi0, 1.0, dt=dt)
+    with pytest.raises(ValueError, match="exceeds the cap of 60"):
+        evolve_exact(chain, psi0, 1.0, dt=2.0 * dt)
     monkeypatch.undo()
-    traj = evolve_exact(chain, psi0, 0.002, dt=float(got.group(3)))
+    traj = evolve_exact(chain, psi0, 0.002, dt=dt)
     assert max(traj.meta["degrees"].values()) <= kernels.LANCZOS_M_MAX
 
 

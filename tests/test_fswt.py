@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 from floquet_forge import (HubbardParams, build_hubbard_operators,
                            build_sector_basis, commutator, spin_exchange)
 from floquet_forge.errors import ResonantDenominator
-from floquet_forge.fswt import (floquet_h2, floquet_h4, floquet_h4_terms_j1,
-                                hfe_h, hubbard_harmonics,
+from floquet_forge.fock import TermSum
+from floquet_forge.fswt import (floquet_h2, floquet_h2_terms, floquet_h4,
+                                floquet_h4_terms_j1, hfe_h, hubbard_harmonics,
                                 strong_drive_harmonics)
-from floquet_forge.sylvester import (HopExpansionCoeffs, y0_terms, y1_terms,
-                                     y2_terms)
+from floquet_forge.sylvester import (HopExpansionCoeffs, _dressed_hops,
+                                     _ladder, y0_terms, y1_terms, y2_terms)
 
 
 # -- order-g^2 static block --------------------------------------------------
@@ -31,6 +32,75 @@ def test_h2_equals_micromotion_composition(include_J2, hop_order):
     comp = h0 + 0.5 * commutator(f1 - f1.dagger(), ops["drive"])
     h2 = floquet_h2(p, b, include_J2=include_J2)
     assert (h2 - comp).max_abs() <= 1e-10
+
+
+def _h2_terms_written_out(p, include_J2):
+    """floquet_h2_terms with the renormalized chain's loops written out."""
+    beta, gamma, delta = _ladder(p.U, p.omega)
+    t = TermSum()
+    ren = -p.J * (1.0 - p.g ** 2 / p.omega ** 2)
+    for j in range(p.L - 1):
+        for s in (0, 1):
+            t.add(ren, [("cdag", j + 1, s), ("c", j, s)])
+            t.add(ren, [("cdag", j, s), ("c", j + 1, s)])
+    for j in range(p.L):
+        t.add(p.U, [("n", j, 0), ("n", j, 1)])
+    half = 0.5 * (beta + gamma)
+    _dressed_hops(t, p.L, p.J * p.g ** 2 / p.omega ** 2,
+                  (0.0, half, half, delta))
+    if include_J2:
+        bg = beta - gamma
+        a2 = 4.0 * p.J ** 2 * p.g ** 2 / p.omega ** 3 * bg
+        for j in range(p.L - 1):
+            jp = j + 1
+            t.add(a2, [("cdag", j, 0), ("cdag", j, 1),
+                       ("c", jp, 0), ("c", jp, 1)])
+            t.add(a2, [("cdag", jp, 0), ("cdag", jp, 1),
+                       ("c", j, 0), ("c", j, 1)])
+        a3 = p.J ** 2 * p.g ** 2 / p.omega ** 3 * bg
+        for m in range(1, p.L - 1):
+            l, r = m - 1, m + 1
+            for s in (0, 1):
+                sb = 1 - s
+                nm, nl, nr = ("n", m, sb), ("n", l, sb), ("n", r, sb)
+                poly = [(2.0, [nm]),
+                        (-1.0 + delta, [nl]),
+                        (-1.0 + delta, [nr]),
+                        (-2.0 * delta, [nl, nr]),
+                        (-2.0 * delta, [nm, nl]),
+                        (-2.0 * delta, [nm, nr]),
+                        (4.0 * delta, [nm, nl, nr])]
+                for hop in ([("cdag", l, s), ("c", r, s)],
+                            [("cdag", r, s), ("c", l, s)]):
+                    for coef, dens in poly:
+                        t.add(a3 * coef, hop + dens)
+                na, nb = ("n", l, s), ("n", r, sb)
+                poly2 = [(1.0, []), (-delta, [na]), (-delta, [nb]),
+                         (2.0 * delta, [na, nb])]
+                for hop in ([("cdag", m, s), ("cdag", l, sb),
+                             ("c", m, sb), ("c", r, s)],
+                            [("cdag", r, s), ("cdag", m, sb),
+                             ("c", l, sb), ("c", m, s)]):
+                    for coef, dens in poly2:
+                        t.add(2.0 * a3 * coef, hop + dens)
+    return t
+
+
+@pytest.mark.parametrize("include_J2", [False, True])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_h2_terms_are_bitwise_the_written_out_builder(L, include_J2):
+    # the term order feeds the order in which floquet_h4 sums duplicates,
+    # and its trace is roundoff of zero: keys, order and values must hold
+    b = build_sector_basis(L, (L + 1) // 2, L // 2)
+    for g, U in ((2.3, 3.0), (0.0, 3.0), (2.3, 0.0)):
+        p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=9.7)
+        got = floquet_h2_terms(p, include_J2)
+        want = _h2_terms_written_out(p, include_J2)
+        assert list(got.terms.items()) == list(want.terms.items())
+        a, c = got.to_operator(b).matrix, want.to_operator(b).matrix
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(a, name), getattr(c, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def test_h2_resonance_guard():
@@ -99,6 +169,26 @@ def test_hfe_orders():
     # renormalization: H0 - (g/omega)^2 h
     expect = h0 + (-(p.g ** 2 / p.omega ** 2)) * ops["h"]
     assert (hfe_h(p, b) - expect).max_abs() <= 1e-13
+
+
+@pytest.mark.parametrize("g, omega", [(2.3, 9.7), (0.7, 13.1)])
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
+def test_hfe_matches_the_generic_double_commutator(L, g, omega):
+    # the generic expansion H0 + (1/omega^2) (1/2)(x + x^dag) with
+    # x = [[D, H0], D] of the drive D, against the renormalized chain
+    p = HubbardParams(L=L, J=1.0, U=3.0, g=g, omega=omega)
+    b = build_sector_basis(L, (L + 1) // 2, L // 2)
+    h0, drive, _ = hubbard_harmonics(p, b)
+    x = commutator(commutator(drive, h0), drive)
+    want = h0 + (1.0 / omega ** 2) * (0.5 * (x + x.dagger()))
+    assert (hfe_h(p, b) - want).max_abs() <= 1e-14 * h0.max_abs()
+
+
+def test_hfe_refuses_a_basis_of_another_chain():
+    # a longer chain's basis would take the shorter chain's terms silently
+    p = HubbardParams(L=3, J=1.0, U=3.0, g=3.0, omega=12.0)
+    with pytest.raises(ValueError, match="basis has L=4, params have L=3"):
+        hfe_h(p, build_sector_basis(4, 2, 2))
 
 
 def test_hfe_misses_interaction_dressing_at_omega_minus_4():
