@@ -227,8 +227,8 @@ def _rank_one_cases():
 @pytest.mark.parametrize("case", sorted(_rank_one_cases()))
 def test_rank_one_eigvalsh_matches_eigvalsh(case, rho):
     # the secular equation with deflation against the dense eigensolve, to
-    # within the dense solve's own backward error; rho = +-1e-300 deflates
-    # every weight
+    # within the dense solve's own backward error; where the d spread,
+    # rho = +-1e-300 deflates every weight
     d = _rank_one_cases()[case]
     a = np.diag(d) + rho * np.ones((d.size, d.size))
     want = np.linalg.eigvalsh(a)
