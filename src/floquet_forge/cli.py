@@ -11,8 +11,8 @@ thread, and ``--threads`` accepts only 1: the benchmark harness passes it
 to every job.  A key whose value a run would ignore is refused:
 ``include_J2`` at ``order = 4``, a nonzero ``g`` in ``kspace-map`` unless
 ``quantity = dressed``, and any ``gamma-scan`` profile but ``constant``.
-An integer key must fit in 64 bits.  Exit codes: 0 ok, 1 config error, 2
-physics error.
+An integer key must fit in 64 bits.  Exit codes: 0 ok, 1 config error (a
+``ValueError``, or a failed write), 2 physics error (a ``PhysicsError``).
 """
 
 import argparse
@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, PhysicsError
+from .errors import PhysicsError
 
 __all__ = ["main", "parse_config"]
 
@@ -50,7 +50,7 @@ def parse_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -59,10 +59,10 @@ def parse_config(path):
         key, sep, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if not sep or not key or not val:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                              f"got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', "
+                             f"got {raw.strip()!r}")
         if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = val
     return out
 
@@ -73,17 +73,17 @@ def _coerce(key, raw, typ):
     if typ is bool:
         low = raw.lower()
         if low not in ("true", "false"):
-            raise ConfigError(f"key {key!r}: expected true/false, got {raw!r}")
+            raise ValueError(f"key {key!r}: expected true/false, got {raw!r}")
         return low == "true"
     try:
         value = typ(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as "
-                          f"{typ.__name__}") from exc
+        raise ValueError(f"key {key!r}: cannot parse {raw!r} as "
+                         f"{typ.__name__}") from exc
     if typ is float and not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
+        raise ValueError(f"key {key!r}: must be finite, got {raw!r}")
     if typ is int and not -2 ** 63 <= value < 2 ** 63:
-        raise ConfigError(f"key {key!r}: must fit in 64 bits, got {raw!r}")
+        raise ValueError(f"key {key!r}: must fit in 64 bits, got {raw!r}")
     return value
 
 
@@ -154,19 +154,19 @@ def validate_config(scenario, raw):
     allowed = set(schema["keys"]) | {"units"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) for {scenario}: "
-                          f"{', '.join(unknown)}")
+        raise ValueError(f"unknown key(s) for {scenario}: "
+                         f"{', '.join(unknown)}")
     if "units" not in raw:
-        raise ConfigError("mandatory key 'units' is missing")
+        raise ValueError("mandatory key 'units' is missing")
     if raw["units"] != schema["units"]:
-        raise ConfigError(f"scenario {scenario} requires units = "
-                          f"{schema['units']}, got {raw['units']!r}")
+        raise ValueError(f"scenario {scenario} requires units = "
+                         f"{schema['units']}, got {raw['units']!r}")
     cfg = {"units": raw["units"]}
     for key, (typ, required, default) in schema["keys"].items():
         if key in raw:
             cfg[key] = _coerce(key, raw[key], typ)
         elif required:
-            raise ConfigError(f"scenario {scenario} requires key {key!r}")
+            raise ValueError(f"scenario {scenario} requires key {key!r}")
         elif default is not None:
             cfg[key] = default
     return cfg
@@ -322,10 +322,10 @@ def run_derive_hamiltonian(cfg, em: Emitter):
     from .fswt import floquet_h2_terms, floquet_h4_terms_j1
 
     if cfg["order"] not in (2, 4):
-        raise ConfigError(f"order must be 2 or 4, got {cfg['order']}")
+        raise ValueError(f"order must be 2 or 4, got {cfg['order']}")
     if cfg["order"] == 4 and cfg["include_J2"]:
-        raise ConfigError("include_J2 applies to order = 2 only; the "
-                          "order-4 terms are at leading hopping order")
+        raise ValueError("include_J2 applies to order = 2 only; the "
+                         "order-4 terms are at leading hopping order")
     p = _chain_from_cfg(cfg, em)
     if cfg["order"] == 2:
         terms = floquet_h2_terms(p, include_J2=cfg["include_J2"])
@@ -345,11 +345,11 @@ def run_kspace_map(cfg, em: Emitter):
                  "bs": bs_detuning}
     q = cfg["quantity"]
     if q not in detunings and q != "dressed":
-        raise ConfigError(f"quantity must be bare/screened/bs/dressed, "
-                          f"got {q!r}")
+        raise ValueError(f"quantity must be bare/screened/bs/dressed, "
+                         f"got {q!r}")
     if q != "dressed" and cfg["g"] != 0.0:
-        raise ConfigError(f"g is read only by quantity = dressed, got "
-                          f"g = {fmt(cfg['g'])} with quantity = {q}")
+        raise ValueError(f"g is read only by quantity = dressed, got "
+                         f"g = {fmt(cfg['g'])} with quantity = {q}")
     grid = _grid_from_cfg(cfg, em)
     if q == "dressed":
         band = floquet_band(grid, cfg["omega"], cfg["g"])
@@ -380,12 +380,12 @@ def run_gamma_scan(cfg, em: Emitter):
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
     if cfg["profile"] != "constant":
-        raise ConfigError(f"profile must be constant, got "
-                          f"{cfg['profile']!r}: coupling profiles change the "
-                          f"solve-based functions, not the vertex")
+        raise ValueError(f"profile must be constant, got "
+                         f"{cfg['profile']!r}: coupling profiles change the "
+                         f"solve-based functions, not the vertex")
     if cfg["Nx"] * cfg["Ny"] > MAX_DENSE:
-        raise ConfigError(f"dense vertex capped at {MAX_DENSE} momenta, "
-                          f"got {cfg['Nx']}x{cfg['Ny']}")
+        raise ValueError(f"dense vertex capped at {MAX_DENSE} momenta, "
+                         f"got {cfg['Nx']}x{cfg['Ny']}")
     grid = _grid_from_cfg(cfg, em)
     prof = constant_profile(grid, cfg["U_coulomb"])
     k = (cfg["kx_index"], cfg["ky_index"])
@@ -412,12 +412,12 @@ def run_absorbance_ed(cfg, em: Emitter):
     from .fock import TwoBandChainParams
 
     if cfg["n_omega"] < 2:
-        raise ConfigError(f"n_omega must be >= 2, got {cfg['n_omega']}")
+        raise ValueError(f"n_omega must be >= 2, got {cfg['n_omega']}")
     if cfg["n_omega"] > MAX_N_OMEGA:
-        raise ConfigError(f"n_omega capped at {MAX_N_OMEGA}, got "
-                          f"{cfg['n_omega']}")
+        raise ValueError(f"n_omega capped at {MAX_N_OMEGA}, got "
+                         f"{cfg['n_omega']}")
     if not cfg["omega_max"] > cfg["omega_min"]:
-        raise ConfigError("omega_max must exceed omega_min")
+        raise ValueError("omega_max must exceed omega_min")
     p = TwoBandChainParams(L=cfg["L"], eps21=cfg["eps21"], t1=cfg["t1"],
                            t2=cfg["t2"], U11=cfg["U11"], U12=cfg["U12"])
     em.note_grid("L", p.L)
@@ -430,7 +430,7 @@ def run_pomeranchuk(cfg, em: Emitter):
     from .kspace import CavitySpec, pomeranchuk_check
 
     if not 0.0 < cfg["kF"] < math.pi / 4.0:
-        raise ConfigError(f"kF must be in (0, pi/4), got {cfg['kF']}")
+        raise ValueError(f"kF must be in (0, pi/4), got {cfg['kF']}")
     grid = _grid_from_cfg(cfg, em)
     cav = CavitySpec(g=cfg["g"], gc0=cfg["gc0"], delta_c=cfg["delta_c"])
     res = pomeranchuk_check(grid, cav, cfg["omega"])
@@ -492,9 +492,6 @@ def main(argv=None):
         em = Emitter(Path(args.out), args.scenario, cfg)
         RUNNERS[args.scenario](cfg, em)
         em.finish()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 2

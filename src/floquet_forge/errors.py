@@ -1,12 +1,10 @@
 """Error taxonomy, and the energy cap every parameter check shares.
 
-ConfigError and ValueError map to CLI exit code 1, PhysicsError subclasses
-to exit code 2.
+ValueError, the type of every configuration and parameter refusal, maps to
+CLI exit code 1, PhysicsError subclasses to exit code 2.
 """
 
 __all__ = [
-    "FloquetForgeError",
-    "ConfigError",
     "PhysicsError",
     "ResonantDenominator",
     "BandResonance",
@@ -15,15 +13,7 @@ __all__ = [
 ]
 
 
-class FloquetForgeError(Exception):
-    """Base class for package errors."""
-
-
-class ConfigError(FloquetForgeError):
-    """Invalid scenario configuration (unknown/missing keys, bad values)."""
-
-
-class PhysicsError(FloquetForgeError):
+class PhysicsError(Exception):
     """Parameter regime where the requested quantity is undefined."""
 
 

@@ -424,10 +424,15 @@ def hubbard_terms(p: HubbardParams):
     return {"h": h, "U_op": u, "drive": drive}
 
 
-def build_hubbard_operators(p: HubbardParams, b: SectorBasis):
-    """Materialize {h, U_op, drive} on the sector basis."""
+def _check_chain_basis(p: HubbardParams, b: SectorBasis):
+    """Refuse a sector basis of another chain length than the params'."""
     if b.L != p.L:
         raise ValueError(f"basis has L={b.L}, params have L={p.L}")
+
+
+def build_hubbard_operators(p: HubbardParams, b: SectorBasis):
+    """Materialize {h, U_op, drive} on the sector basis."""
+    _check_chain_basis(p, b)
     return {k: t.to_operator(b) for k, t in hubbard_terms(p).items()}
 
 

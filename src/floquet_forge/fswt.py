@@ -12,7 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
-                   build_hubbard_operators, commutator, hubbard_terms)
+                   _check_chain_basis, build_hubbard_operators, commutator,
+                   hubbard_terms)
 from .sylvester import (HopExpansionCoeffs, _dressed_hops, _guard_resonance,
                         _ladder, hubbard_micromotion)
 
@@ -114,6 +115,7 @@ def floquet_h2_terms(p: HubbardParams, include_J2=False):
 
 
 def floquet_h2(p: HubbardParams, b: SectorBasis, include_J2=False):
+    _check_chain_basis(p, b)
     op = floquet_h2_terms(p, include_J2).to_operator(b)
     assert op.hermitian
     return op
@@ -162,8 +164,7 @@ def hfe_h(p: HubbardParams, b: SectorBasis):
     -(g/omega)^2 h, so this is the renormalized bare chain, to which
     :func:`floquet_h2` adds the density-dressed hops.
     """
-    if b.L != p.L:
-        raise ValueError(f"basis has L={b.L}, params have L={p.L}")
+    _check_chain_basis(p, b)
     return _renormalized_chain(p).to_operator(b)
 
 

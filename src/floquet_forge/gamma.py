@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandResonance, check_energy
-from .kspace import BandGrid, CavitySpec
+from .kspace import BandGrid, CavitySpec, _check_resonant, bare_detuning
 
 __all__ = [
     "InteractionProfile",
@@ -505,12 +505,9 @@ def _scattering(grid: BandGrid, prof: InteractionProfile, g, omega,
     check_energy("g", g)
     nx, ny = grid.kx.size, grid.ky.size
     n = nx * ny
-    den = omega + (grid.eps1 - grid.eps2).ravel()
-    scale = max(1.0, float(np.max(np.abs(den))))
-    if np.min(np.abs(den)) < 1e-9 * scale:
-        raise BandResonance("drive resonant with a bare interband "
-                            "transition; resolvent undefined")
-    ratio = prof.Jcoupling[s].ravel() / den
+    den = -bare_detuning(grid, omega)
+    _check_resonant(den)
+    ratio = prof.Jcoupling[s].ravel() / den.ravel()
     k, k1, q = (np.asarray(x, dtype=int).reshape(-1, 2) for x in (k, k1, q))
     kx, ky = k[:, 0, None] % nx, k[:, 1, None] % ny
     k1f = (k1[:, 0] % nx) * ny + k1[:, 1] % ny

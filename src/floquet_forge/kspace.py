@@ -24,7 +24,6 @@ __all__ = [
     "exciton_frequency",
     "t_matrix",
     "floquet_band",
-    "stark_bs_ratio",
     "pomeranchuk_check",
 ]
 
@@ -158,7 +157,7 @@ def _check_resonant(A):
         idx = np.argwhere(np.abs(A) <= RES_ATOL * scale)[0]
         raise BandResonance(
             f"detuning vanishes at grid point {tuple(int(i) for i in idx)}; "
-            "the drive is resonant with the (Hartree-shifted) transition")
+            "the drive is resonant with an interband transition")
 
 
 def _screening_sum(grid: BandGrid, A):
@@ -197,14 +196,6 @@ def t_matrix(grid: BandGrid, omega):
     return 1.0 / factor
 
 
-def _continuum_edge(grid: BandGrid):
-    """Zero-frequency detunings a0 and the occupied continuum edge, the
-    smallest a0 over the occupied momenta (over all for an empty band)."""
-    a0 = _hartree_detuning(grid, 0.0)
-    occupied = grid.occ > 0
-    return a0, float(np.min(a0[occupied] if occupied.any() else a0))
-
-
 def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
@@ -218,7 +209,8 @@ def exciton_frequency(grid: BandGrid):
     """
     if not np.any(grid.occ > 0):
         raise NoExciton("empty band cannot bind an exciton")
-    a0, edge = _continuum_edge(grid)
+    a0 = _hartree_detuning(grid, 0.0)
+    edge = float(np.min(a0[grid.occ > 0]))
     upper = edge - 1e-9
     if upper <= 0:
         raise NoExciton(f"occupied continuum edge {edge:.6g} leaves no "
@@ -280,31 +272,6 @@ def floquet_band(grid: BandGrid, omega, g):
     delta_bs = bs_detuning(grid, omega)
     eps_t = grid.eps1 - g ** 2 / delta - g ** 2 / delta_bs
     return {"eps_tilde": eps_t, "t_tilde": _laplacian_t(grid, eps_t)}
-
-
-def stark_bs_ratio(grid: BandGrid, omega):
-    """Ratio field of the counter- to co-rotating light shifts.
-
-    Returns the full BZ field delta_bs/delta.  Both shifts scale as g^2, so
-    the drive strength cancels and is not an argument.  Compared against
-    the two-level ratio (w_ref + w)/(w_ref - w) built on the bound-state
-    frequency, or on the occupied band edge when no bound state exists.
-    Both ratios are positive below resonance and flip sign above it.
-    """
-    delta = screened_detuning(grid, omega)
-    delta_bs = bs_detuning(grid, omega)
-    try:
-        w_ref = exciton_frequency(grid)
-        ref = "exciton"
-    except NoExciton:
-        w_ref = _continuum_edge(grid)[1]
-        ref = "band-edge"
-    if abs(w_ref - omega) < RES_ATOL * max(1.0, abs(w_ref)):
-        raise BandResonance(
-            f"drive at the {ref} reference ({w_ref:.6g}); two-level ratio "
-            "diverges")
-    tla = (w_ref + omega) / (w_ref - omega)
-    return {"ratio": delta_bs / delta, "tla_ratio": tla, "reference": ref}
 
 
 def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ResonantDenominator
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
-                   commutator)
+                   _check_chain_basis, commutator, hubbard_terms)
 
 __all__ = [
     "HopExpansionCoeffs",
@@ -192,11 +192,8 @@ def _dressed_hops(t, L, pref, coeffs, signed=False):
 
 def y0_terms(p: HubbardParams):
     """Zeroth hop order: the drive ramp itself divided by omega."""
-    t = TermSum()
-    for j in range(p.L):
-        for s in (0, 1):
-            t.add(p.g * (j + 1) / p.omega, [("n", j, s)])
-    return t
+    return TermSum({ops: c / p.omega
+                    for ops, c in hubbard_terms(p)["drive"].terms.items()})
 
 
 def y1_terms(p: HubbardParams, c: HopExpansionCoeffs):
@@ -324,6 +321,7 @@ def hubbard_micromotion(p: HubbardParams, b: SectorBasis):
     order-g^3 single-photon component; f(2,+-1) and f(3,+-2) vanish
     identically for this model and are omitted.
     """
+    _check_chain_basis(p, b)
     terms = {}
     for (n, j), tsum in hubbard_micromotion_terms(p).items():
         op = tsum.to_operator(b)

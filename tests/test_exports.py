@@ -35,6 +35,34 @@ def test_submodule_names_resolve_through_the_package():
         floquet_forge.no_such_name
 
 
+def _used_names(path):
+    """Names a file reads: loaded names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that neither the package, the benchmark nor an
+    # acceptance criterion reads is code kept for no output
+    root = Path(floquet_forge.__file__).resolve().parents[2]
+    files = [*sorted((root / "src" / "floquet_forge").glob("*.py")),
+             *sorted((root / "perfbench").glob("*.py")),
+             root / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_used_names, files))
+    unread = [f"{sub}.{name}" for sub in floquet_forge._SUBMODULES
+              for name in importlib.import_module(
+                  f"floquet_forge.{sub}").__all__
+              if name not in used]
+    assert unread == []
+
+
 def _loaded_by(attr):
     code = ("import sys, floquet_forge\n"
             f"floquet_forge.{attr}\n"

@@ -13,7 +13,8 @@ from floquet_forge.fswt import (floquet_h2, floquet_h2_terms, floquet_h4,
                                 floquet_h4_terms_j1, hfe_h, hubbard_harmonics,
                                 strong_drive_harmonics)
 from floquet_forge.sylvester import (HopExpansionCoeffs, _dressed_hops,
-                                     _ladder, y0_terms, y1_terms, y2_terms)
+                                     _ladder, hubbard_micromotion, y0_terms,
+                                     y1_terms, y2_terms)
 
 
 # -- order-g^2 static block --------------------------------------------------
@@ -189,6 +190,15 @@ def test_hfe_refuses_a_basis_of_another_chain():
     p = HubbardParams(L=3, J=1.0, U=3.0, g=3.0, omega=12.0)
     with pytest.raises(ValueError, match="basis has L=4, params have L=3"):
         hfe_h(p, build_sector_basis(4, 2, 2))
+
+
+@pytest.mark.parametrize("build", [build_hubbard_operators, floquet_h2,
+                                   hubbard_micromotion])
+def test_chain_builders_refuse_a_basis_of_another_chain(build):
+    # the same refusal as hfe_h's above, from the other chain builders
+    p = HubbardParams(L=3, J=1.0, U=3.0, g=3.0, omega=12.0)
+    with pytest.raises(ValueError, match="basis has L=4, params have L=3"):
+        build(p, build_sector_basis(4, 2, 2))
 
 
 def test_hfe_misses_interaction_dressing_at_omega_minus_4():

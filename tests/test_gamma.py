@@ -545,8 +545,22 @@ def test_scattering_vanishes_on_flat_band(flat8):
 def test_scattering_resonance_guard(square6):
     grid, prof = square6
     # 4.5 hits the interband transition at the zone corner exactly
-    with pytest.raises(BandResonance, match="resonant"):
+    with pytest.raises(BandResonance, match=r"grid point \(0, 0\); the drive "
+                                            "is resonant"):
         scattering_strength(grid, prof, 0.02, 4.5, (3, 3), (3, 3), (0, 0))
+
+
+@pytest.mark.parametrize("batched", [
+    lambda grid, prof: interaction_weight(grid, prof, 0.02, 4.5, (3, 3),
+                                          (1, 2), (0, 0)),
+    lambda grid, prof: coulomb_mix_selfenergy(grid, prof, 0.02, 4.5, (2, 1)),
+], ids=["interaction_weight", "coulomb_mix_selfenergy"])
+def test_batched_scattering_resonance_guard(square6, batched):
+    # the batched amplitudes refuse the same zone-corner transition
+    grid, prof = square6
+    with pytest.raises(BandResonance, match=r"grid point \(0, 0\); the drive "
+                                            "is resonant"):
+        batched(grid, prof)
 
 
 def test_interaction_weight_exchange_symmetry():

@@ -11,7 +11,7 @@ from floquet_forge.errors import BandResonance, NoExciton
 from floquet_forge.kspace import (bare_detuning, bs_detuning,
                                   exciton_frequency, floquet_band,
                                   pomeranchuk_check, screened_detuning,
-                                  stark_bs_ratio, t_matrix)
+                                  t_matrix)
 
 GAMMA = (32, 32)  # zone center of the 64x64 grid
 
@@ -188,59 +188,6 @@ def test_t_matrix_grows_toward_bound_state(paper_grid):
     Ts = [t_matrix(paper_grid, w) for w in np.linspace(2.0, 2.68, 30)]
     assert all(b > a for a, b in zip(Ts, Ts[1:]))
     assert Ts[0] > 1.0
-
-
-# -- light shifts -------------------------------------------------------------
-
-def test_stark_ratio_reference_points(paper_grid):
-    w_ex = exciton_frequency(paper_grid)
-    out = stark_bs_ratio(paper_grid, w_ex - 0.03)
-    assert out["reference"] == "exciton"
-    assert out["tla_ratio"] == pytest.approx(178.38829110812947, abs=1e-9)
-    r = out["ratio"]
-    # screening boosts the zone-center ratio past the two-level value and
-    # suppresses it at the zone edge
-    assert r[32, 32] == pytest.approx(419.9260328515153, abs=1e-6)
-    assert r[32, 0] == pytest.approx(110.55413796838705, abs=1e-6)
-    assert r[0, 0] == pytest.approx(70.32186348346471, abs=1e-6)
-    assert r[32, 32] > out["tla_ratio"] > r[32, 0] > r[0, 0]
-
-
-def test_stark_ratio_is_even_in_k(paper_grid):
-    w_ex = exciton_frequency(paper_grid)
-    r = stark_bs_ratio(paper_grid, w_ex - 0.03)["ratio"]
-    n = np.arange(64)
-    mirrored = r[(-n) % 64][:, (-n) % 64]
-    assert np.abs(r - mirrored).max() <= 1e-10
-
-
-def test_stark_ratio_empty_band_fallback():
-    # an empty band binds no exciton and has no occupied edge: the
-    # reference is the smallest zero-frequency detuning anywhere, the
-    # direct gap 2.9 with no Hartree shift at nu = 0
-    g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 0.8, kF=4.5)
-    assert g.nu == 0.0
-    out = stark_bs_ratio(g, 1.0)
-    assert out["reference"] == "band-edge"
-    assert out["tla_ratio"] == pytest.approx((2.9 + 1.0) / (2.9 - 1.0))
-
-
-def test_stark_ratio_refuses_a_drive_on_its_reference(paper_grid):
-    # the detunings stay finite at the bound state, but the two-level
-    # ratio (w_ref + w)/(w_ref - w) diverges there
-    w_ex = exciton_frequency(paper_grid)
-    with pytest.raises(BandResonance, match="drive at the exciton "
-                                            "reference"):
-        stark_bs_ratio(paper_grid, w_ex)
-
-
-def test_stark_ratio_band_edge_fallback():
-    # no bound state at U12 = 0; reference falls back to the Hartree-shifted
-    # occupied edge 2.9 - U11*nu = 1.3
-    g = BandGrid.square(32, 32, 3.7, 0.05, -0.15, 1.6, 0.0)
-    out = stark_bs_ratio(g, 1.0)
-    assert out["reference"] == "band-edge"
-    assert out["tla_ratio"] == pytest.approx((1.3 + 1.0) / (1.3 - 1.0))
 
 
 # -- dressed band -------------------------------------------------------------

@@ -10,6 +10,7 @@ from floquet_forge import (HopExpansionCoeffs, HubbardParams, SparseOperator,
                            commutator, hubbard_micromotion,
                            sylvester_residual)
 from floquet_forge.errors import ResonantDenominator
+from floquet_forge.fock import TermSum
 from floquet_forge.fswt import floquet_h4
 from floquet_forge.sylvester import (f31_terms, hubbard_micromotion_terms,
                                      y0_terms, y1_terms, y2_terms, z1_terms)
@@ -142,6 +143,28 @@ def test_y0_is_ramp_over_omega(cascade):
     p, b, ops, _ = cascade
     y0 = y0_terms(p).to_operator(b)
     assert (y0 - (1.0 / p.omega) * ops["drive"]).max_abs() <= 1e-14
+
+
+def _y0_terms_written_out(p):
+    t = TermSum()
+    for j in range(p.L):
+        for s in (0, 1):
+            t.add(p.g * (j + 1) / p.omega, [("n", j, s)])
+    return t
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_y0_terms_are_bitwise_the_written_out_ramp(L):
+    # y0 heads f(1,1), whose term order sets the order in which floquet_h4
+    # sums duplicates: keys, order and value bits must hold
+    for g, U, omega in ((2.9, 3.0, 11.3), (0.0, 3.0, 12.0),
+                        (-0.0, 3.0, 12.0), (1.3, -2.5, 7.9)):
+        p = HubbardParams(L=L, J=1.0, U=U, g=g, omega=omega)
+        got = list(y0_terms(p).terms.items())
+        want = list(_y0_terms_written_out(p).terms.items())
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert np.array([c for _, c in got]).tobytes() == \
+            np.array([c for _, c in want]).tobytes()
 
 
 def test_residual_scaling_with_hop_truncation():
