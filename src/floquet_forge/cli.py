@@ -481,12 +481,9 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=1,
                         help="thread count; only 1 is accepted")
     args = parser.parse_args(argv)
-    if args.threads != 1:
-        print(f"config error: thread count must be 1, got {args.threads}",
-              file=sys.stderr)
-        return 1
-
     try:
+        if args.threads != 1:
+            raise ValueError(f"thread count must be 1, got {args.threads}")
         raw = parse_config(args.config)
         cfg = validate_config(args.scenario, raw)
         em = Emitter(Path(args.out), args.scenario, cfg)

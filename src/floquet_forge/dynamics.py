@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import PhysicsError, PropagationError, check_energy
+from .errors import PhysicsError, check_energy
 from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
                    build_sector_basis, build_two_band_chain)
 from .kernels import (LANCZOS_M_MAX, chebyshev_coefficients,
@@ -99,7 +99,7 @@ class Trajectory:
         norms = np.linalg.norm(self.states, axis=1)
         drift = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         if drift > NORM_TOL:
-            raise PropagationError(
+            raise PhysicsError(
                 f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e}")
         self.meta.setdefault("norm_drift", drift)
 
@@ -182,7 +182,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     K exceeds ``kernels.LANCZOS_M_MAX`` raises ``ValueError`` before the
     first step, naming K, R and h halved until it fits, within 2x of the
     longest dt that fits (2R grows as U L/2 in the Hubbard chain).  A step
-    that leaves a non-finite state raises ``PropagationError`` naming its
+    that leaves a non-finite state raises ``PhysicsError`` naming its
     start time, its length, its degree and the run's bound.
 
     ``dt`` is the largest step, at most a fifth of the drive period; the
@@ -313,7 +313,7 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
                 np.multiply(scaled, w[which], out=twice_x.data)
                 psi = chebyshev_expm_multiply(twice_x, psi, coeffs)
             if not math.isfinite(np.vdot(psi, psi).real):
-                raise PropagationError(
+                raise PhysicsError(
                     f"step from t={t:.6g} of length h={h:.6g} left a "
                     f"non-finite state (Chebyshev degree {coeffs.size - 1}, "
                     f"run truncation bound {bound:.3g})")

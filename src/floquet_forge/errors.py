@@ -1,37 +1,16 @@
 """Error taxonomy, and the energy cap every parameter check shares.
 
 ValueError, the type of every configuration and parameter refusal, maps to
-CLI exit code 1, PhysicsError subclasses to exit code 2.
+CLI exit code 1, PhysicsError to exit code 2.
 """
 
-__all__ = [
-    "PhysicsError",
-    "ResonantDenominator",
-    "BandResonance",
-    "NoExciton",
-    "PropagationError",
-]
+__all__ = ["PhysicsError"]
 
 
 class PhysicsError(Exception):
-    """Parameter regime where the requested quantity is undefined."""
-
-
-class ResonantDenominator(PhysicsError):
-    """A Sylvester/perturbative denominator vanishes: the drive is resonant."""
-
-
-class BandResonance(PhysicsError):
-    """Drive resonant with an interband transition or exciton pole."""
-
-
-class NoExciton(PhysicsError):
-    """No exciton root inside the search bracket (interaction too weak)."""
-
-
-class PropagationError(PhysicsError):
-    """Propagation failed: a non-finite state, a non-finite Lanczos
-    recurrence, or a Lanczos exponential that did not converge."""
+    """Parameter regime where the requested quantity is undefined: a
+    resonant Sylvester denominator, a drive on an interband transition or
+    pair pole, no exciton root, or a failed propagation."""
 
 
 # largest |energy|, and inverse of the smallest frequency, cavity detuning

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_energy
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
                    _check_chain_basis, build_hubbard_operators, commutator,
                    hubbard_terms)
@@ -174,6 +175,9 @@ def spin_exchange(U, J, g, omega):
     4J^2/U with the drive-renormalized bandwidth, plus the photon-assisted
     channel through the U -+ omega intermediate states.
     """
+    for name, value in (("U", U), ("J", J), ("g", g)):
+        check_energy(name, value)
+    check_energy("omega", omega, positive=True)
     if U == 0:
         raise ValueError("spin exchange requires U != 0")
     _guard_resonance(U, omega, ((1, -1), (1, 1)))

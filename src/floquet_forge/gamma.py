@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandResonance, check_energy
+from .errors import PhysicsError, check_energy
 from .kspace import BandGrid, CavitySpec, _check_resonant, bare_detuning
 
 __all__ = [
@@ -246,10 +246,10 @@ def _checked_inverse(m):
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise BandResonance(f"vertex matrix is singular: {exc}") from exc
+        raise PhysicsError(f"vertex matrix is singular: {exc}") from exc
     if not np.all(np.isfinite(inv)) \
             or np.max(np.abs(inv)) * np.finfo(float).eps * diag_scale > 1e-3:
-        raise BandResonance("vertex matrix is numerically singular")
+        raise PhysicsError("vertex matrix is numerically singular")
     return inv
 
 
@@ -277,10 +277,13 @@ def _rank_one_vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q,
     """Ascending eigenvalues of the constant-V_q vertex at one pair (k, q).
 
     They come from the secular equation of diag(D) + c 11^T
-    (``kernels._rank_one_eigvalsh``), without forming the matrix.
+    (``kernels._rank_one_eigvalsh``), without forming the matrix.  Any
+    other V_q raises ValueError: its vertex is not of that form.
     """
     from .kernels import _rank_one_eigvalsh
 
+    if not _rank_one(prof):
+        raise ValueError("the secular-equation spectrum needs a constant V_q")
     _, d, c = _rank_one_split(grid, prof, k, q, omega)
     return _rank_one_eigvalsh(d, c)
 
@@ -344,14 +347,14 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     j = np.argmin(np.abs(d), axis=1)[:, None]
     pivot = np.arange(n) == j
     if np.any((d == 0.0) & ~pivot):
-        raise BandResonance("vertex matrix is singular: two equal rows")
+        raise PhysicsError("vertex matrix is singular: two equal rows")
     w = np.zeros_like(d)
     np.divide(1.0, d, out=w, where=~pivot)
     dj = np.take_along_axis(d, j, axis=1)[:, 0]
     s = np.sum(w, axis=1)
     den = dj + c * (1.0 + dj * s)
     if np.any(den == 0.0):
-        raise BandResonance("vertex matrix is singular: rank-one pole")
+        raise PhysicsError("vertex matrix is singular: rank-one pole")
     # Gamma^{-1} = diag(w) - gam w w^T on p, p' != j; column j is
     # -c w/den off the diagonal and (1 + c s)/den on it.
     gam = c * dj / den
@@ -368,7 +371,7 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     scale = np.maximum(np.max(np.abs(a), axis=1), max(1.0, abs(c)))
     # a non-finite bound fails the comparison, so it refuses too
     if not np.all(largest * np.finfo(float).eps * scale <= 1e-3):
-        raise BandResonance("vertex matrix is numerically singular")
+        raise PhysicsError("vertex matrix is numerically singular")
 
     def solve_rows(b, cols):
         if cols:
@@ -388,7 +391,7 @@ def rpa_kernel(gm: GammaMatrix):
     """
     d = np.diag(gm.matrix)
     if np.min(np.abs(d)) < 1e-12 * max(1.0, float(np.max(np.abs(d)))):
-        raise BandResonance("vertex diagonal vanishes; no propagator split")
+        raise PhysicsError("vertex diagonal vanishes; no propagator split")
     g = np.diag(1.0 / d)
     eta = np.diag(d) - gm.matrix
     return g, eta
@@ -488,8 +491,8 @@ def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
     v = solve(prof.Jcoupling.reshape(2, -1))
     scale = np.maximum(1.0, np.max(np.abs(v), axis=1, keepdims=True))
     if np.any(np.abs(v) < 1e-14 * scale):
-        raise BandResonance("pair screening sum vanishes at some "
-                            "momentum; denominator undefined")
+        raise PhysicsError("pair screening sum vanishes at some "
+                           "momentum; denominator undefined")
     return (1.0 / v).reshape(prof.Jcoupling.shape)
 
 

@@ -41,7 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dlasd4
 from scipy.sparse import _sparsetools
 
-from .errors import PhysicsError, PropagationError
+from .errors import PhysicsError
 
 # No compiled kernel exists; kept because perfbench/run.py reports it.
 HAVE_COMPILED = False
@@ -162,14 +162,14 @@ def _tridiagonal_eigh(alphas, betas):
 
     ``alphas`` is the diagonal of length m; the first m - 1 entries of
     ``betas`` are the off-diagonal.  A failed LAPACK eigensolve raises
-    PropagationError: numpy's LinAlgError is a ValueError, which the CLI
+    PhysicsError: numpy's LinAlgError is a ValueError, which the CLI
     would report as a config error.
     """
     m = alphas.shape[0]
     try:
         return eigh_tridiagonal(alphas, betas[:m - 1])
     except np.linalg.LinAlgError as exc:
-        raise PropagationError(
+        raise PhysicsError(
             f"tridiagonal eigensolve failed at m={m}: {exc}") from exc
 
 
@@ -271,7 +271,7 @@ def _lanczos(apply_h, v, beta0, steps, dtype=np.complex128):
         w -= V[:j + 1].T @ np.conj(V[:j + 1] @ w.conj())
         beta = np.linalg.norm(w)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise PropagationError(
+            raise PhysicsError(
                 f"Lanczos recurrence is not finite at m={j + 1}: "
                 f"alpha={alpha}, beta={beta}")
         alphas[j] = alpha
@@ -298,7 +298,7 @@ def lanczos_expm_multiply(apply_h, v, tau, tol=1e-10):
         err = abs(beta * u[-1])
         if err <= tol or beta <= 1e-14 * max(1.0, abs(a[-1])):
             return (V[:a.shape[0]].T @ u) * beta0
-    raise PropagationError(
+    raise PhysicsError(
         f"Lanczos exponential did not converge: m={LANCZOS_M_MAX}, "
         f"|tau|={abs(tau):.3e}, error estimate {err:.3e} > tol {tol:.3e}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ENERGY_MAX, BandResonance, NoExciton, check_energy
+from .errors import ENERGY_MAX, PhysicsError, check_energy
 
 __all__ = [
     "BandGrid",
@@ -155,7 +155,7 @@ def _check_resonant(A):
     scale = max(1.0, float(np.max(np.abs(A))))
     if np.any(np.abs(A) <= RES_ATOL * scale):
         idx = np.argwhere(np.abs(A) <= RES_ATOL * scale)[0]
-        raise BandResonance(
+        raise PhysicsError(
             f"detuning vanishes at grid point {tuple(int(i) for i in idx)}; "
             "the drive is resonant with an interband transition")
 
@@ -187,12 +187,12 @@ def t_matrix(grid: BandGrid, omega):
     """Scalar ladder resummation factor T = 1/(1 - S).
 
     Satisfies Delta * T = A identically.  A screening sum at unity (bound
-    state exactly at ``omega``) raises BandResonance.
+    state exactly at ``omega``) raises PhysicsError.
     """
     factor = _ladder_factor(grid, _hartree_detuning(grid, omega))
     if abs(factor) < 1e-9:
-        raise BandResonance(f"ladder sum at unity (1 - S = {factor!r}); "
-                            f"drive sits on the bound state")
+        raise PhysicsError(f"ladder sum at unity (1 - S = {factor!r}); "
+                           f"drive sits on the bound state")
     return 1.0 / factor
 
 
@@ -200,7 +200,7 @@ def exciton_frequency(grid: BandGrid):
     """Drive frequency at which the screening sum reaches unity.
 
     The root of S(w) = 1 below the occupied continuum edge; bisection to
-    1e-10, or to one float spacing where that is wider.  Raises NoExciton
+    1e-10, or to one float spacing where that is wider.  Raises PhysicsError
     when no root exists in (0, edge), when the edge is so large that
     edge - 1e-9 rounds onto it (the screening sum would divide by zero
     there), or when the screened detuning does not close at the root to
@@ -208,26 +208,26 @@ def exciton_frequency(grid: BandGrid):
     resolution of the edge.
     """
     if not np.any(grid.occ > 0):
-        raise NoExciton("empty band cannot bind an exciton")
+        raise PhysicsError("empty band cannot bind an exciton")
     a0 = _hartree_detuning(grid, 0.0)
     edge = float(np.min(a0[grid.occ > 0]))
     upper = edge - 1e-9
     if upper <= 0:
-        raise NoExciton(f"occupied continuum edge {edge:.6g} leaves no "
-                        "positive-frequency window")
+        raise PhysicsError(f"occupied continuum edge {edge:.6g} leaves no "
+                           "positive-frequency window")
     if upper == edge:
-        raise NoExciton(f"occupied continuum edge {edge:.6g} is too large "
-                        "to resolve a window of 1e-9 below it")
+        raise PhysicsError(f"occupied continuum edge {edge:.6g} is too large "
+                           "to resolve a window of 1e-9 below it")
 
     def ssum(w):
         return _screening_sum(grid, a0 - w)
 
     lo, hi = 0.0, upper
     if ssum(lo) >= 1.0:
-        raise NoExciton("screening already above unity at zero frequency")
+        raise PhysicsError("screening already above unity at zero frequency")
     if ssum(hi) < 1.0:
-        raise NoExciton("screening stays below unity up to the band edge; "
-                        "interaction too weak to bind")
+        raise PhysicsError("screening stays below unity up to the band edge; "
+                           "interaction too weak to bind")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket is one float spacing wide
@@ -239,10 +239,10 @@ def exciton_frequency(grid: BandGrid):
     w_ex = 0.5 * (lo + hi)
     residual = float(np.max(np.abs((a0 - w_ex) * (1.0 - ssum(w_ex)))))
     if not residual <= 1e-6 * grid.U12:  # a NaN residual does not close
-        raise NoExciton(f"screened detuning does not close at the root "
-                        f"{w_ex:.6g} (residual {residual:.3e}); the bound "
-                        f"state sits within the bisection resolution of the "
-                        f"continuum edge {edge:.6g}")
+        raise PhysicsError(f"screened detuning does not close at the root "
+                           f"{w_ex:.6g} (residual {residual:.3e}); the bound "
+                           f"state sits within the bisection resolution of "
+                           f"the continuum edge {edge:.6g}")
     return w_ex
 
 
@@ -283,8 +283,8 @@ def pomeranchuk_check(grid: BandGrid, cav: CavitySpec, omega):
     """
     delta = screened_detuning(grid, omega)
     if np.any(delta <= 0):
-        raise BandResonance("screened detuning non-positive somewhere on "
-                            "the zone; dressed band undefined")
+        raise PhysicsError("screened detuning non-positive somewhere on "
+                           "the zone; dressed band undefined")
     ix, iy = grid.gamma_index()
     lhs = (cav.g * cav.gc0) ** 2 / (math.pi * cav.delta_c
                                     * delta[ix, iy] ** 2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResonantDenominator
+from .errors import PhysicsError, check_energy
 from .fock import (HubbardParams, SectorBasis, SparseOperator, TermSum,
                    _check_chain_basis, commutator, hubbard_terms)
 
@@ -48,7 +48,7 @@ def _corner_extract(fn):
 
 
 def _guard_resonance(U, omega, dens):
-    """Raise ResonantDenominator if some n*omega + s*U nearly vanishes.
+    """Raise PhysicsError if some n*omega + s*U nearly vanishes.
 
     ``dens`` lists the (n, s) pairs of the denominators a closed form
     divides by; the tolerance is 1e-8 * max(|omega|, 1).
@@ -57,7 +57,7 @@ def _guard_resonance(U, omega, dens):
     for n, s in dens:
         den = n * omega + s * U
         if abs(den) < tol:
-            raise ResonantDenominator(
+            raise PhysicsError(
                 f"resonant denominator {n}*omega {'+' if s > 0 else '-'} U "
                 f"= {den:.3g} (U={U}, omega={omega})")
 
@@ -98,8 +98,8 @@ class HopExpansionCoeffs:
 
     @classmethod
     def from_model(cls, U, omega):
-        if not omega > 0:
-            raise ValueError(f"omega must be positive, got {omega}")
+        check_energy("U", U)
+        check_energy("omega", omega, positive=True)
         beta, gamma, delta = _ladder(U, omega)
         beta_dd, gamma_dd, delta_dd = _ladder(U, omega, 2)
 
@@ -120,8 +120,7 @@ class HopExpansionCoeffs:
                                + delta_dd * a * b) / 8.0
                     - pp * pp / 3.0)
 
-        f00, beta3, gamma3, delta3 = _corner_extract(f3)
-        assert abs(f00 + 11.0 / 24.0) < 1e-12
+        _, beta3, gamma3, delta3 = _corner_extract(f3)
 
         beta4 = beta3 + beta2 / 24.0 + beta / 6.0
         gamma4 = gamma3 + gamma2 / 24.0 + gamma / 6.0

@@ -116,6 +116,18 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_config_comments_and_blank_lines_change_nothing(tmp_path):
+    cfg_text, expected = CONFIGS["derive-hamiltonian"]
+    commented = ("# chain at the reference point\n\n"
+                 + cfg_text.replace("U = 3.0\n", "U = 3.0  # in units of J\n"))
+    assert commented != cfg_text
+    _, plain = run_cli(tmp_path, "derive-hamiltonian", cfg_text, "plain")
+    code, out = run_cli(tmp_path, "derive-hamiltonian", commented, "notes")
+    assert code == 0
+    for name in expected + ["manifest.txt"]:
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_unknown_key_exits_1(tmp_path, capsys):
@@ -492,13 +504,13 @@ def test_unwritable_output_dir_exits_1(tmp_path, capsys):
 
 def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
                                                         monkeypatch, capsys):
-    # a PropagationError raised inside the exact propagation's series, here
+    # a PhysicsError raised inside the exact propagation's series, here
     # forced, leaves through exit code 2 with no output written
     from floquet_forge import dynamics
-    from floquet_forge.errors import PropagationError
+    from floquet_forge.errors import PhysicsError
 
     def refuse(*args, **kwargs):
-        raise PropagationError("refused")
+        raise PhysicsError("refused")
 
     monkeypatch.setattr(dynamics, "chebyshev_expm_multiply", refuse)
     code, out = run_cli(tmp_path, "bench-return-rate",

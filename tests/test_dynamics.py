@@ -14,7 +14,7 @@ from floquet_forge import (HubbardParams, Trajectory, TwoBandChainParams,
                            evolve_static, nrmse, return_rate,
                            return_rate_benchmark)
 from floquet_forge import dynamics, kernels
-from floquet_forge.errors import PhysicsError, PropagationError
+from floquet_forge.errors import PhysicsError
 from floquet_forge.fock import SparseOperator, build_two_band_chain
 from floquet_forge.fswt import (DrivenChain, floquet_h2, hfe_h,
                                 hubbard_harmonics)
@@ -51,7 +51,7 @@ def test_trajectory_validation():
     ok = np.eye(2, dtype=np.complex128)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), ok)
-    with pytest.raises(PropagationError):
+    with pytest.raises(PhysicsError, match="norm drift"):
         Trajectory(np.array([0.0, 1.0]), 1.5 * ok)
     t = Trajectory(np.array([0.0, 1.0]), ok)
     assert t.meta["norm_drift"] == 0.0
@@ -436,7 +436,7 @@ def _poisoned_series(monkeypatch, after):
 
 def test_failed_step_names_its_time_and_length(monkeypatch):
     # a step that leaves a non-finite state ends the run as a
-    # PropagationError naming where the step started, its length, its
+    # PhysicsError naming where the step started, its length, its
     # Chebyshev degree and the run's truncation bound
     p = HubbardParams(L=4, J=1.0, U=3.0, g=3.0, omega=12.0)
     b = build_sector_basis(4, 2, 2)
@@ -445,14 +445,14 @@ def test_failed_step_names_its_time_and_length(monkeypatch):
     degree = max(clean.meta["degrees"].values())
     bound = clean.meta["truncation_bound"]
     calls = _poisoned_series(monkeypatch, 0)
-    with pytest.raises(PropagationError, match=re.escape(
+    with pytest.raises(PhysicsError, match=re.escape(
             f"from t=0 of length h=0.05 left a non-finite state (Chebyshev "
             f"degree {degree}, run truncation bound {bound:.3g})")):
         evolve_exact(chain, psi0, 1.0, dt=0.05)
     assert calls == [degree + 1] * 2
     # the first three steps (two exponentials each) pass, the fourth fails
     _poisoned_series(monkeypatch, 6)
-    with pytest.raises(PropagationError, match=r"from t=0\.15 of length"):
+    with pytest.raises(PhysicsError, match=r"from t=0\.15 of length"):
         evolve_exact(chain, psi0, 1.0, dt=0.05)
 
 

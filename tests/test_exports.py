@@ -63,6 +63,25 @@ def test_every_public_name_has_a_reader():
     assert unread == []
 
 
+def test_each_exit_code_has_one_exception_type():
+    # cli.main gives each exception type it names its own exit code; a
+    # package exception class it does not name would only reach an exit
+    # code through its base class, as a second name for the same code
+    pkg = Path(floquet_forge.__file__).resolve().parent
+    defined = {node.name for path in sorted(pkg.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", getattr(base, "attr", ""))
+                       .endswith(("Error", "Exception"))
+                       for base in node.bases)}
+    main = next(node for node in ast.parse((pkg / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for node in ast.walk(main)
+              if isinstance(node, ast.ExceptHandler)
+              for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+    assert sorted(defined - caught) == []
+
+
 def _loaded_by(attr):
     code = ("import sys, floquet_forge\n"
             f"floquet_forge.{attr}\n"

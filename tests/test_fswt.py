@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from floquet_forge import (HubbardParams, build_hubbard_operators,
                            build_sector_basis, commutator, spin_exchange)
-from floquet_forge.errors import ResonantDenominator
+from floquet_forge.errors import PhysicsError
 from floquet_forge.fock import TermSum
 from floquet_forge.fswt import (floquet_h2, floquet_h2_terms, floquet_h4,
                                 floquet_h4_terms_j1, hfe_h, hubbard_harmonics,
@@ -107,7 +107,7 @@ def test_h2_terms_are_bitwise_the_written_out_builder(L, include_J2):
 def test_h2_resonance_guard():
     p = HubbardParams(L=2, J=1.0, U=12.0, g=1.0, omega=12.0)
     b = build_sector_basis(2, 1, 1)
-    with pytest.raises(ResonantDenominator):
+    with pytest.raises(PhysicsError, match=r"denominator 1\*omega - U"):
         floquet_h2(p, b)
 
 
@@ -225,8 +225,17 @@ def test_spin_exchange_reference_value():
 def test_spin_exchange_guards():
     with pytest.raises(ValueError):
         spin_exchange(0.0, 1.0, 3.0, 12.0)
-    with pytest.raises(ResonantDenominator):
+    with pytest.raises(PhysicsError, match=r"denominator 1\*omega - U"):
         spin_exchange(12.0, 1.0, 3.0, 12.0)
+
+
+@pytest.mark.parametrize("U,omega", [(3.0, 0.0), (3.0, -12.0),
+                                     (np.nan, 12.0)])
+def test_spin_exchange_checks_energies(U, omega):
+    # omega = 0 divided by zero, omega = -12 returned 1.3136 and a NaN U
+    # returned NaN
+    with pytest.raises(ValueError, match="must be finite"):
+        spin_exchange(U, 1.0, 1.0, omega)
 
 
 def test_dimer_gap_matches_exchange():

@@ -15,13 +15,14 @@ import pytest
 from floquet_forge import BandGrid, CavitySpec
 from floquet_forge import gamma
 from floquet_forge.cli import main
-from floquet_forge.errors import BandResonance
+from floquet_forge.errors import PhysicsError
 from floquet_forge.gamma import (
     MAX_DENSE,
     VERTEX_CHUNK,
     GammaMatrix,
     InteractionProfile,
     _checked_inverse,
+    _rank_one_vertex_eigvalsh,
     _vertex_diagonal,
     _vertex_solver,
     cavity_global_interaction,
@@ -106,7 +107,7 @@ def test_profile_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_profile_rejects_non_finite(field, bad):
     # a NaN V_q used to pass the V_q = V_{-q} check (NaN compares False)
-    # and then surface as a BandResonance; a NaN coupling ran silently
+    # and then surface as a PhysicsError; a NaN coupling ran silently
     args = {"Vq": np.ones((4, 4)), "Jcoupling": np.ones((4, 4))}
     args[field][1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -228,7 +229,7 @@ def test_rpa_kernel_split_reconstructs_vertex(square6):
 def test_rpa_kernel_vanishing_diagonal_raises():
     m = np.diag([1.0, 0.0, 2.0])
     gm = GammaMatrix(matrix=m, omega=1.0)
-    with pytest.raises(BandResonance, match="diagonal"):
+    with pytest.raises(PhysicsError, match="diagonal"):
         rpa_kernel(gm)
 
 
@@ -337,7 +338,7 @@ def test_series_singular_vertex_raises(chain8):
     # eigenenergy the vertex has a zero eigenvalue
     grid, prof = chain8
     e = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))["energies"]
-    with pytest.raises(BandResonance, match="singular"):
+    with pytest.raises(PhysicsError, match="singular"):
         series_vs_inverse(grid, prof, (0, 0), (0, 0), e[0], n_terms=4)
 
 
@@ -439,6 +440,17 @@ def test_gamma_scan_energies_at_any_coulomb_strength(tmp_path, n, U):
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+def test_secular_pair_spectrum_refuses_a_q_dependent_vq():
+    # the secular equation holds only for diag(D) + c 11^T; with this V_q
+    # its roots miss eigvalsh of the vertex by 0.90
+    grid = BandGrid.square(6, 6, **BANDS)
+    d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
+    vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
+    prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
+    with pytest.raises(ValueError, match="needs a constant V_q"):
+        _rank_one_vertex_eigvalsh(grid, prof, (1, 2), (2, 1), 3.63)
+
+
 # ------------------------------------------------------------- bound states
 
 def test_pair_spectrum_dispersive(square6):
@@ -523,7 +535,7 @@ def test_screened_denominator_refuses_a_vanishing_screening_sum():
     j = mf_gamma_matrix(grid, prof, 2.0).matrix @ v
     prof = InteractionProfile(Vq=prof.Vq,
                               Jcoupling=(j / np.max(np.abs(j))).reshape(4, 4))
-    with pytest.raises(BandResonance, match="pair screening sum vanishes"):
+    with pytest.raises(PhysicsError, match="pair screening sum vanishes"):
         mf_screened_denominator(grid, prof, 2.0)
 
 
@@ -545,7 +557,7 @@ def test_scattering_vanishes_on_flat_band(flat8):
 def test_scattering_resonance_guard(square6):
     grid, prof = square6
     # 4.5 hits the interband transition at the zone corner exactly
-    with pytest.raises(BandResonance, match=r"grid point \(0, 0\); the drive "
+    with pytest.raises(PhysicsError, match=r"grid point \(0, 0\); the drive "
                                             "is resonant"):
         scattering_strength(grid, prof, 0.02, 4.5, (3, 3), (3, 3), (0, 0))
 
@@ -558,7 +570,7 @@ def test_scattering_resonance_guard(square6):
 def test_batched_scattering_resonance_guard(square6, batched):
     # the batched amplitudes refuse the same zone-corner transition
     grid, prof = square6
-    with pytest.raises(BandResonance, match=r"grid point \(0, 0\); the drive "
+    with pytest.raises(PhysicsError, match=r"grid point \(0, 0\); the drive "
                                             "is resonant"):
         batched(grid, prof)
 
@@ -726,7 +738,7 @@ def test_non_constant_vq_keeps_dense_path():
 def _verdict(fn):
     try:
         fn()
-    except BandResonance:
+    except PhysicsError:
         return False
     return True
 
@@ -843,9 +855,9 @@ def test_exact_zero_of_rank_one_diagonal():
     # two exact zeros make two equal rows: singular on both paths
     grid = _staircase([1.0, 2.0, 2.0, 4.0])
     prof = constant_profile(grid, 1.0)
-    with pytest.raises(BandResonance, match="singular"):
+    with pytest.raises(PhysicsError, match="singular"):
         _vertex_solver(grid, prof, (0, 0), (0, 0), 3.0)
-    with pytest.raises(BandResonance, match="singular"):
+    with pytest.raises(PhysicsError, match="singular"):
         _checked_inverse(mf_gamma_matrix(grid, prof, 3.0).matrix)
 
 

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from floquet_forge import HubbardParams, build_hubbard_operators, \
     build_sector_basis, cdw_state
 from floquet_forge import kernels
-from floquet_forge.errors import PhysicsError, PropagationError
+from floquet_forge.errors import PhysicsError
 from floquet_forge.kernels import (HamiltonianAction, _rank_one_eigvalsh,
                                    _tridiagonal_eigh,
                                    chebyshev_coefficients, chebyshev_degree,
@@ -181,13 +181,13 @@ def test_lanczos_raises_when_subspace_exhausted(rng):
     m = rng.normal(size=(200, 200))
     m = m + m.T
     v = rng.normal(size=200) + 0j
-    with pytest.raises(PropagationError, match="did not converge: m=60,"):
+    with pytest.raises(PhysicsError, match="did not converge: m=60,"):
         lanczos_expm_multiply(lambda x: m @ x, v, -80.0j, tol=1e-14)
 
 
 def test_lanczos_non_finite_recurrence_raises():
     v = np.ones(6, dtype=np.complex128)
-    with pytest.raises(PropagationError, match="not finite"):
+    with pytest.raises(PhysicsError, match="not finite"):
         lanczos_expm_multiply(lambda x: np.full_like(x, np.nan), v, -0.1j)
 
 
@@ -199,7 +199,7 @@ def test_tridiagonal_eigh_reports_a_lapack_failure(monkeypatch):
             "stevd (eigh_tridiagonal) did not converge (LAPACK info=2)")
 
     monkeypatch.setattr(kernels, "eigh_tridiagonal", failing)
-    with pytest.raises(PropagationError, match="at m=2: stevd"):
+    with pytest.raises(PhysicsError, match="at m=2: stevd"):
         _tridiagonal_eigh(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
 
 
@@ -320,5 +320,5 @@ def test_quadrature_of_zero_vector_is_empty():
 
 def test_quadrature_non_finite_recurrence_raises():
     H = sparse.csr_matrix(np.full((6, 6), np.nan))
-    with pytest.raises(PropagationError, match="not finite at m=1"):
+    with pytest.raises(PhysicsError, match="not finite at m=1"):
         lanczos_quadrature(H, np.ones(6), t=1.0)

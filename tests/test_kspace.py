@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from floquet_forge import BandGrid, CavitySpec
-from floquet_forge.errors import BandResonance, NoExciton
+from floquet_forge.errors import PhysicsError
 from floquet_forge.kspace import (bare_detuning, bs_detuning,
                                   exciton_frequency, floquet_band,
                                   pomeranchuk_check, screened_detuning,
@@ -109,7 +109,8 @@ def test_screened_detuning_flips_sign_once(paper_grid):
 
 
 def test_detuning_resonance_guard(paper_grid):
-    with pytest.raises(BandResonance):  # drive exactly at the direct gap
+    # drive exactly at the direct gap
+    with pytest.raises(PhysicsError, match="detuning vanishes at grid point"):
         screened_detuning(paper_grid, 2.9)
 
 
@@ -143,13 +144,14 @@ def test_exciton_frequency_doped():
 def test_exciton_bisection_ends_at_float_resolution():
     # at eps21 = 1e7 the float spacing at the root (~1.9e-9) exceeds the
     # 1e-10 bisection width, so the loop must stop when the midpoint rounds
-    # onto an end; it then returns or raises NoExciton, within milliseconds
+    # onto an end; it then returns or raises PhysicsError, within
+    # milliseconds
     eps21 = 1e7
     g = BandGrid.square(16, 16, eps21, 0.05, -0.15, 1.6, 0.8 * eps21 / 3.7)
     start = time.perf_counter()
     try:
         w = exciton_frequency(g)
-    except NoExciton:
+    except PhysicsError:
         pass
     else:
         assert math.isfinite(w) and w > 0.0
@@ -162,25 +164,26 @@ def test_exciton_refuses_an_unresolvable_edge():
     # to return 1e300 with RuntimeWarnings (errors under pytest) instead of
     # raising
     g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 1e10)
-    with pytest.raises(NoExciton, match="too large"):
+    with pytest.raises(PhysicsError, match="too large"):
         exciton_frequency(g)
 
 
 def test_exciton_requires_interaction():
     g = BandGrid.square(64, 64, 3.7, 0.05, -0.15, 1.6, 0.0)
-    with pytest.raises(NoExciton):  # zero U12: screening sum is identically 0
+    # zero U12: screening sum is identically 0
+    with pytest.raises(PhysicsError, match="interaction too weak to bind"):
         exciton_frequency(g)
 
 
 def test_exciton_requires_occupation():
     g = BandGrid.square(16, 16, 3.7, 0.05, -0.15, 1.6, 0.8, kF=4.5)
     assert g.nu == 0.0
-    with pytest.raises(NoExciton):
+    with pytest.raises(PhysicsError, match="empty band cannot bind"):
         exciton_frequency(g)
 
 
 def test_t_matrix_diverges_on_bound_state(paper_grid):
-    with pytest.raises(BandResonance):
+    with pytest.raises(PhysicsError, match="ladder sum at unity"):
         t_matrix(paper_grid, exciton_frequency(paper_grid))
 
 

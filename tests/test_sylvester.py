@@ -9,7 +9,7 @@ from floquet_forge import (HopExpansionCoeffs, HubbardParams, SparseOperator,
                            build_hubbard_operators, build_sector_basis,
                            commutator, hubbard_micromotion,
                            sylvester_residual)
-from floquet_forge.errors import ResonantDenominator
+from floquet_forge.errors import PhysicsError
 from floquet_forge.fock import TermSum
 from floquet_forge.fswt import floquet_h4
 from floquet_forge.sylvester import (f31_terms, hubbard_micromotion_terms,
@@ -101,13 +101,22 @@ def test_third_and_fourth_ladder_recursions(U, omega):
 @pytest.mark.parametrize("U,omega", [(12.0, 12.0), (24.0, 12.0),
                                      (-12.0, 12.0), (-24.0, 12.0)])
 def test_ladder_resonances_raise(U, omega):
-    with pytest.raises(ResonantDenominator):
+    with pytest.raises(PhysicsError, match="resonant denominator"):
         HopExpansionCoeffs.from_model(U, omega)
 
 
 def test_ladder_rejects_nonpositive_omega():
     with pytest.raises(ValueError):
         HopExpansionCoeffs.from_model(1.0, 0.0)
+
+
+@pytest.mark.parametrize("U,omega", [(np.nan, 12.0), (np.inf, 12.0),
+                                     (3.0, np.inf)])
+def test_ladder_rejects_non_finite_energies(U, omega):
+    # a non-finite U reached the f00 = -11/24 assert, and omega = inf gave
+    # all-zero ladders
+    with pytest.raises(ValueError, match="must be finite"):
+        HopExpansionCoeffs.from_model(U, omega)
 
 
 # -- analytic micro-motion vs the dense cascade ------------------------------
