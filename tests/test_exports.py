@@ -64,9 +64,9 @@ def test_every_public_name_has_a_reader():
 
 
 def test_each_exit_code_has_one_exception_type():
-    # cli.main gives each exception type it names its own exit code; a
-    # package exception class it does not name would only reach an exit
-    # code through its base class, as a second name for the same code
+    # every exception class the package defines is named by an except
+    # clause of cli.main: a class it does not name reaches an exit code
+    # only through its base class, as a second name for that code
     pkg = Path(floquet_forge.__file__).resolve().parent
     defined = {node.name for path in sorted(pkg.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
