@@ -28,7 +28,8 @@ from scipy import sparse
 
 from .errors import PhysicsError, check_energy
 from .fock import (SectorBasis, SparseOperator, TwoBandChainParams,
-                   build_sector_basis, build_two_band_chain)
+                   _swap_even_isometry, build_sector_basis,
+                   build_two_band_chain)
 from .kernels import (LANCZOS_M_MAX, chebyshev_coefficients,
                       chebyshev_degree, chebyshev_expm_multiply,
                       lanczos_quadrature)
@@ -49,7 +50,8 @@ NORM_TOL = 1e-9
 # bound on the Chebyshev truncation error of a whole evolve_exact run,
 # relative to |psi0|; each exponential takes an equal share per unit time
 TRUNCATION_TOL = 1e-10
-# largest sector that return_rate_benchmark propagates exactly, that
+# largest sector on which return_rate_benchmark scores its candidates (its
+# exact reference runs in the swap-even half, of about dim/2), that
 # dipole_excitations enumerates (checked before the basis is built) and that
 # evolve_static diagonalizes densely; it also bounds the Krylov size of
 # kernels.lanczos_quadrature, which ends by m = dim at the latest
@@ -144,10 +146,9 @@ def _sample_times(t_final, stride):
 def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     """Propagate under the drive H(t) = H0 + 2*cos(omega*t)*D.
 
-    ``chain`` is the :class:`~floquet_forge.fswt.DrivenChain` that
-    :func:`~floquet_forge.fswt.hubbard_harmonics` builds: a Hermitian static
-    block H0, a real diagonal drive D and omega; any other input raises
-    ``ValueError``.
+    ``chain`` is a :class:`~floquet_forge.fswt.DrivenChain`: a Hermitian
+    static block H0, a real diagonal drive D and omega; any other input
+    raises ``ValueError``.
 
     The state is stepped in the co-moving frame psi' = exp(i Phi(t) D) psi,
     Phi(t) = (2/omega) sin(omega t), where the drive cancels and
@@ -390,6 +391,13 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1):
     propagating when the sector exceeds ``MAX_STATIC_DIM`` or a candidate
     is not a Hermitian operator on ``b``.
 
+    The exact reference runs ``evolve_exact`` in the swap-even half of the
+    sector: the chain and its density ramp commute with swapping up and
+    down, and the CDW start is a fixed point of the swap, so the run takes
+    V^T H V and V^T psi0 for the isometry V onto the swap-even states.  The
+    candidates are scored on the whole sector, so they need not commute
+    with the swap.
+
     A candidate H scores |sum_j w_j exp(-i theta_j t)|^2, the Gauss rule of
     ``kernels.lanczos_quadrature`` for |<psi0|exp(-iHt)|psi0>|^2 from the
     CDW start psi0.  Its Lanczos run stops when the amplitude at the last
@@ -398,7 +406,7 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1):
     m = dim at the latest.  The candidates are scored one after another:
     at 15-30 ms each, a thread pool costs more than it saves.
     """
-    from .fswt import hubbard_harmonics
+    from .fswt import DrivenChain, hubbard_harmonics
 
     _check_static_dim(b.dim)
     for label, H in hams.items():
@@ -406,9 +414,13 @@ def return_rate_benchmark(p, b, hams, t_final=60.0, dt=None, sample_dt=0.1):
             raise ValueError(f"candidate {label!r} is not a Hermitian "
                              f"operator on the dim-{b.dim} sector")
     psi0 = cdw_state(b)
-    traj = evolve_exact(hubbard_harmonics(p, b), psi0, t_final, dt=dt,
-                        sample_dt=sample_dt)
-    L_ex = return_rate(traj, psi0)
+    v = _swap_even_isometry(b)
+    static, drive, omega = hubbard_harmonics(p, b)
+    even = DrivenChain(SparseOperator(v.T @ static.matrix @ v),
+                       SparseOperator(v.T @ drive.matrix @ v), omega)
+    phi0 = v.T @ psi0
+    traj = evolve_exact(even, phi0, t_final, dt=dt, sample_dt=sample_dt)
+    L_ex = return_rate(traj, phi0)
 
     def score(H):
         theta, w = lanczos_quadrature(H, psi0, traj.times[-1])

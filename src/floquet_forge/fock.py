@@ -160,6 +160,28 @@ def build_sector_basis(L, n_up, n_down):
     return SectorBasis(L=L, n_up=n_up, n_down=n_down, states=states)
 
 
+def _swap_even_isometry(b: SectorBasis):
+    """Sparse isometry V (dim x dim_even) onto the swap-even states of ``b``.
+
+    Swapping up and down maps a state s to ((s & mask) << L) | (s >> L).  A
+    fixed point gets a column of weight 1, and each pair a < swap(a) one
+    column (e_a + e_swap(a))/sqrt(2), in the order of a.  Only a sector with
+    n_up = n_down is mapped onto itself.
+    """
+    if b.n_up != b.n_down:
+        raise ValueError(f"the spin swap maps the (n_up={b.n_up}, "
+                         f"n_down={b.n_down}) sector onto another; need "
+                         f"n_up = n_down")
+    mask, shift = np.uint64((1 << b.L) - 1), np.uint64(b.L)
+    image = np.searchsorted(
+        b.states, ((b.states & mask) << shift) | (b.states >> shift))
+    index = np.arange(b.dim)
+    reps, column = np.unique(np.minimum(index, image), return_inverse=True)
+    weight = np.where(image == index, 1.0, np.sqrt(0.5))
+    return sparse.csr_matrix((weight, (index, column)),
+                             shape=(b.dim, reps.size))
+
+
 # ---------------------------------------------------------------------------
 # sparse operators
 

@@ -10,9 +10,9 @@ from scipy import sparse
 from floquet_forge import (HubbardParams, SparseOperator, TermSum,
                            TwoBandChainParams, build_hubbard_operators,
                            build_sector_basis, build_two_band_chain,
-                           commutator)
-from floquet_forge.fock import (_apply_ops, _op_str, hubbard_terms,
-                                two_band_terms)
+                           cdw_state, commutator)
+from floquet_forge.fock import (_apply_ops, _op_str, _swap_even_isometry,
+                                hubbard_terms, two_band_terms)
 from floquet_forge.fswt import floquet_h2, floquet_h2_terms, floquet_h4, \
     hfe_h, hubbard_harmonics
 from floquet_forge.sylvester import (hubbard_micromotion,
@@ -200,6 +200,43 @@ def test_hubbard_symmetries():
     ops = build_hubbard_operators(p, b)
     for k in ("h", "U_op", "drive"):
         assert ops[k].hermitian
+
+
+def _spin_swap(b):
+    """Permutation matrix of up <-> down on a sector, one state at a time."""
+    mask = (1 << b.L) - 1
+    image = [b.position(((s & mask) << b.L) | (s >> b.L))
+             for s in map(int, b.states)]
+    return sparse.csr_matrix((np.ones(b.dim), (image, np.arange(b.dim))),
+                             shape=(b.dim, b.dim))
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_swap_even_isometry(L):
+    # V is an isometry onto the swap-even states, V V^T is the projector
+    # (1 + P)/2, the CDW start lies in its range, and the swap maps the
+    # chain's static block and drive onto themselves exactly, so the exact
+    # propagation from the CDW start never leaves the range of V
+    n = (L + 1) // 2
+    b = build_sector_basis(L, n, n)
+    v = _swap_even_isometry(b)
+    swap = _spin_swap(b)
+    assert v.shape == (b.dim, (b.dim + math.comb(L, n)) // 2)
+    assert np.abs((v.T @ v - sparse.eye(v.shape[1])).toarray()).max() \
+        <= 1e-15
+    projector = v @ v.T - 0.5 * (sparse.eye(b.dim) + swap)
+    assert np.abs(projector.data).max(initial=0.0) <= 1e-15
+    psi0 = cdw_state(b)
+    assert_allclose(v @ (v.T @ psi0), psi0, rtol=0, atol=1e-15)
+    p = HubbardParams(L=L, J=1.0, U=3.0, g=3.0, omega=12.0)
+    for op in hubbard_harmonics(p, b)[:2]:
+        moved = swap @ op.matrix @ swap.T - op.matrix
+        assert np.abs(moved.data).max(initial=0.0) == 0.0
+
+
+def test_swap_even_isometry_refuses_unequal_counts():
+    with pytest.raises(ValueError, match=r"n_up=2, n_down=1"):
+        _swap_even_isometry(build_sector_basis(4, 2, 1))
 
 
 def test_basis_mismatch_raises():
