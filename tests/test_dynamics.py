@@ -361,10 +361,18 @@ def test_benchmark_refuses_bad_candidates_before_propagating(monkeypatch):
                               t_final=0.5)
 
 
-def _full_and_reduced_return_rates(monkeypatch, L, omega, t_final):
-    """The benchmark's exact return rate, propagated in the swap-even half
-    of the sector, and the one from the whole sector, with the sum of the
-    two runs' truncation bounds."""
+@pytest.mark.parametrize("L,omega,t_final", [
+    # about three drive periods; odd L included, where the CDW start is not
+    # half filled
+    *((L, omega, round(6.0 * np.pi / omega, 3))
+      for L in range(2, 8) for omega in (9.0, 12.0, 20.0)),
+    (6, 12.0, 60.0),
+])
+def test_swap_even_reference_matches_the_whole_sector(monkeypatch, L, omega,
+                                                      t_final):
+    # the benchmark's exact return rate, propagated in the swap-even half of
+    # the sector, against the one from the whole sector, within the sum of
+    # the two runs' truncation bounds
     bounds = []
 
     def recording(*args, **kwargs):
@@ -376,27 +384,12 @@ def _full_and_reduced_return_rates(monkeypatch, L, omega, t_final):
     p = HubbardParams(L=L, J=1.0, U=3.0, g=omega / 4.0, omega=omega)
     n = (L + 1) // 2
     b = build_sector_basis(L, n, n)
-    out = return_rate_benchmark(p, b, {}, t_final=t_final)
+    reduced = return_rate_benchmark(p, b, {}, t_final=t_final)["L_exact"]
     psi0 = cdw_state(b)
     full = recording(hubbard_harmonics(p, b), psi0, t_final, sample_dt=0.1)
-    return out["L_exact"], return_rate(full, psi0), sum(bounds)
-
-
-@pytest.mark.parametrize("omega", [9.0, 12.0, 20.0])
-@pytest.mark.parametrize("L", range(2, 8))
-def test_swap_even_reference_matches_the_whole_sector(monkeypatch, L, omega):
-    # three drive periods; odd L included, where the CDW start is not
-    # half filled
-    reduced, full, bound = _full_and_reduced_return_rates(
-        monkeypatch, L, omega, 3 * 2.0 * np.pi / omega)
-    assert np.abs(reduced - full).max() <= bound + 1e-12
-
-
-def test_swap_even_reference_matches_the_whole_sector_at_acceptance(
-        monkeypatch):
-    reduced, full, bound = _full_and_reduced_return_rates(
-        monkeypatch, 6, 12.0, 60.0)
-    assert np.abs(reduced - full).max() <= bound + 1e-12
+    assert len(bounds) == 2
+    assert np.abs(reduced - return_rate(full, psi0)).max() \
+        <= sum(bounds) + 1e-12
 
 
 @pytest.mark.parametrize("L", [4, 6])

@@ -222,8 +222,8 @@ def test_swap_even_isometry(L):
     v = _swap_even_isometry(b)
     swap = _spin_swap(b)
     assert v.shape == (b.dim, (b.dim + math.comb(L, n)) // 2)
-    assert np.abs((v.T @ v - sparse.eye(v.shape[1])).toarray()).max() \
-        <= 1e-15
+    gram = v.T @ v - sparse.eye(v.shape[1])
+    assert np.abs(gram.data).max(initial=0.0) <= 1e-15
     projector = v @ v.T - 0.5 * (sparse.eye(b.dim) + swap)
     assert np.abs(projector.data).max(initial=0.0) <= 1e-15
     psi0 = cdw_state(b)
