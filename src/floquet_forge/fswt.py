@@ -201,8 +201,10 @@ def strong_drive_harmonics(p: HubbardParams, jmax=10):
     # scipy.special is slow to import and nothing else in the package needs it
     from scipy.special import jv
 
-    if not 1 <= jmax <= MAX_JMAX:
-        raise ValueError(f"jmax must lie in 1..{MAX_JMAX}, got {jmax}")
+    if isinstance(jmax, bool) or not (isinstance(jmax, (int, np.integer))
+                                      and 1 <= jmax <= MAX_JMAX):
+        raise ValueError(f"jmax must be an integer in 1..{MAX_JMAX}, "
+                         f"got {jmax!r}")
     row = jv(np.arange(jmax + 1), 2.0 * p.g / p.omega)
     weight = row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2))
     kin = {}

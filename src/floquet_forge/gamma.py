@@ -13,11 +13,11 @@ sets V_q = U, so profiles that differ in J12 alone give the same vertex.
 
 The functions that need the whole vertex (``gamma_matrix``,
 ``series_vs_inverse``, ``eigen_sign_analysis``) build it densely and are
-capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series by
-doubling, in about 2 log2(n_terms) dense products (15 at the default 200),
-takes the spectral radius from a symmetric eigensolve when the vertex
-diagonal has one sign, and, for a constant V_q, its exact inverse from
-``_vertex_solver``.  The solve-based functions read the inverse only
+capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series in
+the eigenbasis of one symmetric eigensolve when the vertex diagonal has one
+sign and the spectral radius is below one, otherwise by doubling, in about
+2 log2(n_terms) dense products (15 at the default 200); for a constant V_q
+it takes its exact inverse from ``_vertex_solver``.  The solve-based functions read the inverse only
 through ``_vertex_solver`` as well: for a constant V_q the vertex is a
 diagonal plus a rank-one term (``_rank_one_split``), solved by
 Sherman-Morrison in O(N) per column without forming the matrix and without
@@ -402,21 +402,30 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     """Geometric resummation of the vertex inverse versus direct inversion.
 
     Returns the partial series sum_{m < n_terms} K^m G with K = G eta, the
-    exact inverse, their max deviation, the kernel spectral radius, and a
-    convergence flag.  The series is summed by doubling over the bits of
-    ``n_terms`` (Higham, Functions of Matrices, SIAM 2008, sec. 4.1).  From
-    S = G and P = K, the sum of the first a = 1 terms and K^a, each bit
-    after the leading one doubles a (S += P S, P = P P), and a set bit adds
-    one term (S = G + K S, P = K P); the last P update is skipped.  That is
-    about 2 log2(n_terms) dense products and never more than
-    4 log2(n_terms): 15 at the default, where term by term takes 199.
+    exact inverse, their max deviation, the kernel spectral radius rho, and
+    a convergence flag.
 
-    When the vertex diagonal D has one sign, K = D^-1 eta is similar to
-    sign(D) |D|^-1/2 eta |D|^-1/2, so the spectral radius comes from the
-    symmetric ``eigvalsh`` of that matrix (0.03 s at N = 576, on one core
-    of a 2-core Xeon VM, against 0.23 s for ``eigvals`` of K, and 0.17 s
-    for all the products).  A mixed-sign diagonal can give K complex
-    eigenvalues and keeps ``eigvals``.
+    When the vertex diagonal D has one sign s, R = |D|^-1/2 makes
+    M = s R eta R symmetric, and K^m G = s R M^m R.  One ``eigh`` of
+    R eta R = Q diag(lam) Q^T gives rho = max |lam| and, for rho < 1, the
+    sum s (RQ) diag(p(s lam)) (RQ)^T, p(x) = sum_{m < n_terms} x^m: 0.05 s
+    for ``eigh`` and 0.008 s for the product at N = 576, on one core of a
+    2-core Xeon VM, against 0.12 s for the matrix products.  Its relative
+    error is about min(n_terms, 1/(1 - rho)) machine epsilons; for
+    rho >= 1 it grows n_terms-fold (1.4e-13 at rho 1.03 and n_terms 200,
+    against 8e-16 for the products), so a divergent sum keeps the
+    products.  A mixed-sign diagonal can give K complex eigenvalues and
+    takes rho from ``eigvals`` of K (0.14-0.23 s) and the sum from the
+    products.
+
+    Both sum by doubling over the bits of ``n_terms`` (Higham, Functions of
+    Matrices, SIAM 2008, sec. 4.1), on p's argument elementwise or on K.
+    From S = G and P = K, the sum of the first a = 1 terms and K^a, each
+    bit after the leading one doubles a (S += P S, P = P P), and a set bit
+    adds one term (S = G + K S, P = K P); the last P update is skipped.
+    That is about 2 log2(n_terms) products and never more than
+    4 log2(n_terms): 15 at the default, where term by term takes 199.  The
+    closed form (1 - x^n)/(1 - x) would cancel near x = 1.
 
     For a constant V_q the exact inverse is read column by column from
     ``_vertex_solver``, with its singularity verdict: O(N^2) by
@@ -425,28 +434,41 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     dense inverse of the vertex already built here, with the same verdict
     as the solver's dense path.
     """
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+    if isinstance(n_terms, bool) \
+            or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     gm = gamma_matrix(grid, prof, k, q, omega)
     g, eta = rpa_kernel(gm)
     kernel = np.diag(g)[:, None] * eta  # G eta, rows of eta scaled
     d = np.diag(gm.matrix)
-    if np.all(d > 0) or np.all(d < 0):
+    bits = bin(n_terms)[3:]
+
+    def doubled(first, step, mul):
+        # sum_{m < n_terms} step^m first, by doubling over the bits
+        series, power = first, step
+        for i, bit in enumerate(bits, 1):
+            series = series + mul(power, series)
+            if bit == "1":
+                series = first + mul(step, series)
+            if i < len(bits):
+                power = mul(power, power)
+                if bit == "1":
+                    power = mul(step, power)
+        return series
+
+    sign = 1.0 if np.all(d > 0) else -1.0 if np.all(d < 0) else 0.0
+    if sign:
         r = 1.0 / np.sqrt(np.abs(d))
-        lam = np.linalg.eigvalsh(r[:, None] * eta * r)
+        lam, vec = np.linalg.eigh(r[:, None] * eta * r)
     else:
         lam = np.linalg.eigvals(kernel)
     rho = float(np.max(np.abs(lam)))
-    series, power = g, kernel
-    bits = bin(n_terms)[3:]
-    for i, bit in enumerate(bits, 1):
-        series = series + power @ series
-        if bit == "1":
-            series = g + kernel @ series
-        if i < len(bits):
-            power = power @ power
-            if bit == "1":
-                power = kernel @ power
+    if sign and rho < 1.0:
+        rq = r[:, None] * vec
+        p_n = doubled(np.ones_like(lam), sign * lam, np.multiply)
+        series = sign * (rq * p_n) @ rq.T
+    else:
+        series = doubled(g, kernel, np.matmul)
     if _rank_one(prof):
         inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
     else:

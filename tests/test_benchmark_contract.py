@@ -7,11 +7,11 @@ against ``perfbench/references.json``.  It runs in a subprocess because
 ``tracing.install`` rewraps the package's functions for the whole process.
 A second subprocess makes the calls of the chain workloads: the run
 environment, the chain warm-up, the ladder margin and a small
-``bench-return-rate`` through the CLI.  A third runs one bz-dense series
-job, which checks ``rho`` and the inverse against the references and the
-series against the inverse, and bz-dense's two CLI jobs, a gamma-scan and
-the band suite, whose emitted files it checks against the references.  A
-fourth runs one chain-score job, which
+``bench-return-rate`` through the CLI.  A third runs every bz-dense series
+candidate, checking ``rho`` and the inverse against the references and the
+series against the inverse, and another bz-dense's two CLI jobs, a
+gamma-scan and the band suite, whose emitted files it checks against the
+references.  A last one runs one chain-score job, which
 checks the order-g^4 block's norm and trace (roundoff of an exact zero, so
 it moves with any change to the order of a sum in its assembly), the
 derived terms and the strong-drive harmonics against the references.
@@ -81,9 +81,9 @@ SERIES_SCRIPT = textwrap.dedent("""
     import workloads
 
     ctx = workloads.setup("bz-dense", work)
-    job = workloads.candidates()["series"][0]
-    _, errors = workloads.run_job(ctx, job)
-    assert errors == [], errors
+    for job in workloads.candidates()["series"]:
+        _, errors = workloads.run_job(ctx, job)
+        assert errors == [], (job.p, errors)
 """)
 
 

@@ -9,9 +9,9 @@ from floquet_forge import (HubbardParams, build_hubbard_operators,
                            build_sector_basis, commutator, spin_exchange)
 from floquet_forge.errors import PhysicsError
 from floquet_forge.fock import TermSum
-from floquet_forge.fswt import (floquet_h2, floquet_h2_terms, floquet_h4,
-                                floquet_h4_terms_j1, hfe_h, hubbard_harmonics,
-                                strong_drive_harmonics)
+from floquet_forge.fswt import (MAX_JMAX, floquet_h2, floquet_h2_terms,
+                                floquet_h4, floquet_h4_terms_j1, hfe_h,
+                                hubbard_harmonics, strong_drive_harmonics)
 from floquet_forge.sylvester import (HopExpansionCoeffs, _dressed_hops,
                                      _ladder, hubbard_micromotion, y0_terms,
                                      y1_terms, y2_terms)
@@ -334,3 +334,11 @@ def test_strong_drive_guards():
         _strong(1, 0.0, 1.0, 10.0, jmax=10)
     with pytest.raises(ValueError):
         _strong(2, 0.0, 1.0, 0.0, jmax=10)
+
+
+@pytest.mark.parametrize("jmax", [True, 2.5, 0, MAX_JMAX + 1])
+def test_strong_drive_jmax_guard(jmax):
+    # a bool or a non-integer is refused like an order out of range
+    p = HubbardParams(L=2, J=1.0, U=0.0, g=1.0, omega=10.0)
+    with pytest.raises(ValueError, match="jmax"):
+        strong_drive_harmonics(p, jmax=jmax)

@@ -260,24 +260,44 @@ def test_series_beyond_pole_flagged(chain8):
     assert out["rho"] == pytest.approx(1.0318, abs=1e-3)
 
 
-@pytest.mark.parametrize("n_terms", [0, 2.5])
+@pytest.mark.parametrize("n_terms", [0, 2.5, True])
 def test_series_nterms_guard(chain8, n_terms):
     grid, prof = chain8
     with pytest.raises(ValueError, match="n_terms"):
         series_vs_inverse(grid, prof, (0, 0), (0, 0), 10.0, n_terms=n_terms)
 
 
-@pytest.mark.parametrize("pole_offset", [None, 0.01])
-def test_series_doubling_matches_term_by_term_sum(chain8, pole_offset):
-    # rho 0.87 at omega 3.9, 1.03 just beyond the pole; the counts cover
-    # no doubling, powers of two and odd counts
+def _count_calls(monkeypatch, module, name):
+    """Record the shape of the first argument of each call to module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(a, *rest):
+        calls.append(a.shape)
+        return fn(a, *rest)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("pole_offset", [None, 0.01, -0.5, -0.03, -0.003])
+def test_series_doubling_matches_term_by_term_sum(chain8, monkeypatch,
+                                                  pole_offset):
+    # rho 0.87 at omega 3.9 (mixed-sign diagonal) and 1.03 just beyond the
+    # pole take the matrix products; 0.43, 0.92 and 0.99 below the pole
+    # (one-sign diagonal) take the eigenbasis.  The counts cover no
+    # doubling, powers of two and odd counts
     grid, prof = chain8
     omega = 3.9
     if pole_offset is not None:
         e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))
         omega = e0["energies"][0] + pole_offset
+    eigenbasis = pole_offset is not None and pole_offset < 0
     g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
     kernel = g @ eta
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
+    products = _count_calls(monkeypatch, np, "matmul")
     for n_terms in (1, 2, 3, 7, 64, 200):
         plain, term = g.copy(), g.copy()
         for _ in range(n_terms - 1):
@@ -287,18 +307,11 @@ def test_series_doubling_matches_term_by_term_sum(chain8, pole_offset):
                                 n_terms=n_terms)
         assert np.max(np.abs(out["series"] - plain)) \
             <= 1e-13 * np.max(np.abs(plain)), n_terms
-
-
-def _count_inv(monkeypatch):
-    calls = []
-    inv = np.linalg.inv
-
-    def counted(a):
-        calls.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    return calls
+    # rho from eigvals on a mixed-sign diagonal and from eigh on a one-sign
+    # one; the matrix doubling runs only off the eigenbasis
+    assert (len(eigh), len(eigvals)) \
+        == ((0, 6) if pole_offset is None else (6, 0))
+    assert (products == []) == eigenbasis
 
 
 @pytest.mark.parametrize("constant", [True, False])
@@ -314,7 +327,7 @@ def test_series_inverse_matches_dense_inverse(monkeypatch, constant):
         prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
     want = np.linalg.inv(gamma_matrix(grid, prof, (1, 2), (2, 1),
                                       10.0).matrix)
-    calls = _count_inv(monkeypatch)
+    calls = _count_calls(monkeypatch, np.linalg, "inv")
     out = series_vs_inverse(grid, prof, (1, 2), (2, 1), 10.0, n_terms=30)
     assert calls == ([] if constant else [(36, 36)])
     assert np.max(np.abs(out["inverse"] - want)) \
@@ -347,22 +360,10 @@ def _rho_by_eigvals(grid, prof, omega):
     return float(np.max(np.abs(np.linalg.eigvals(g @ eta))))
 
 
-def _count_eigvals(monkeypatch):
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    return calls
-
-
 @pytest.mark.parametrize("omega, sign", [(3.0, -1), (10.0, 1), (None, -1)])
 def test_series_rho_by_symmetric_eigensolve(chain8, monkeypatch, omega,
                                             sign):
-    # a one-sign vertex diagonal takes eigvalsh of |D|^-1/2 eta |D|^-1/2:
+    # a one-sign vertex diagonal takes eigh of |D|^-1/2 eta |D|^-1/2:
     # rho 0.69 (negative diagonal), 0.070 (positive) and 1.03 just beyond
     # the pole (negative)
     grid, prof = chain8
@@ -372,7 +373,7 @@ def test_series_rho_by_symmetric_eigensolve(chain8, monkeypatch, omega,
     d = np.diag(gamma_matrix(grid, prof, (0, 0), (0, 0), omega).matrix)
     assert np.all(np.sign(d) == sign)
     want = _rho_by_eigvals(grid, prof, omega)
-    calls = _count_eigvals(monkeypatch)
+    calls = _count_calls(monkeypatch, np.linalg, "eigvals")
     out = series_vs_inverse(grid, prof, (0, 0), (0, 0), omega, n_terms=8)
     assert calls == []
     assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -386,7 +387,7 @@ def test_series_rho_mixed_sign_diagonal_keeps_eigvals(chain8, monkeypatch):
     d = np.diag(gamma_matrix(grid, prof, (0, 0), (0, 0), 3.9).matrix)
     assert d.min() < 0.0 < d.max()
     want = _rho_by_eigvals(grid, prof, 3.9)
-    calls = _count_eigvals(monkeypatch)
+    calls = _count_calls(monkeypatch, np.linalg, "eigvals")
     out = series_vs_inverse(grid, prof, (0, 0), (0, 0), 3.9, n_terms=8)
     assert calls == [(8, 8)]
     assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
