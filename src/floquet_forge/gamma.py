@@ -17,9 +17,9 @@ capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series in
 the eigenbasis of one symmetric eigensolve when the vertex diagonal has one
 sign and the spectral radius is below one, otherwise by doubling, in about
 2 log2(n_terms) dense products (15 at the default 200); for a constant V_q
-it takes its exact inverse from ``_vertex_solver``.  The solve-based functions read the inverse only
-through ``_vertex_solver`` as well: for a constant V_q the vertex is a
-diagonal plus a rank-one term (``_rank_one_split``), solved by
+its exact inverse comes from ``_vertex_solver``, through which the
+solve-based functions read the inverse too: for a constant V_q the vertex
+is a diagonal plus a rank-one term (``_rank_one_split``), solved by
 Sherman-Morrison in O(N) per column without forming the matrix and without
 a size cap; any other V_q takes the capped dense inverse.  The same
 structure gives ``_rank_one_vertex_eigvalsh``, which the CLI's

@@ -9,9 +9,9 @@ A second subprocess makes the calls of the chain workloads: the run
 environment, the chain warm-up, the ladder margin and a small
 ``bench-return-rate`` through the CLI.  A third runs every bz-dense series
 candidate, checking ``rho`` and the inverse against the references and the
-series against the inverse, and another bz-dense's two CLI jobs, a
+series against the inverse.  A fourth runs bz-dense's two CLI jobs, a
 gamma-scan and the band suite, whose emitted files it checks against the
-references.  A last one runs one chain-score job, which
+references.  A fifth runs one chain-score job, which
 checks the order-g^4 block's norm and trace (roundoff of an exact zero, so
 it moves with any change to the order of a sum in its assembly), the
 derived terms and the strong-drive harmonics against the references.
