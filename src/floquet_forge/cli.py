@@ -4,7 +4,10 @@
 
 Scenarios read a flat ``key = value`` config (with ``#`` comments and a
 mandatory ``units`` key), emit deterministic CSV/text files plus a manifest
-with input echo, library version, grid sizes, and sha256 checksums.  The
+with input echo, library version, grid sizes, and sha256 checksums, each
+taken from a file's bytes as they are written.  ``gamma-scan`` writes its
+vertex row by row from the diagonal-plus-rank-one form of a constant V_q,
+without building the dense matrix.  The
 output directory is ``--out`` (default: the working directory); it has no
 second name in the config or the environment.  Every scenario runs on one
 thread, and ``--threads`` accepts only 1: the benchmark harness passes it
@@ -177,24 +180,39 @@ def validate_config(scenario, raw):
 
 
 class Emitter:
-    """Serialized deterministic file writes plus the closing manifest."""
+    """Serialized deterministic file writes plus the closing manifest.
+
+    Every file goes through ``write_blocks``, which hashes each block as it
+    writes it, so ``finish`` lists the digests without reading a file back.
+    """
 
     def __init__(self, outdir: Path, scenario, cfg):
         self.outdir = outdir
         self.scenario = scenario
         self.cfg = cfg
         self.files = []
+        self.digests = {}
         self.grid_notes = []
         outdir.mkdir(parents=True, exist_ok=True)
 
     def note_grid(self, label, value):
         self.grid_notes.append((label, str(value)))
 
-    def write_text(self, name, text):
+    def write_blocks(self, name, chunks):
+        """Write the strings ``chunks`` in order as UTF-8, hashing each."""
         path = self.outdir / name
-        path.write_text(text)
+        digest = hashlib.sha256()
+        with path.open("wb") as f:
+            for chunk in chunks:
+                data = chunk.encode()
+                digest.update(data)
+                f.write(data)
         self.files.append(name)
+        self.digests[name] = digest.hexdigest()
         return path
+
+    def write_text(self, name, text):
+        return self.write_blocks(name, [text])
 
     def write_csv(self, name, header, columns):
         """Write equal-length columns, each value formatted by ``fmt``.
@@ -222,17 +240,16 @@ class Emitter:
             text = [fmt(v) + sep for v in values]
             tables.append((np.array(text, dtype=object), inverse))
         n = len(cols[0])
-        path = self.outdir / name
-        with path.open("w") as f:
-            f.write(",".join(header) + "\n")
+
+        def blocks():
+            yield ",".join(header) + "\n"
             for start in range(0, n, CSV_BLOCK):
                 stop = min(n, start + CSV_BLOCK)
                 cells = np.empty((stop - start, len(cols)), dtype=object)
                 for j, (text, inverse) in enumerate(tables):
                     cells[:, j] = text[inverse[start:stop]]
-                f.write("".join(cells.ravel().tolist()))
-        self.files.append(name)
-        return path
+                yield "".join(cells.ravel().tolist())
+        return self.write_blocks(name, blocks())
 
     def finish(self):
         lines = [f"scenario = {self.scenario}", f"version = {__version__}"]
@@ -243,9 +260,7 @@ class Emitter:
         for label, value in self.grid_notes:
             lines.append(f"grid.{label} = {value}")
         for name in self.files:
-            digest = hashlib.sha256(
-                (self.outdir / name).read_bytes()).hexdigest()
-            lines.append(f"sha256.{name} = {digest}")
+            lines.append(f"sha256.{name} = {self.digests[name]}")
         (self.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -374,8 +389,8 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import (MAX_DENSE, _rank_one_vertex_eigvalsh,
-                        constant_profile, gamma_matrix)
+    from .gamma import (MAX_DENSE, _rank_one_split, _rank_one_vertex_eigvalsh,
+                        constant_profile)
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -390,17 +405,26 @@ def run_gamma_scan(cfg, em: Emitter):
     prof = constant_profile(grid, cfg["U_coulomb"])
     k = (cfg["kx_index"], cfg["ky_index"])
     q = (cfg["qx_index"], cfg["qy_index"])
-    gm = gamma_matrix(grid, prof, k, q, cfg["omega"])
     # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
     # without the eigenvectors nothing here reads; the constant V_q gives
     # the eigenvalues from the secular equation, found before any file is
     # written
-    energies = gm.omega - _rank_one_vertex_eigvalsh(grid, prof, k, q,
-                                                    cfg["omega"])[::-1]
-    idx = np.arange(gm.dim)
-    em.write_csv("gamma_matrix.csv", ["k_index", "k1_index", "re", "im"],
-                 [np.repeat(idx, gm.dim), np.tile(idx, gm.dim),
-                  gm.matrix.ravel(), np.zeros(gm.dim ** 2, dtype=np.int8)])
+    energies = cfg["omega"] - _rank_one_vertex_eigvalsh(
+        grid, prof, k, q, cfg["omega"])[::-1]
+    # the vertex is diag(a) + c (11^T - I), so row i is the off-diagonal
+    # cells with cell i swapped for a_i; 0.0 + a prints -0.0 as 0, as the
+    # dense matrix's zero-filled diagonal plus a did
+    a, _, c = _rank_one_split(grid, prof, k, q, cfg["omega"])
+    off = fmt(c)
+    cells = [f"{j},{off},0\n" for j in range(a.size)]
+
+    def rows():
+        yield "k_index,k1_index,re,im\n"
+        for i, d in enumerate((0.0 + a).tolist()):
+            cells[i] = f"{i},{fmt(d)},0\n"
+            yield f"{i}," + f"{i},".join(cells)
+            cells[i] = f"{i},{off},0\n"
+    em.write_blocks("gamma_matrix.csv", rows())
     em.write_csv("eigen.csv", ["j", "E_j"],
                  [np.arange(len(energies)), energies])
 

@@ -24,7 +24,8 @@ Sherman-Morrison in O(N) per column without forming the matrix and without
 a size cap; any other V_q takes the capped dense inverse.  The same
 structure gives ``_rank_one_vertex_eigvalsh``, which the CLI's
 ``gamma-scan`` reads, its eigenvalues from the secular equation
-(``kernels._rank_one_eigvalsh``), in place of a dense eigensolve.  The
+(``kernels._rank_one_eigvalsh``), in place of a dense eigensolve;
+``gamma-scan`` also writes its vertex rows from ``_rank_one_split``.  The
 solver takes a batch of (k, q) pairs and works on all of them in array
 operations over rows.  The self-energy, which needs the
 vertex at (k, K - k) for every grid momentum k, is one batch of rank-one
@@ -60,6 +61,9 @@ __all__ = [
     "coulomb_mix_selfenergy",
 ]
 
+# Largest grid of the functions that build the whole vertex densely.  The
+# CLI's gamma-scan builds no dense vertex, but keeps the cap: there it bounds
+# the N^2 rows of gamma_matrix.csv, 1,048,576 rows and 33 MB at 32 x 32
 MAX_DENSE = 1024
 # Batched vertex solves hold at most this many (pair, momentum) entries at
 # once, 512 kB per float64 array, where the N x N batch of the self-energy
@@ -495,8 +499,11 @@ def eigen_sign_analysis(gm: GammaMatrix):
 
 
 def _check_spins(*labels):
+    # a bool passes the int test and True == 1, but Jcoupling[True] is a
+    # mask that adds an axis rather than picking spin 1
     for s in labels:
-        if not (isinstance(s, (int, np.integer)) and s in (0, 1)):
+        if isinstance(s, bool) or not (isinstance(s, (int, np.integer))
+                                       and s in (0, 1)):
             raise ValueError(f"spin label must be 0 or 1, got {s!r}")
 
 

@@ -502,6 +502,18 @@ def test_unwritable_output_dir_exits_1(tmp_path, capsys):
     assert "config error" in err and str(blocker / "sub") in err
 
 
+def test_failed_write_exits_1_without_a_manifest(tmp_path, capsys):
+    # the energies are found and eigen.csv is never reached: the first
+    # output cannot be opened, and no manifest vouches for a partial run
+    out = tmp_path / "out_run"
+    (out / "gamma_matrix.csv").mkdir(parents=True)
+    code, _ = run_cli(tmp_path, "gamma-scan", CONFIGS["gamma-scan"][0])
+    assert code == 1
+    assert "config error: cannot write outputs" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+    assert not (out / "eigen.csv").exists()
+
+
 def test_bench_return_rate_exits_2_when_krylov_gives_up(tmp_path,
                                                         monkeypatch, capsys):
     # a PhysicsError raised inside the exact propagation's series, here
@@ -971,6 +983,76 @@ def test_gamma_scan_outputs(tmp_path):
     energies = np.array([float(ln.split(",")[1]) for ln in elines[1:]])
     assert energies.size == 36
     assert np.all(np.diff(energies) >= -1e-12)
+
+
+def _scan_config(shape, u, k, q, omega):
+    return (f"units = eV\nNx = {shape[0]}\nNy = {shape[1]}\n{PAPER_BANDS}"
+            f"omega = {omega}\nU_coulomb = {u}\n"
+            f"kx_index = {k[0]}\nky_index = {k[1]}\n"
+            f"qx_index = {q[0]}\nqy_index = {q[1]}\n")
+
+
+def _dense_vertex_csv(shape, u, k, q, omega):
+    # what the generic CSV writer made of gamma_matrix's dense vertex
+    from floquet_forge import BandGrid
+    from floquet_forge.gamma import constant_profile, gamma_matrix
+
+    grid = BandGrid.square(*shape, eps21=3.7, t1=0.05, t2=-0.15, U11=1.6,
+                           U12=0.8)
+    m = gamma_matrix(grid, constant_profile(grid, u), k, q, omega).matrix
+    idx = np.arange(len(m))
+    return _naive_csv(["k_index", "k1_index", "re", "im"],
+                      [np.repeat(idx, len(m)), np.tile(idx, len(m)),
+                       m.ravel(), np.zeros(m.size, dtype=int)])
+
+
+@pytest.mark.parametrize("u", [1.6, 0.0, -0.8])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (6, 6)])
+def test_gamma_scan_matrix_is_the_dense_vertex(tmp_path, shape, u):
+    # gamma-scan streams diag(a) + c (11^T - I) row by row; its bytes are
+    # those of the dense vertex through the generic writer
+    for i, (k, q, omega) in enumerate([((0, 0), (0, 0), 3.63),
+                                       ((3, 5), (2, 7), 1.8),
+                                       ((4, 1), (1, 3), 2.4)]):
+        code, out = run_cli(tmp_path, "gamma-scan",
+                            _scan_config(shape, u, k, q, omega), name=f"p{i}")
+        assert code == 0
+        assert (out / "gamma_matrix.csv").read_text() == \
+            _dense_vertex_csv(shape, u, k, q, omega)
+
+
+def test_gamma_scan_prints_a_zero_diagonal_as_the_dense_vertex(tmp_path,
+                                                               monkeypatch):
+    # the dense vertex adds the diagonal to a zero fill, so a -0.0 there
+    # prints 0; the streamed rows must too
+    from floquet_forge import gamma
+
+    diagonal = gamma._vertex_diagonal
+
+    def signed_zeros(*args):
+        a = diagonal(*args)
+        a[..., ::2] = -0.0
+        return a
+
+    monkeypatch.setattr(gamma, "_vertex_diagonal", signed_zeros)
+    args = ((6, 6), 1.6, (3, 3), (1, 0), 3.63)
+    code, out = run_cli(tmp_path, "gamma-scan", _scan_config(*args))
+    assert code == 0
+    text = (out / "gamma_matrix.csv").read_text()
+    assert text == _dense_vertex_csv(*args)
+    assert "0,0,0,0\n" in text and ",-0," not in text
+
+
+def test_gamma_scan_never_builds_the_dense_vertex(tmp_path, monkeypatch):
+    from floquet_forge import gamma
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("gamma-scan built the dense vertex")
+
+    monkeypatch.setattr(gamma, "gamma_matrix", no_dense)
+    code, out = run_cli(tmp_path, "gamma-scan", CONFIGS["gamma-scan"][0])
+    assert code == 0
+    assert (out / "gamma_matrix.csv").stat().st_size > 0
 
 
 def test_gamma_scan_failed_root_exits_2(tmp_path, monkeypatch, capsys):

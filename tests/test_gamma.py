@@ -631,15 +631,16 @@ def test_spin_labels_validated(square6):
     grid, prof = square6
     cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
     args = (grid, prof, 0.02, 3.63, (1, 2), (4, 5), (2, 1))
-    for bad in (-1, 2, 0.0):
-        with pytest.raises(ValueError, match="spin"):
+    # a bool is refused too: Jcoupling[True] would be a mask, not spin 1
+    for bad in (-1, 2, 0.0, True, False, np.True_):
+        with pytest.raises(ValueError, match="spin label must be 0 or 1"):
             scattering_strength(*args, s=bad)
-        with pytest.raises(ValueError, match="spin"):
+        with pytest.raises(ValueError, match="spin label must be 0 or 1"):
             interaction_weight(*args, s=bad)
-        with pytest.raises(ValueError, match="spin"):
+        with pytest.raises(ValueError, match="spin label must be 0 or 1"):
             cavity_global_interaction(grid, prof, cav, 3.63, (1, 2), (4, 5),
                                       s=bad)
-        with pytest.raises(ValueError, match="spin"):
+        with pytest.raises(ValueError, match="spin label must be 0 or 1"):
             cavity_global_interaction(grid, prof, cav, 3.63, (1, 2), (4, 5),
                                       sp=bad)
     # both labels of a spin-resolved profile are legal
