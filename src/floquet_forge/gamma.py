@@ -1,33 +1,33 @@
 """Momentum-resolved interband vertex and interactions derived from it.
 
 The central object is the N x N vertex matrix over the pair-momentum index,
-built from the band energies and the Coulomb profile V_q alone.  From it:
+built from the band energies and the Coulomb strength alone.  From it:
 the mean-field screened denominator, an RPA-style geometric series check
 against the exact inverse, the bound-state eigenproblem, scattering
 strengths between dressed pairs, the cavity-mediated global interaction, and
-the Coulomb-mixing self-energy.  The interband couplings J12 of an
+the Coulomb-mixing self-energy.  The Coulomb matrix element is one value,
+V_q = U at every transfer q (``InteractionProfile`` refuses any other), so
+the vertex is a diagonal plus a rank-one term, diag(a) + (U/N)(11^T - I)
+(``_rank_one_split``).  The interband couplings J12 of an
 ``InteractionProfile`` enter only the functions that solve against the
 vertex (the screened denominator, the scattering strengths, the interaction
-weight, the cavity interaction and the self-energy); every shipped profile
-sets V_q = U, so profiles that differ in J12 alone give the same vertex.
+weight, the cavity interaction and the self-energy), so profiles that differ
+in J12 alone give the same vertex.
 
 The functions that need the whole vertex (``gamma_matrix``,
 ``series_vs_inverse``, ``eigen_sign_analysis``) build it densely and are
 capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series in
 the eigenbasis of one symmetric eigensolve when the vertex diagonal has one
 sign and the spectral radius is below one, otherwise by doubling, in about
-2 log2(n_terms) dense products (15 at the default 200); for a constant V_q
-its exact inverse comes from ``_vertex_solver``, through which the
-solve-based functions read the inverse too: for a constant V_q the vertex
-is a diagonal plus a rank-one term (``_rank_one_split``), solved by
-Sherman-Morrison in O(N) per column without forming the matrix and without
-a size cap; any other V_q takes the capped dense inverse.  The same
-structure gives ``_rank_one_vertex_eigvalsh``, which the CLI's
-``gamma-scan`` reads, its eigenvalues from the secular equation
-(``kernels._rank_one_eigvalsh``), in place of a dense eigensolve;
-``gamma-scan`` also writes its vertex rows from ``_rank_one_split``.  The
-solver takes a batch of (k, q) pairs and works on all of them in array
-operations over rows.  The self-energy, which needs the
+2 log2(n_terms) dense products (15 at the default 200); its exact inverse
+comes from ``_vertex_solver``, through which the solve-based functions read
+the inverse too, by Sherman-Morrison in O(N) per column without forming the
+matrix and without a size cap.  The same structure gives
+``_rank_one_vertex_eigvalsh``, which the CLI's ``gamma-scan`` reads, its
+eigenvalues from the secular equation (``kernels._rank_one_eigvalsh``), in
+place of a dense eigensolve; ``gamma-scan`` also writes its vertex rows from
+``_rank_one_split``.  The solver takes a batch of (k, q) pairs and works on
+all of them in array operations over rows.  The self-energy, which needs the
 vertex at (k, K - k) for every grid momentum k, is one batch of rank-one
 solves, O(N^2) in array operations, taken in chunks of ``VERTEX_CHUNK``
 entries.
@@ -77,8 +77,9 @@ VERTEX_CHUNK = 1 << 16
 class InteractionProfile:
     """Coulomb matrix elements V_q and interband couplings J12_{k,s}.
 
-    ``Vq`` is real with V_q = V_{-q} (indexed by wrapped momentum-difference
-    index, so Vq[0, 0] is zero transfer).  ``Jcoupling`` has shape
+    ``Vq`` is an Nx x Ny array over the wrapped momentum-difference index
+    holding one real value U: a q-dependent or complex V_q is refused, so
+    the vertex is always diagonal plus rank one.  ``Jcoupling`` has shape
     (2, Nx, Ny) — one coupling map per spin — and is bounded by 1.  It keeps
     the type of its input: real couplings are stored as float64 and solved
     in real arithmetic, complex ones (``phase_winding_profile``) as
@@ -89,6 +90,8 @@ class InteractionProfile:
     Jcoupling: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.Vq):
+            raise ValueError("Vq must be real")
         v = np.asarray(self.Vq, dtype=float)
         j = np.asarray(self.Jcoupling)
         j = j.astype(np.result_type(j.dtype, np.float64), copy=False)
@@ -101,10 +104,8 @@ class InteractionProfile:
         if j.shape != (2,) + v.shape:
             raise ValueError(f"Jcoupling must have shape (2,)+{v.shape}, "
                              f"got {j.shape}")
-        nx, ny = v.shape
-        mirrored = v[(-np.arange(nx)) % nx][:, (-np.arange(ny)) % ny]
-        if np.max(np.abs(v - mirrored)) > 1e-12 * max(1.0, np.max(np.abs(v))):
-            raise ValueError("Vq must satisfy V_q = V_{-q}")
+        if np.unique(v).size != 1:
+            raise ValueError("V_q must be one constant value U at every q")
         if np.max(np.abs(j)) > 1.0 + 1e-12:
             raise ValueError("couplings |J12| must not exceed 1")
         object.__setattr__(self, "Vq", v)
@@ -183,11 +184,6 @@ def _flat(grid: BandGrid, k):
     return (int(k[0]) % grid.kx.size) * ny + (int(k[1]) % ny)
 
 
-def _difference_table(n):
-    idx = np.arange(n)
-    return (idx[:, None] - idx[None, :]) % n
-
-
 def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Vertex diagonals at the pairs (k, q), one flattened row per pair.
 
@@ -221,22 +217,19 @@ def gamma_matrix(grid: BandGrid, prof: InteractionProfile, k, q, omega):
                  + (1 - delta_{p,p'}) V_{p-p'}/N.
 
     ``k`` is a grid index pair; ``q`` is an index shift (q = (0,0) means zero
-    transfer).  The matrix is dense, so grids above ``MAX_DENSE`` momenta
-    raise ``ValueError``; the solve-based functions below do not need it
-    when V_q is constant.
+    transfer).  With V_q = U this is diag(a) + c (11^T - I), c = U/N, built
+    from ``_rank_one_split``.  The matrix is dense, so grids above
+    ``MAX_DENSE`` momenta raise ``ValueError``; the solve-based functions
+    below do not need it.
     """
-    diag = _vertex_diagonal(grid, prof, k, q, omega)
-    nx, ny = grid.kx.size, grid.ky.size
-    n = nx * ny
+    a, _, c = _rank_one_split(grid, prof, k, q, omega)
+    n = a.size
     if n > MAX_DENSE:
         raise ValueError(f"dense vertex capped at {MAX_DENSE} momenta, "
                          f"got {n}")
-    dif_x = _difference_table(nx)
-    dif_y = _difference_table(ny)
-    m = prof.Vq[dif_x[:, None, :, None],
-                dif_y[None, :, None, :]].reshape(n, n) / n
-    np.fill_diagonal(m, 0.0)
-    m[np.diag_indices(n)] += diag
+    m = np.full((n, n), c)
+    # + 0.0 turns a -0.0 diagonal entry into 0.0, as gamma-scan prints it
+    np.fill_diagonal(m, a + 0.0)
     return GammaMatrix(matrix=m, omega=float(omega))
 
 
@@ -245,6 +238,7 @@ def mf_gamma_matrix(grid: BandGrid, prof: InteractionProfile, omega):
     return gamma_matrix(grid, prof, (0, 0), (0, 0), omega)
 
 
+# the dense reference verdict for tests; perfbench's tracer hooks it by name
 def _checked_inverse(m):
     diag_scale = max(1.0, float(np.max(np.abs(m))))
     try:
@@ -257,13 +251,8 @@ def _checked_inverse(m):
     return inv
 
 
-def _rank_one(prof: InteractionProfile):
-    """True when V_q is constant, so the vertex is diagonal plus rank one."""
-    return bool(np.all(prof.Vq == prof.Vq[0, 0]))
-
-
 def _rank_one_split(grid: BandGrid, prof: InteractionProfile, k, q, omega):
-    """Split a constant-V_q vertex as diag(D) + c 11^T; returns (a, D, c).
+    """Split the vertex as diag(D) + c 11^T; returns (a, D, c).
 
     ``a`` is the vertex diagonal at the pairs (k, q), as
     ``_vertex_diagonal`` gives it, c = U/N and D = a - c.  A single
@@ -278,16 +267,13 @@ def _rank_one_split(grid: BandGrid, prof: InteractionProfile, k, q, omega):
 
 def _rank_one_vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q,
                               omega):
-    """Ascending eigenvalues of the constant-V_q vertex at one pair (k, q).
+    """Ascending eigenvalues of the vertex at one pair (k, q).
 
     They come from the secular equation of diag(D) + c 11^T
-    (``kernels._rank_one_eigvalsh``), without forming the matrix.  Any
-    other V_q raises ValueError: its vertex is not of that form.
+    (``kernels._rank_one_eigvalsh``), without forming the matrix.
     """
     from .kernels import _rank_one_eigvalsh
 
-    if not _rank_one(prof):
-        raise ValueError("the secular-equation spectrum needs a constant V_q")
     _, d, c = _rank_one_split(grid, prof, k, q, omega)
     return _rank_one_eigvalsh(d, c)
 
@@ -305,9 +291,8 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     verdict is that of ``_checked_inverse`` for every vertex of the batch,
     and is given here, before any solve.
 
-    With a constant V_q = U each vertex is diag(D) + c 11^T with c = U/N and
-    D = diag(Gamma) - c (``_rank_one_split``), a diagonal plus a rank-one
-    term, whose inverse
+    Each vertex is diag(D) + c 11^T with c = U/N and D = diag(Gamma) - c
+    (``_rank_one_split``), a diagonal plus a rank-one term, whose inverse
     Sherman-Morrison gives in O(N) without forming the matrix.  It is used
     in a pivoted form: with j the smallest |D_j|, every row p != j of
     Gamma x = b gives x_p = (b_p - b_j + D_j x_j)/D_p, and row j gives
@@ -316,8 +301,7 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     D_j needs no special case.  The largest |Gamma^{-1}| entry has a closed
     form too, so the verdict costs O(N).  The whole batch is one set of
     array operations over rows, so B vertices cost O(B N) with no loop
-    over them.  Any other V_q takes one dense inverse per vertex, and its
-    ``MAX_DENSE`` cap.
+    over them.
     """
     k, q = np.broadcast_arrays(np.asarray(k, dtype=int),
                                np.asarray(q, dtype=int))
@@ -333,18 +317,6 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
         else:
             b = np.broadcast_to(b, shape + (n,)).reshape(-1, n)
         return solve_rows(b, cols).reshape(shape + (n,))
-
-    if not _rank_one(prof):
-        invs = [_checked_inverse(gamma_matrix(grid, prof, kk, qq,
-                                              omega).matrix)
-                for kk, qq in zip(k.reshape(-1, 2), q.reshape(-1, 2))]
-
-        def solve_rows(b, cols):
-            inv = invs * len(b) if len(invs) == 1 else invs
-            # b @ inv is inv @ b for the symmetric vertex
-            return np.stack([m[:, bb] if cols else bb @ m
-                             for bb, m in zip(b, inv)])
-        return solve
 
     a, d, c = _rank_one_split(grid, prof, k, q, omega)
     a, d = a.reshape(-1, n), d.reshape(-1, n)
@@ -431,12 +403,10 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     4 log2(n_terms): 15 at the default, where term by term takes 199.  The
     closed form (1 - x^n)/(1 - x) would cancel near x = 1.
 
-    For a constant V_q the exact inverse is read column by column from
-    ``_vertex_solver``, with its singularity verdict: O(N^2) by
-    Sherman-Morrison (0.005-0.014 s at N = 576 on one core of a 2-core Xeon
-    VM, against 0.03-0.04 s for ``np.linalg.inv``).  Any other V_q takes the
-    dense inverse of the vertex already built here, with the same verdict
-    as the solver's dense path.
+    The exact inverse is read column by column from ``_vertex_solver``,
+    with its singularity verdict: O(N^2) by Sherman-Morrison (0.005-0.014 s
+    at N = 576 on one core of a 2-core Xeon VM, against 0.03-0.04 s for
+    ``np.linalg.inv``).
     """
     if isinstance(n_terms, bool) \
             or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
@@ -473,10 +443,7 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
         series = sign * (rq * p_n) @ rq.T
     else:
         series = doubled(g, kernel, np.matmul)
-    if _rank_one(prof):
-        inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
-    else:
-        inverse = _checked_inverse(gm.matrix)
+    inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
     dev = float(np.max(np.abs(series - inverse)))
     return {"series": series, "inverse": inverse, "max_dev": dev,
             "rho": rho, "converged": rho < 1.0}
@@ -513,8 +480,7 @@ def mf_screened_denominator(grid: BandGrid, prof: InteractionProfile, omega):
     1/Delta_kf = sum_k J12_{k,s} [Gamma_MF^{-1}]_{k,kf}; returns shape
     (2, Nx, Ny), real for real couplings and complex otherwise, since the
     vertex is real symmetric.  One vertex solve with the two spins'
-    couplings as right-hand sides: O(N) with no size cap for a constant
-    V_q, a dense inverse capped at ``MAX_DENSE`` momenta otherwise.
+    couplings as right-hand sides: O(N) with no size cap.
     """
     solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
     v = solve(prof.Jcoupling.reshape(2, -1))
@@ -530,8 +496,8 @@ def _scattering(grid: BandGrid, prof: InteractionProfile, g, omega,
     """Scattering amplitudes for (k, k1, q) index pairs, each of shape (B, 2).
 
     Returns the B amplitudes of ``scattering_strength``.  The vertices are
-    solved in chunks of at most ``VERTEX_CHUNK`` entries of solver state,
-    N per pair on the rank-one path and N^2 on the dense one.
+    solved in chunks of at most ``VERTEX_CHUNK`` entries of solver state, N
+    per pair.
     """
     _check_spins(s)
     check_energy("g", g)
@@ -543,18 +509,14 @@ def _scattering(grid: BandGrid, prof: InteractionProfile, g, omega,
     k, k1, q = (np.asarray(x, dtype=int).reshape(-1, 2) for x in (k, k1, q))
     kx, ky = k[:, 0, None] % nx, k[:, 1, None] % ny
     k1f = (k1[:, 0] % nx) * ny + k1[:, 1] % ny
-    ix, iy = np.divmod(np.arange(n), ny)
-    rank_one = _rank_one(prof)
-    rows = max(1, VERTEX_CHUNK // (n if rank_one else n * n))
+    rows = max(1, VERTEX_CHUNK // n)
     out = np.empty(len(k), dtype=complex)
     for lo in range(0, len(k), rows):
         b = slice(lo, lo + rows)
         solve = _vertex_solver(grid, prof, k[b], q[b], omega)
         diff = ratio - ratio[kx[b] * ny + ky[b]]
-        # the row V_{k'-k}, one value when V_q is constant
-        vrow = prof.Vq[0, 0] if rank_one else \
-            prof.Vq[(ix - kx[b]) % nx, (iy - ky[b]) % ny]
-        out[b] = g ** 2 * np.sum(diff * vrow / n * solve(k1f[b]), axis=1)
+        out[b] = g ** 2 * np.sum(diff * prof.Vq[0, 0] / n * solve(k1f[b]),
+                                 axis=1)
     return out
 
 
@@ -563,10 +525,9 @@ def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
     """Drive-induced scattering amplitude between pair momenta k and k1.
 
     g^2 sum_{k'} (J_{k',s}/(w + e12_{k'}) - J_{k,s}/(w + e12_k))
-    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}.  Reads one column of the
-    inverse, as a batch of one rank-one solve: O(N) with no size cap for a
-    constant V_q, a dense inverse capped at ``MAX_DENSE`` momenta
-    otherwise.  ``s`` is 0 or 1.
+    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}, with V_{k'-k} = U.  Reads one
+    column of the inverse, as a batch of one rank-one solve: O(N) with no
+    size cap.  ``s`` is 0 or 1.
     """
     return complex(_scattering(grid, prof, g, omega, k, k1, q, s)[0])
 
@@ -577,8 +538,7 @@ def interaction_weight(grid: BandGrid, prof: InteractionProfile, g, omega,
 
     (1/2)(V_{k,k1,q} J_{k1,s}^* + J_{k,s} V_{k1,k,q}^*); symmetric under
     simultaneous exchange and conjugation by construction.  Both amplitudes
-    are one batch of two vertex solves, so O(N) for a constant V_q.  ``s``
-    is 0 or 1.
+    are one batch of two vertex solves, so O(N).  ``s`` is 0 or 1.
     """
     nx, ny = grid.kx.size, grid.ky.size
     v_fwd, v_rev = _scattering(grid, prof, g, omega, [k, k1], [k1, k],
@@ -594,9 +554,7 @@ def cavity_global_interaction(grid: BandGrid, prof: InteractionProfile,
 
     -(g^2 gc0^2/(N delta_c)) Re[(sum_k [X]_{k,kf} J_{k,s}) J_{kf',sp}^*]
     * sum_{k'} [X]_{k',kf'}, with X the inverse zero-transfer vertex.  Reads
-    two columns of X: O(N) with no size cap for a constant V_q, a dense
-    inverse capped at ``MAX_DENSE`` momenta otherwise.  ``s`` and ``sp``
-    are 0 or 1.
+    two columns of X: O(N) with no size cap.  ``s`` and ``sp`` are 0 or 1.
     """
     _check_spins(s, sp)
     solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
@@ -619,8 +577,7 @@ def coulomb_mix_selfenergy(grid: BandGrid, prof: InteractionProfile, g,
     sum_k Re[V_{k,k,K-k} J_{k}^*]; nonzero through neighboring couplings
     even where J vanishes at K itself.  The N vertices at (k, K - k) are
     one batch of rank-one solves, each reading column k of its inverse,
-    so O(N^2) in array operations for a constant V_q, in chunks of
-    ``VERTEX_CHUNK`` entries.
+    so O(N^2) in array operations, in chunks of ``VERTEX_CHUNK`` entries.
     """
     nx, ny = grid.kx.size, grid.ky.size
     k = np.stack(np.divmod(np.arange(nx * ny), ny), axis=1)

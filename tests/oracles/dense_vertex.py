@@ -3,8 +3,10 @@
 Each quantity is rebuilt from its documented formula on the full N x N
 vertex, written out entry by entry from explicit momentum-index arithmetic
 and inverted with ``np.linalg.inv``.  Nothing here calls the package, so
-its rank-one solver and its dense path are both checked against the same
-plain inverse.  Grid index p = ix * Ny + iy throughout.
+its rank-one solver is checked against a plain inverse.  The oracle takes
+any V_q array, also a q-dependent one that the package refuses, as the
+check for a future solver of that form.  Grid index p = ix * Ny + iy
+throughout.
 """
 
 import numpy as np

@@ -22,7 +22,6 @@ from floquet_forge.gamma import (
     GammaMatrix,
     InteractionProfile,
     _checked_inverse,
-    _rank_one_vertex_eigvalsh,
     _vertex_diagonal,
     _vertex_solver,
     cavity_global_interaction,
@@ -96,9 +95,13 @@ def test_profile_validation():
     with pytest.raises(ValueError, match="shape"):
         InteractionProfile(Vq=ones, Jcoupling=np.ones((3, 4, 4)))
     asym = ones.copy()
-    asym[1, 0] = 2.0  # V_q = V_{-q} requires [1,0] == [3,0]
+    asym[1, 0] = 2.0  # a q-dependent V_q: the vertex must be rank one
     with pytest.raises(ValueError, match="V_q"):
         InteractionProfile(Vq=asym, Jcoupling=ones)
+    # a complex V_q was cast to its real part with only a ComplexWarning
+    with pytest.raises(ValueError, match="Vq must be real"):
+        InteractionProfile(Vq=np.full((2, 2), 1 + 1j),
+                           Jcoupling=np.ones((2, 2)))
     with pytest.raises(ValueError, match="exceed 1"):
         InteractionProfile(Vq=ones, Jcoupling=1.5 * ones)
 
@@ -146,7 +149,7 @@ def test_phase_winding_profile_magnitude_and_phase():
 def test_gamma_matrix_against_hand_built_oracle():
     """Rebuild the documented vertex entries directly on a 4-site cut."""
     grid = BandGrid.square(4, 1, **BANDS)
-    vq = np.array([[0.9], [0.3], [0.7], [0.3]])  # mirror-symmetric in x
+    vq = np.full((4, 1), 0.9)
     prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((4, 1)))
     omega, k, q = 5.0, (1, 0), (2, 0)
     gm = gamma_matrix(grid, prof, k, q, omega)
@@ -165,6 +168,14 @@ def test_gamma_matrix_against_hand_built_oracle():
                 ref[p, pp] = vq[(p - pp) % 4, 0] / n
     assert gm.matrix.shape == (4, 4)
     assert np.max(np.abs(gm.matrix - ref)) < 1e-14
+
+    # a single momentum has no off-diagonal and no Hartree term: [[a]]
+    # exactly, also where a large U would cancel in (a - U) + U
+    grid = BandGrid.square(1, 1, **BANDS)
+    e1, e2 = grid.eps1[0, 0], grid.eps2[0, 0]
+    for u in (1.6, 1e25, -1e25):
+        gm = gamma_matrix(grid, constant_profile(grid, u), k, q, omega)
+        assert gm.matrix.tolist() == [[omega + e1 - e1 + e1 - e2 - 0.0]]
 
 
 def test_gamma_matrix_ignores_the_couplings():
@@ -314,22 +325,15 @@ def test_series_doubling_matches_term_by_term_sum(chain8, monkeypatch,
     assert (products == []) == eigenbasis
 
 
-@pytest.mark.parametrize("constant", [True, False])
-def test_series_inverse_matches_dense_inverse(monkeypatch, constant):
-    # a constant V_q takes the inverse from the rank-one solver, with no
-    # dense inversion; any other V_q keeps the dense one
+def test_series_inverse_matches_dense_inverse(monkeypatch):
+    # the inverse comes from the rank-one solver, with no dense inversion
     grid = BandGrid.square(6, 6, **BANDS)
-    if constant:
-        prof = constant_profile(grid, 1.6)
-    else:
-        d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
-        vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
-        prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
+    prof = constant_profile(grid, 1.6)
     want = np.linalg.inv(gamma_matrix(grid, prof, (1, 2), (2, 1),
                                       10.0).matrix)
     calls = _count_calls(monkeypatch, np.linalg, "inv")
     out = series_vs_inverse(grid, prof, (1, 2), (2, 1), 10.0, n_terms=30)
-    assert calls == ([] if constant else [(36, 36)])
+    assert calls == []
     assert np.max(np.abs(out["inverse"] - want)) \
         <= 1e-13 * np.max(np.abs(want))
     assert out["converged"] and out["max_dev"] < 1e-12
@@ -439,17 +443,6 @@ def test_gamma_scan_energies_at_any_coulomb_strength(tmp_path, n, U):
     assert np.all(np.isfinite(got))
     scale = max(1.0, float(np.linalg.norm(gm.matrix, 2)))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
-
-def test_secular_pair_spectrum_refuses_a_q_dependent_vq():
-    # the secular equation holds only for diag(D) + c 11^T; with this V_q
-    # its roots miss eigvalsh of the vertex by 0.90
-    grid = BandGrid.square(6, 6, **BANDS)
-    d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
-    vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
-    prof = InteractionProfile(Vq=vq, Jcoupling=np.ones((6, 6)))
-    with pytest.raises(ValueError, match="needs a constant V_q"):
-        _rank_one_vertex_eigvalsh(grid, prof, (1, 2), (2, 1), 3.63)
 
 
 # ------------------------------------------------------------- bound states
@@ -698,43 +691,6 @@ def test_solves_match_dense_oracle(square16, kind, omega_se):
     assert _rel(coulomb_mix_selfenergy(grid, prof, 0.02, omega_se, (8, 5)),
                 dense_vertex.selfenergy(*data, 0.02, omega_se, (8, 5))) \
         < 1e-12
-
-
-def test_non_constant_vq_keeps_dense_path():
-    """A q-dependent V_q reads the dense inverse exactly as it always did."""
-    grid = BandGrid.square(6, 6, **BANDS)
-    d = np.minimum(np.arange(6), 6 - np.arange(6)).astype(float)
-    vq = 1.6 / (1.0 + 0.5 * (d[:, None] ** 2 + d[None, :] ** 2))
-    wind = phase_winding_profile(grid, 1.6, (3, 3), (0, 0), 0.6)
-    prof = InteractionProfile(Vq=vq, Jcoupling=wind.Jcoupling)
-    omega = 2.1
-    inv0 = _checked_inverse(mf_gamma_matrix(grid, prof, omega).matrix)
-    invk = _checked_inverse(gamma_matrix(grid, prof, (1, 2), (2, 1),
-                                         omega).matrix)
-    # the dense reads, written out bit for bit
-    den = np.stack([1.0 / (prof.Jcoupling[s].ravel() @ inv0)
-                    for s in (0, 1)])
-    assert np.array_equal(mf_screened_denominator(grid, prof, omega),
-                          den.reshape(2, 6, 6))
-    ratio = prof.Jcoupling[0].ravel() / (omega + (grid.eps1
-                                                  - grid.eps2).ravel())
-    vrow = vq[(np.arange(6)[:, None] - 1) % 6,
-              (np.arange(6)[None, :] - 2) % 6].ravel()
-    ref = complex(0.02 ** 2 * np.sum((ratio - ratio[8]) * vrow / 36
-                                     * invk[:, 4 * 6 + 5]))
-    assert scattering_strength(grid, prof, 0.02, omega, (1, 2), (4, 5),
-                               (2, 1)) == ref
-    cav = CavitySpec(g=0.03, gc0=0.08, delta_c=0.2)
-    j = prof.Jcoupling[0].ravel()
-    ref = -(cav.g ** 2 * cav.gc0 ** 2 / (36 * cav.delta_c)) \
-        * (complex(inv0[:, 17] @ j) * np.conj(j[7])).real \
-        * float(np.sum(inv0[:, 7]))
-    assert cavity_global_interaction(grid, prof, cav, omega, (2, 5),
-                                     (1, 1)) == ref
-    # and the dense path is still the documented vertex
-    data = (grid.eps1, grid.eps2, vq, prof.Jcoupling)
-    assert _rel(coulomb_mix_selfenergy(grid, prof, 0.02, omega, (3, 3)),
-                dense_vertex.selfenergy(*data, 0.02, omega, (3, 3))) < 1e-12
 
 
 def _verdict(fn):
