@@ -267,20 +267,12 @@ class Emitter:
 def _distinct(c):
     """The distinct values of column ``c`` and each row's index into them.
 
-    An integer column whose span max - min is no longer than the column
-    takes every value from min to max, indexed by its offset from min: no
-    sort, no hashing.  Any other column is deduplicated by hashing, floats
-    by their bits so that 0.0, -0.0 and each NaN payload keep their own
-    text, and only the distinct values are sorted to look rows up.
+    The column is deduplicated by hashing, floats by their bits so that
+    0.0, -0.0 and each NaN payload keep their own text, and only the
+    distinct values are sorted to look rows up.
     """
     import numpy as np
 
-    if c.dtype.kind in "iu" and c.size:
-        lo, hi = c.min(), c.max()
-        if int(hi) - int(lo) <= c.size:
-            # c - lo wraps in c's dtype; read unsigned, it is the exact
-            # offset, because the span fits in as many bits
-            return range(int(lo), int(hi) + 1), (c - lo).view(f"u{c.itemsize}")
     bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
     uniq = np.sort(np.unique(bits, sorted=False))
     return uniq.view(c.dtype).tolist(), np.searchsorted(uniq, bits)
@@ -389,8 +381,8 @@ def run_exciton(cfg, em: Emitter):
 def run_gamma_scan(cfg, em: Emitter):
     import numpy as np
 
-    from .gamma import (MAX_DENSE, _rank_one_split, _rank_one_vertex_eigvalsh,
-                        constant_profile)
+    from .gamma import MAX_DENSE, _rank_one_split, constant_profile
+    from .kernels import _rank_one_eigvalsh
 
     # the vertex reads V_q alone, which every coupling profile sets to
     # U_coulomb; the couplings J12 reach only the solve-based functions
@@ -405,16 +397,14 @@ def run_gamma_scan(cfg, em: Emitter):
     prof = constant_profile(grid, cfg["U_coulomb"])
     k = (cfg["kx_index"], cfg["ky_index"])
     q = (cfg["qx_index"], cfg["qy_index"])
-    # E_j = omega - lambda_j ascending, as eigen_sign_analysis gives them,
-    # without the eigenvectors nothing here reads; the constant V_q gives
-    # the eigenvalues from the secular equation, found before any file is
-    # written
-    energies = cfg["omega"] - _rank_one_vertex_eigvalsh(
-        grid, prof, k, q, cfg["omega"])[::-1]
-    # the vertex is diag(a) + c (11^T - I), so row i is the off-diagonal
-    # cells with cell i swapped for a_i; 0.0 + a prints -0.0 as 0, as the
-    # dense matrix's zero-filled diagonal plus a did
-    a, _, c = _rank_one_split(grid, prof, k, q, cfg["omega"])
+    # the vertex is diag(a) + c (11^T - I) = diag(d) + c 11^T.  E_j = omega
+    # - lambda_j ascending, as eigen_sign_analysis gives them, without the
+    # eigenvectors nothing here reads: the eigenvalues come from the
+    # secular equation, found before any file is written
+    a, d, c = _rank_one_split(grid, prof, k, q, cfg["omega"])
+    energies = cfg["omega"] - _rank_one_eigvalsh(d, c)[::-1]
+    # row i is the off-diagonal cells with cell i swapped for a_i; 0.0 + a
+    # prints -0.0 as 0, as the dense matrix's zero-filled diagonal plus a did
     off = fmt(c)
     cells = [f"{j},{off},0\n" for j in range(a.size)]
 

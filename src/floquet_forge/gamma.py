@@ -14,23 +14,22 @@ vertex (the screened denominator, the scattering strengths, the interaction
 weight, the cavity interaction and the self-energy), so profiles that differ
 in J12 alone give the same vertex.
 
-The functions that need the whole vertex (``gamma_matrix``,
-``series_vs_inverse``, ``eigen_sign_analysis``) build it densely and are
-capped at ``MAX_DENSE`` momenta.  ``series_vs_inverse`` sums its series in
-the eigenbasis of one symmetric eigensolve when the vertex diagonal has one
-sign and the spectral radius is below one, otherwise by doubling, in about
-2 log2(n_terms) dense products (15 at the default 200); its exact inverse
-comes from ``_vertex_solver``, through which the solve-based functions read
-the inverse too, by Sherman-Morrison in O(N) per column without forming the
-matrix and without a size cap.  The same structure gives
-``_rank_one_vertex_eigvalsh``, which the CLI's ``gamma-scan`` reads, its
-eigenvalues from the secular equation (``kernels._rank_one_eigvalsh``), in
-place of a dense eigensolve; ``gamma-scan`` also writes its vertex rows from
-``_rank_one_split``.  The solver takes a batch of (k, q) pairs and works on
-all of them in array operations over rows.  The self-energy, which needs the
-vertex at (k, K - k) for every grid momentum k, is one batch of rank-one
-solves, O(N^2) in array operations, taken in chunks of ``VERTEX_CHUNK``
-entries.
+The functions that need N^2 entries are capped at ``MAX_DENSE`` momenta:
+``gamma_matrix`` and ``eigen_sign_analysis`` hold the dense vertex, and
+``series_vs_inverse`` reads the split (a, c) and holds only its N x N
+kernels.  It sums its series in the eigenbasis of one symmetric eigensolve
+when the vertex diagonal has one sign and the spectral radius is below one,
+otherwise by doubling, in about 2 log2(n_terms) dense products (15 at the
+default 200); its exact inverse comes from ``_vertex_solver``, through
+which the solve-based functions read the inverse too, by Sherman-Morrison
+in O(N) per column without forming the matrix and without a size cap.  The
+CLI's ``gamma-scan`` reads the split too: its eigenvalues from the secular
+equation of diag(D) + c 11^T (``kernels._rank_one_eigvalsh``), in place of
+a dense eigensolve, and its vertex rows from (a, c).  The solver takes a
+batch of (k, q) pairs and works on all of them in array operations over
+rows.  The self-energy, which needs the vertex at (k, K - k) for every grid
+momentum k, is one batch of rank-one solves, O(N^2) in array operations,
+taken in chunks of ``VERTEX_CHUNK`` entries.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "GammaMatrix",
     "gamma_matrix",
     "mf_gamma_matrix",
-    "rpa_kernel",
     "series_vs_inverse",
     "eigen_sign_analysis",
     "mf_screened_denominator",
@@ -61,9 +59,10 @@ __all__ = [
     "coulomb_mix_selfenergy",
 ]
 
-# Largest grid of the functions that build the whole vertex densely.  The
-# CLI's gamma-scan builds no dense vertex, but keeps the cap: there it bounds
-# the N^2 rows of gamma_matrix.csv, 1,048,576 rows and 33 MB at 32 x 32
+# Largest grid of the functions that hold N x N arrays: the dense vertex,
+# or the series' kernels.  The CLI's gamma-scan builds no dense vertex, but
+# keeps the cap: there it bounds the N^2 rows of gamma_matrix.csv,
+# 1,048,576 rows and 33 MB at 32 x 32
 MAX_DENSE = 1024
 # Batched vertex solves hold at most this many (pair, momentum) entries at
 # once, 512 kB per float64 array, where the N x N batch of the self-energy
@@ -78,12 +77,12 @@ class InteractionProfile:
     """Coulomb matrix elements V_q and interband couplings J12_{k,s}.
 
     ``Vq`` is an Nx x Ny array over the wrapped momentum-difference index
-    holding one real value U: a q-dependent or complex V_q is refused, so
-    the vertex is always diagonal plus rank one.  ``Jcoupling`` has shape
-    (2, Nx, Ny) — one coupling map per spin — and is bounded by 1.  It keeps
-    the type of its input: real couplings are stored as float64 and solved
-    in real arithmetic, complex ones (``phase_winding_profile``) as
-    complex128.
+    holding one real value U, |U| <= ``errors.ENERGY_MAX``: a q-dependent or
+    complex V_q is refused, so the vertex is always diagonal plus rank one.
+    ``Jcoupling`` has shape (2, Nx, Ny) — one coupling map per spin — and is
+    bounded by 1.  It keeps the type of its input: real couplings are stored
+    as float64 and solved in real arithmetic, complex ones
+    (``phase_winding_profile``) as complex128.
     """
 
     Vq: np.ndarray
@@ -106,6 +105,7 @@ class InteractionProfile:
                              f"got {j.shape}")
         if np.unique(v).size != 1:
             raise ValueError("V_q must be one constant value U at every q")
+        check_energy("Coulomb U", float(v[0, 0]))
         if np.max(np.abs(j)) > 1.0 + 1e-12:
             raise ValueError("couplings |J12| must not exceed 1")
         object.__setattr__(self, "Vq", v)
@@ -160,15 +160,23 @@ def phase_winding_profile(grid: BandGrid, U, K, Kp, width):
 class GammaMatrix:
     """Dense pair-propagator vertex at fixed (k, q, omega).
 
-    ``matrix`` is real symmetric, indexed by the flattened grid index
-    p = ix * Ny + iy.
+    ``matrix`` is square, finite and real symmetric, indexed by the
+    flattened grid index p = ix * Ny + iy; |omega| is at most
+    ``errors.ENERGY_MAX``.
     """
 
     matrix: np.ndarray
     omega: float
 
     def __post_init__(self):
+        check_energy("omega", self.omega)
         m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"vertex matrix must be square 2-d, got "
+                             f"shape {m.shape}")
+        # a NaN fails the symmetry comparison below, so it would pass it
+        if not np.all(np.isfinite(m)):
+            raise ValueError("vertex matrix must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
             raise ValueError("vertex matrix must be symmetric")
@@ -265,19 +273,6 @@ def _rank_one_split(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     return a, a - c, c
 
 
-def _rank_one_vertex_eigvalsh(grid: BandGrid, prof: InteractionProfile, k, q,
-                              omega):
-    """Ascending eigenvalues of the vertex at one pair (k, q).
-
-    They come from the secular equation of diag(D) + c 11^T
-    (``kernels._rank_one_eigvalsh``), without forming the matrix.
-    """
-    from .kernels import _rank_one_eigvalsh
-
-    _, d, c = _rank_one_split(grid, prof, k, q, omega)
-    return _rank_one_eigvalsh(d, c)
-
-
 def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Return ``solve``, solve(b) = Gamma^{-1} b, for the vertices at (k, q).
 
@@ -359,27 +354,18 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     return solve
 
 
-def rpa_kernel(gm: GammaMatrix):
-    """Split G = diag(1/Gamma_pp), eta = diag(Gamma) - Gamma.
-
-    The inverse expands as sum_n (G eta)^n G when the kernel's spectral
-    radius is below one.
-    """
-    d = np.diag(gm.matrix)
-    if np.min(np.abs(d)) < 1e-12 * max(1.0, float(np.max(np.abs(d)))):
-        raise PhysicsError("vertex diagonal vanishes; no propagator split")
-    g = np.diag(1.0 / d)
-    eta = np.diag(d) - gm.matrix
-    return g, eta
-
-
 def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
                       n_terms=200):
     """Geometric resummation of the vertex inverse versus direct inversion.
 
     Returns the partial series sum_{m < n_terms} K^m G with K = G eta, the
     exact inverse, their max deviation, the kernel spectral radius rho, and
-    a convergence flag.
+    a convergence flag.  G = diag(1/D), with D the vertex diagonal, and
+    eta = diag(D) - Gamma = -c (11^T - I) come from the split (a, c) of
+    ``_rank_one_split`` (D = a), so no vertex matrix is built.  A diagonal
+    entry below 1e-12 of the largest (or of 1) has no propagator and raises
+    ``PhysicsError``; grids above ``MAX_DENSE`` momenta raise
+    ``ValueError``, since the kernels are N x N.
 
     When the vertex diagonal D has one sign s, R = |D|^-1/2 makes
     M = s R eta R symmetric, and K^m G = s R M^m R.  One ``eigh`` of
@@ -411,10 +397,13 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     if isinstance(n_terms, bool) \
             or not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
-    gm = gamma_matrix(grid, prof, k, q, omega)
-    g, eta = rpa_kernel(gm)
-    kernel = np.diag(g)[:, None] * eta  # G eta, rows of eta scaled
-    d = np.diag(gm.matrix)
+    a, _, c = _rank_one_split(grid, prof, k, q, omega)
+    n = a.size
+    if n > MAX_DENSE:
+        raise ValueError(f"dense vertex capped at {MAX_DENSE} momenta, "
+                         f"got {n}")
+    if np.min(np.abs(a)) < 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+        raise PhysicsError("vertex diagonal vanishes; no propagator split")
     bits = bin(n_terms)[3:]
 
     def doubled(first, step, mul):
@@ -430,20 +419,27 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
                     power = mul(step, power)
         return series
 
-    sign = 1.0 if np.all(d > 0) else -1.0 if np.all(d < 0) else 0.0
+    def hollow(u, v):
+        # u v^T with a zero diagonal
+        m = np.outer(u, v)
+        np.fill_diagonal(m, 0.0)
+        return m
+
+    sign = 1.0 if np.all(a > 0) else -1.0 if np.all(a < 0) else 0.0
     if sign:
-        r = 1.0 / np.sqrt(np.abs(d))
-        lam, vec = np.linalg.eigh(r[:, None] * eta * r)
-    else:
-        lam = np.linalg.eigvals(kernel)
-    rho = float(np.max(np.abs(lam)))
+        r = 1.0 / np.sqrt(np.abs(a))
+        lam, vec = np.linalg.eigh(hollow(-c * r, r))
+        rho = float(np.max(np.abs(lam)))
     if sign and rho < 1.0:
         rq = r[:, None] * vec
         p_n = doubled(np.ones_like(lam), sign * lam, np.multiply)
         series = sign * (rq * p_n) @ rq.T
     else:
-        series = doubled(g, kernel, np.matmul)
-    inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(gm.dim))
+        kernel = hollow(1.0 / a, np.full(n, -c))
+        if not sign:
+            rho = float(np.max(np.abs(np.linalg.eigvals(kernel))))
+        series = doubled(np.diag(1.0 / a), kernel, np.matmul)
+    inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(n))
     dev = float(np.max(np.abs(series - inverse)))
     return {"series": series, "inverse": inverse, "max_dev": dev,
             "rho": rho, "converged": rho < 1.0}

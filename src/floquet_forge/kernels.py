@@ -28,7 +28,8 @@ its error estimate meets the tolerance.  No scenario calls it or
 
 ``_rank_one_eigvalsh`` gives the eigenvalues of a diagonal plus a rank-one
 matrix from its secular equation, through LAPACK ``dlasd4``; ``gamma-scan``
-reads the spectrum of its constant-V_q vertex from it.
+calls it directly on the split (D, c) of its constant-V_q vertex
+(``gamma._rank_one_split``).
 """
 
 from __future__ import annotations

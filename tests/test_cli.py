@@ -631,6 +631,12 @@ REFUSED = {
             "gamma_broadening", "1e-30"),
            ("absorbance-ed", "omega_min", "-1e300", "omega", "-1e+30"),
            ("absorbance-ed", "omega_max", "1e300", "omega", "-1e+30"))},
+    # the vertex diagonal's V_q sum overflowed, and the secular equation
+    # then failed with exit 2 (or the run exited 0 with a warning)
+    **{f"out-of-range-gamma-scan-U_coulomb={value}": (
+        "gamma-scan", _edited("gamma-scan", U_coulomb=value), 1,
+        "Coulomb U must be finite and in [-1e+30, 1e+30]")
+       for value in ("1e308", "-1e300")},
     "out-of-range-pomeranchuk-delta_c=5e-324": (
         "pomeranchuk", _edited("pomeranchuk", delta_c="5e-324"), 1,
         "cavity detuning must be >= 1e-30"),
@@ -770,15 +776,15 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block):
 
 
 _DEDUPE_TABLES = {
-    # an integer span wider than the column is hashed, not offset
+    # integers far apart, up to the int64 extremes
     "wide-int": [np.array([0, 1000, -5, 1000, 7, -5, 0]),
                  np.array([2 ** 62, -(2 ** 63), 2 ** 63 - 1, 3, 3, 0, 1])],
-    # at and above 2**63, hashed (wide) and offset (narrow)
+    # at and above 2**63, spread wide and packed close
     "uint64": [np.array([2 ** 63, 2 ** 64 - 1, 0, 2 ** 63, 2 ** 63 + 1],
                         dtype=np.uint64),
                np.uint64(2 ** 64 - 1)
                - np.array([0, 2, 1, 4, 0], dtype=np.uint64)],
-    # spans past 127 make c - min wrap inside int8
+    # every int8 value, and few values many times over
     "int8": [np.arange(-128, 128, dtype=np.int8)[::-1],
              np.int8(np.arange(256) % 201 - 100),
              np.int8(np.arange(256) % 7 - 3),

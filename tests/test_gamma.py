@@ -6,7 +6,9 @@ silent regressions in the vertex conventions (index wrapping, 1/N
 normalization, Hartree-style diagonal subtraction).
 """
 
+import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from floquet_forge import BandGrid, CavitySpec
 from floquet_forge import gamma
 from floquet_forge.cli import main
-from floquet_forge.errors import PhysicsError
+from floquet_forge.errors import ENERGY_MAX, PhysicsError
 from floquet_forge.gamma import (
     MAX_DENSE,
     VERTEX_CHUNK,
@@ -33,7 +35,6 @@ from floquet_forge.gamma import (
     mf_gamma_matrix,
     mf_screened_denominator,
     phase_winding_profile,
-    rpa_kernel,
     scattering_strength,
     series_vs_inverse,
     valley_dip_profile,
@@ -104,6 +105,12 @@ def test_profile_validation():
                            Jcoupling=np.ones((2, 2)))
     with pytest.raises(ValueError, match="exceed 1"):
         InteractionProfile(Vq=ones, Jcoupling=1.5 * ones)
+    # |U| above the energy cap overflowed the vertex diagonal's V_q sum
+    for u in (1e31, -1e308):
+        with pytest.raises(ValueError, match="Coulomb U must be finite"):
+            InteractionProfile(Vq=np.full((4, 4), u), Jcoupling=ones)
+    assert InteractionProfile(Vq=np.full((4, 4), -ENERGY_MAX),
+                              Jcoupling=ones).Vq[0, 0] == -ENERGY_MAX
 
 
 @pytest.mark.parametrize("field", ["Vq", "Jcoupling"])
@@ -206,6 +213,20 @@ def test_gamma_matrix_rejects_asymmetric_input():
         GammaMatrix(matrix=m, omega=1.0)
 
 
+@pytest.mark.parametrize("matrix, omega, message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], 1.0, "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], 1.0, "finite"),
+    (np.ones(3), 1.0, "square 2-d, got shape (3,)"),
+    (np.ones((2, 3)), 1.0, "square 2-d, got shape (2, 3)"),
+    (np.eye(2), np.nan, "omega must be finite"),
+    (np.eye(2), 1e300, "omega must be finite"),
+], ids=["nan", "inf", "1-d", "non-square", "nan-omega", "huge-omega"])
+def test_gamma_matrix_refuses_unusable_input(matrix, omega, message):
+    # each was accepted, then gave NaN energies or a numpy error later
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GammaMatrix(matrix=matrix, omega=omega)
+
+
 def test_gamma_matrix_profile_shape_guard(square6):
     grid, _ = square6
     wrong = constant_profile(BandGrid.square(4, 4, **BANDS), 1.6)
@@ -228,20 +249,36 @@ def test_mf_gamma_matrix_is_zero_transfer(square6):
 
 # --------------------------------------------------------- series vs inverse
 
-def test_rpa_kernel_split_reconstructs_vertex(square6):
-    grid, prof = square6
-    gm = mf_gamma_matrix(grid, prof, 3.63)
-    g, eta = rpa_kernel(gm)
-    d = np.diag(gm.matrix)
-    assert np.max(np.abs(np.diag(d) - eta - gm.matrix)) < 1e-14
-    assert np.max(np.abs(g @ np.diag(d) - np.eye(gm.dim))) < 1e-14
+def _propagator_split(m):
+    """G = diag(1/Gamma_pp) and eta = diag(Gamma) - Gamma of a dense vertex."""
+    d = np.diag(m)
+    return np.diag(1.0 / d), np.diag(d) - m
 
 
-def test_rpa_kernel_vanishing_diagonal_raises():
-    m = np.diag([1.0, 0.0, 2.0])
-    gm = GammaMatrix(matrix=m, omega=1.0)
-    with pytest.raises(PhysicsError, match="diagonal"):
-        rpa_kernel(gm)
+def test_series_vanishing_diagonal_raises(chain8):
+    # omega shifted by the first diagonal entry makes it vanish to rounding
+    grid, prof = chain8
+    a0 = _vertex_diagonal(grid, prof, (0, 0), (0, 0), 3.9)[0]
+    omega = 3.9 - a0
+    a = _vertex_diagonal(grid, prof, (0, 0), (0, 0), omega)
+    assert abs(a[0]) < 1e-12 < np.min(np.abs(a[1:]))
+    with pytest.raises(PhysicsError, match="vertex diagonal vanishes"):
+        series_vs_inverse(grid, prof, (0, 0), (0, 0), omega)
+
+
+def test_series_refuses_above_dense_cap_before_allocating(paper_grid):
+    # 4096 momenta: one N x N float array would take 134 MB
+    prof = constant_profile(paper_grid, 1.6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=f"dense vertex capped at {MAX_DENSE} "
+                                 f"momenta, got 4096"):
+            series_vs_inverse(paper_grid, prof, (0, 0), (0, 0), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_series_far_detuned(chain8):
@@ -304,7 +341,8 @@ def test_series_doubling_matches_term_by_term_sum(chain8, monkeypatch,
         e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))
         omega = e0["energies"][0] + pole_offset
     eigenbasis = pole_offset is not None and pole_offset < 0
-    g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
+    g, eta = _propagator_split(
+        gamma_matrix(grid, prof, (0, 0), (0, 0), omega).matrix)
     kernel = g @ eta
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
@@ -323,6 +361,42 @@ def test_series_doubling_matches_term_by_term_sum(chain8, monkeypatch,
     assert (len(eigh), len(eigvals)) \
         == ((0, 6) if pole_offset is None else (6, 0))
     assert (products == []) == eigenbasis
+
+
+@pytest.mark.parametrize("n, k, q, omega", [
+    (8, (0, 0), (0, 0), 3.9), (8, (0, 0), (0, 0), 3.0),
+    (8, (0, 0), (0, 0), 10.0), (8, (0, 0), (0, 0), None),
+    (6, (1, 2), (2, 1), 10.0), (1, (0, 0), (0, 0), 10.0)],
+    ids=["mixed-sign", "eigenbasis", "far", "beyond-pole", "6x6", "1x1"])
+def test_series_builds_no_vertex_matrix(monkeypatch, n, k, q, omega):
+    # the series reads (a, c) from the rank-one split; it must agree with
+    # the term-by-term sum on the dense oracle vertex and its plain inverse
+    grid = BandGrid.square(n, 1 if n == 8 else n, **BANDS)
+    prof = constant_profile(grid, 0.5 if n == 8 else 1.6)
+    if omega is None:
+        e0 = eigen_sign_analysis(mf_gamma_matrix(grid, prof, 5.0))
+        omega = e0["energies"][0] + 0.01
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("series_vs_inverse built the vertex matrix")
+
+    monkeypatch.setattr(gamma, "gamma_matrix", no_dense)
+    monkeypatch.setattr(gamma, "GammaMatrix", no_dense)
+    m = dense_vertex.vertex(grid.eps1, grid.eps2, prof.Vq, k, q, omega)
+    g, eta = _propagator_split(m)
+    plain, term = g.copy(), g.copy()
+    for _ in range(29):
+        term = g @ eta @ term
+        plain += term
+    want = np.linalg.inv(m)
+    out = series_vs_inverse(grid, prof, k, q, omega, n_terms=30)
+    assert np.max(np.abs(out["series"] - plain)) \
+        <= 1e-12 * np.max(np.abs(plain))
+    assert np.max(np.abs(out["inverse"] - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+    rho = float(np.max(np.abs(np.linalg.eigvals(g @ eta))))
+    assert out["rho"] == pytest.approx(rho, rel=1e-12, abs=1e-15)
+    assert out["converged"] == (rho < 1.0)
 
 
 def test_series_inverse_matches_dense_inverse(monkeypatch):
@@ -360,7 +434,8 @@ def test_series_singular_vertex_raises(chain8):
 
 
 def _rho_by_eigvals(grid, prof, omega):
-    g, eta = rpa_kernel(gamma_matrix(grid, prof, (0, 0), (0, 0), omega))
+    g, eta = _propagator_split(
+        gamma_matrix(grid, prof, (0, 0), (0, 0), omega).matrix)
     return float(np.max(np.abs(np.linalg.eigvals(g @ eta))))
 
 
@@ -397,17 +472,22 @@ def test_series_rho_mixed_sign_diagonal_keeps_eigvals(chain8, monkeypatch):
     assert out["rho"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def _scan_energies(tmp_path, n, U, k=(3, 2), q=(1, 0)):
-    """eigen.csv of one gamma-scan run on the n x n grid, and its vertex."""
-    grid = BandGrid.square(n, n, **BANDS)
+def _run_scan(tmp_path, n, U, k=(3, 2), q=(1, 0)):
+    """Exit code of one gamma-scan run on the n x n grid."""
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(f"units = eV\nNx = {n}\nNy = {n}\n"
                    + "".join(f"{key} = {v!r}\n" for key, v in BANDS.items())
                    + f"omega = 3.63\nU_coulomb = {U!r}\nkx_index = {k[0]}\n"
                    f"ky_index = {k[1]}\nqx_index = {q[0]}\n"
                    f"qy_index = {q[1]}\n")
-    assert main(["gamma-scan", "--config", str(cfg), "--out",
-                 str(tmp_path / "out")]) == 0
+    return main(["gamma-scan", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")])
+
+
+def _scan_energies(tmp_path, n, U, k=(3, 2), q=(1, 0)):
+    """eigen.csv of one gamma-scan run on the n x n grid, and its vertex."""
+    grid = BandGrid.square(n, n, **BANDS)
+    assert _run_scan(tmp_path, n, U, k, q) == 0
     rows = (tmp_path / "out" / "eigen.csv").read_text().splitlines()[1:]
     got = np.array([float(r.split(",")[1]) for r in rows])
     return got, gamma_matrix(grid, constant_profile(grid, U), k, q, 3.63)
@@ -437,7 +517,12 @@ def test_gamma_scan_energies_match_eigen_sign_analysis_16x16(tmp_path):
 def test_gamma_scan_energies_at_any_coulomb_strength(tmp_path, n, U):
     # the secular equation deflates what a tiny or huge U makes degenerate;
     # every U the config accepts ends in exit 0 with eigvalsh's energies,
-    # also for a single momentum, whose vertex has no off-diagonal
+    # also for a single momentum, whose vertex has no off-diagonal.  |U|
+    # above the energy cap is refused, as every other energy is
+    if abs(U) > ENERGY_MAX:
+        assert _run_scan(tmp_path, n, U) == 1
+        assert not (tmp_path / "out" / "eigen.csv").exists()
+        return
     got, gm = _scan_energies(tmp_path, n, U)
     want = gm.omega - np.linalg.eigvalsh(gm.matrix)[::-1]
     assert np.all(np.isfinite(got))
