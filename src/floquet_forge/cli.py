@@ -218,9 +218,10 @@ class Emitter:
         """Write equal-length columns, each value formatted by ``fmt``.
 
         Each distinct value of a column is formatted once and every row is
-        gathered from those strings; ``_distinct`` finds the values without
-        sorting the column.  Rows are streamed to the file in blocks of
-        ``CSV_BLOCK``, so a million-row table never sits in memory as text.
+        gathered from those strings.  Floats are told apart by their bits,
+        so that 0.0, -0.0 and each NaN payload keep their own text.  Rows
+        are streamed to the file in blocks of ``CSV_BLOCK``, so a
+        million-row table never sits in memory as text.
         A header whose length is not the column count, or columns of
         unequal length, raise ``ValueError`` before the file is opened.
         """
@@ -235,7 +236,9 @@ class Emitter:
             raise ValueError(f"{name}: columns of unequal lengths {lengths}")
         tables = []
         for i, c in enumerate(cols):
-            values, inverse = _distinct(c)
+            bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+            uniq, inverse = np.unique(bits, return_inverse=True)
+            values = uniq.view(c.dtype).tolist()
             sep = "," if i < len(cols) - 1 else "\n"
             text = [fmt(v) + sep for v in values]
             tables.append((np.array(text, dtype=object), inverse))
@@ -262,20 +265,6 @@ class Emitter:
         for name in self.files:
             lines.append(f"sha256.{name} = {self.digests[name]}")
         (self.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _distinct(c):
-    """The distinct values of column ``c`` and each row's index into them.
-
-    The column is deduplicated by hashing, floats by their bits so that
-    0.0, -0.0 and each NaN payload keep their own text, and only the
-    distinct values are sorted to look rows up.
-    """
-    import numpy as np
-
-    bits = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
-    uniq = np.sort(np.unique(bits, sorted=False))
-    return uniq.view(c.dtype).tolist(), np.searchsorted(uniq, bits)
 
 
 # ---------------------------------------------------------------------------

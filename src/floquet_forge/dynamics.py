@@ -192,8 +192,9 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     equal steps no longer than ``dt``, so every sample lands on its grid
     point, and a run takes at most two step lengths.  ``omega``,
     ``t_final`` and, when given, ``dt`` and ``sample_dt`` must be finite and
-    positive.  A run that would take more than ``MAX_STEP_WORK`` steps
-    times (dim + ``STEP_OVERHEAD``), or whose samples would store more than
+    positive, and ``psi0`` must have shape (dim,) and unit norm.  A run
+    that would take more than ``MAX_STEP_WORK`` steps times
+    (dim + ``STEP_OVERHEAD``), or whose samples would store more than
     ``MAX_STORED_AMPLITUDES`` amplitudes, raises ``ValueError`` before the
     first step.
     """
@@ -241,6 +242,9 @@ def evolve_exact(chain, psi0, t_final, dt=None, sample_dt=None):
     lengths, length_of = np.unique(spans / counts, return_inverse=True)
 
     psi = np.ascontiguousarray(np.asarray(psi0, dtype=np.complex128))
+    if psi.shape != (static.dim,):
+        raise ValueError(f"psi0 must have shape ({static.dim},), got "
+                         f"{psi.shape}")
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"psi0 must be normalized, |psi|={nrm:.12g}")

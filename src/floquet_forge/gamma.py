@@ -22,14 +22,14 @@ when the vertex diagonal has one sign and the spectral radius is below one,
 otherwise by doubling, in about 2 log2(n_terms) dense products (15 at the
 default 200); its exact inverse comes from ``_vertex_solver``, through
 which the solve-based functions read the inverse too, by Sherman-Morrison
-in O(N) per column without forming the matrix and without a size cap.  The
-CLI's ``gamma-scan`` reads the split too: its eigenvalues from the secular
-equation of diag(D) + c 11^T (``kernels._rank_one_eigvalsh``), in place of
-a dense eigensolve, and its vertex rows from (a, c).  The solver takes a
-batch of (k, q) pairs and works on all of them in array operations over
-rows.  The self-energy, which needs the vertex at (k, K - k) for every grid
-momentum k, is one batch of rank-one solves, O(N^2) in array operations,
-taken in chunks of ``VERTEX_CHUNK`` entries.
+in O(N) per right-hand side without forming the matrix and without a size
+cap.  The CLI's ``gamma-scan`` reads the split too: its eigenvalues from
+the secular equation of diag(D) + c 11^T (``kernels._rank_one_eigvalsh``),
+in place of a dense eigensolve, and its vertex rows from (a, c).  The
+solver takes a batch of (k, q) pairs and works on all of them in array
+operations over rows.  The self-energy, which needs the vertex at
+(k, K - k) for every grid momentum k, is one batch of rank-one solves,
+O(N^2) in array operations, taken in chunks of ``VERTEX_CHUNK`` entries.
 """
 
 from __future__ import annotations
@@ -188,8 +188,10 @@ class GammaMatrix:
 
 
 def _flat(grid: BandGrid, k):
+    """Flattened grid indices ix * Ny + iy of index pairs, shape (..., 2)."""
+    k = np.asarray(k, dtype=int)
     ny = grid.ky.size
-    return (int(k[0]) % grid.kx.size) * ny + (int(k[1]) % ny)
+    return k[..., 0] % grid.kx.size * ny + k[..., 1] % ny
 
 
 def _vertex_diagonal(grid: BandGrid, prof: InteractionProfile, k, q, omega):
@@ -277,14 +279,14 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     """Return ``solve``, solve(b) = Gamma^{-1} b, for the vertices at (k, q).
 
     ``k`` and ``q`` are one pair of grid indices or arrays of them with
-    shape (..., 2), a batch of vertices; a single pair is a batch of one
-    with the batch axes dropped.  ``solve`` takes one right-hand side per
-    vertex, shape (..., N), or one integer column index per vertex, shape
-    (...), which stands for the unit vector e_b so that the result is that
-    column of the inverse.  Both broadcast against the batch, and the
-    result has the broadcast batch shape plus (N,).  The singularity
-    verdict is that of ``_checked_inverse`` for every vertex of the batch,
-    and is given here, before any solve.
+    shape (..., 2), a batch of vertices.  ``solve`` takes right-hand sides
+    of shape (..., N): one per vertex of a batch, in its order, or any
+    number of them against a single vertex.  The result has the shape of
+    ``b``.  Gamma is symmetric, so entry k of Gamma^{-1} b is column k of
+    the inverse contracted with b, sum_p b_p [Gamma^{-1}]_{p,k}: a column
+    read is one solve.  The singularity verdict is that of
+    ``_checked_inverse`` for every vertex of the batch, and is given here,
+    before any solve.
 
     Each vertex is diag(D) + c 11^T with c = U/N and D = diag(Gamma) - c
     (``_rank_one_split``), a diagonal plus a rank-one term, whose inverse
@@ -298,21 +300,7 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     array operations over rows, so B vertices cost O(B N) with no loop
     over them.
     """
-    k, q = np.broadcast_arrays(np.asarray(k, dtype=int),
-                               np.asarray(q, dtype=int))
-    batch = k.shape[:-1]
     n = grid.kx.size * grid.ky.size
-
-    def solve(b):
-        b = np.asarray(b)
-        cols = b.dtype.kind in "iu"
-        shape = np.broadcast_shapes(batch, b.shape if cols else b.shape[:-1])
-        if cols:
-            b = np.broadcast_to(b, shape).ravel()
-        else:
-            b = np.broadcast_to(b, shape + (n,)).reshape(-1, n)
-        return solve_rows(b, cols).reshape(shape + (n,))
-
     a, d, c = _rank_one_split(grid, prof, k, q, omega)
     a, d = a.reshape(-1, n), d.reshape(-1, n)
     j = np.argmin(np.abs(d), axis=1)[:, None]
@@ -344,13 +332,14 @@ def _vertex_solver(grid: BandGrid, prof: InteractionProfile, k, q, omega):
     if not np.all(largest * np.finfo(float).eps * scale <= 1e-3):
         raise PhysicsError("vertex matrix is numerically singular")
 
-    def solve_rows(b, cols):
-        if cols:
-            b = (np.arange(n) == b[:, None]).astype(float)
-        bj = np.take_along_axis(b, j, axis=1)
-        xj = (bj[:, 0] - c * np.sum(w * (b - bj), axis=1)) / den
-        return np.where(pivot, xj[:, None],
-                        w * (b - bj + dj[:, None] * xj[:, None]))
+    def solve(b):
+        b = np.asarray(b)
+        rows = b.reshape(-1, n)
+        bj = np.take_along_axis(rows, j, axis=1)
+        xj = (bj[:, 0] - c * np.sum(w * (rows - bj), axis=1)) / den
+        x = np.where(pivot, xj[:, None],
+                     w * (rows - bj + dj[:, None] * xj[:, None]))
+        return x.reshape(b.shape)
     return solve
 
 
@@ -389,7 +378,7 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
     4 log2(n_terms): 15 at the default, where term by term takes 199.  The
     closed form (1 - x^n)/(1 - x) would cancel near x = 1.
 
-    The exact inverse is read column by column from ``_vertex_solver``,
+    The exact inverse is ``_vertex_solver``'s solve of the N unit vectors,
     with its singularity verdict: O(N^2) by Sherman-Morrison (0.005-0.014 s
     at N = 576 on one core of a 2-core Xeon VM, against 0.03-0.04 s for
     ``np.linalg.inv``).
@@ -439,7 +428,7 @@ def series_vs_inverse(grid: BandGrid, prof: InteractionProfile, k, q, omega,
         if not sign:
             rho = float(np.max(np.abs(np.linalg.eigvals(kernel))))
         series = doubled(np.diag(1.0 / a), kernel, np.matmul)
-    inverse = _vertex_solver(grid, prof, k, q, omega)(np.arange(n))
+    inverse = _vertex_solver(grid, prof, k, q, omega)(np.eye(n))
     dev = float(np.max(np.abs(series - inverse)))
     return {"series": series, "inverse": inverse, "max_dev": dev,
             "rho": rho, "converged": rho < 1.0}
@@ -491,28 +480,26 @@ def _scattering(grid: BandGrid, prof: InteractionProfile, g, omega,
                 k, k1, q, s):
     """Scattering amplitudes for (k, k1, q) index pairs, each of shape (B, 2).
 
-    Returns the B amplitudes of ``scattering_strength``.  The vertices are
-    solved in chunks of at most ``VERTEX_CHUNK`` entries of solver state, N
-    per pair.
+    Returns the B amplitudes of ``scattering_strength``.  Each pair's
+    coupling differences are one right-hand side of its vertex, and the
+    amplitude is entry k1 of the solution.  The vertices are solved in
+    chunks of at most ``VERTEX_CHUNK`` entries of solver state, N per pair.
     """
     _check_spins(s)
     check_energy("g", g)
-    nx, ny = grid.kx.size, grid.ky.size
-    n = nx * ny
+    n = grid.kx.size * grid.ky.size
     den = -bare_detuning(grid, omega)
     _check_resonant(den)
     ratio = prof.Jcoupling[s].ravel() / den.ravel()
     k, k1, q = (np.asarray(x, dtype=int).reshape(-1, 2) for x in (k, k1, q))
-    kx, ky = k[:, 0, None] % nx, k[:, 1, None] % ny
-    k1f = (k1[:, 0] % nx) * ny + k1[:, 1] % ny
+    kf, k1f = _flat(grid, k), _flat(grid, k1)
     rows = max(1, VERTEX_CHUNK // n)
     out = np.empty(len(k), dtype=complex)
     for lo in range(0, len(k), rows):
         b = slice(lo, lo + rows)
-        solve = _vertex_solver(grid, prof, k[b], q[b], omega)
-        diff = ratio - ratio[kx[b] * ny + ky[b]]
-        out[b] = g ** 2 * np.sum(diff * prof.Vq[0, 0] / n * solve(k1f[b]),
-                                 axis=1)
+        x = _vertex_solver(grid, prof, k[b], q[b], omega)(
+            ratio - ratio[kf[b], None])
+        out[b] = g ** 2 * prof.Vq[0, 0] / n * x[np.arange(len(x)), k1f[b]]
     return out
 
 
@@ -521,9 +508,9 @@ def scattering_strength(grid: BandGrid, prof: InteractionProfile, g, omega,
     """Drive-induced scattering amplitude between pair momenta k and k1.
 
     g^2 sum_{k'} (J_{k',s}/(w + e12_{k'}) - J_{k,s}/(w + e12_k))
-    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}, with V_{k'-k} = U.  Reads one
-    column of the inverse, as a batch of one rank-one solve: O(N) with no
-    size cap.  ``s`` is 0 or 1.
+    * V_{k'-k}/N * [Gamma_{k,q}^{-1}]_{k',k1}, with V_{k'-k} = U.  One
+    rank-one solve with the coupling differences as right-hand side, read
+    at k1: O(N) with no size cap.  ``s`` is 0 or 1.
     """
     return complex(_scattering(grid, prof, g, omega, k, k1, q, s)[0])
 
@@ -536,11 +523,9 @@ def interaction_weight(grid: BandGrid, prof: InteractionProfile, g, omega,
     simultaneous exchange and conjugation by construction.  Both amplitudes
     are one batch of two vertex solves, so O(N).  ``s`` is 0 or 1.
     """
-    nx, ny = grid.kx.size, grid.ky.size
     v_fwd, v_rev = _scattering(grid, prof, g, omega, [k, k1], [k1, k],
                                [q, q], s)
-    jk = complex(prof.Jcoupling[s][int(k[0]) % nx, int(k[1]) % ny])
-    jk1 = complex(prof.Jcoupling[s][int(k1[0]) % nx, int(k1[1]) % ny])
+    jk, jk1 = prof.Jcoupling[s].ravel()[_flat(grid, [k, k1])]
     return 0.5 * (v_fwd * np.conj(jk1) + jk * np.conj(v_rev))
 
 
@@ -549,19 +534,17 @@ def cavity_global_interaction(grid: BandGrid, prof: InteractionProfile,
     """Cavity-mediated interaction between dressed pairs at kf and kf'.
 
     -(g^2 gc0^2/(N delta_c)) Re[(sum_k [X]_{k,kf} J_{k,s}) J_{kf',sp}^*]
-    * sum_{k'} [X]_{k',kf'}, with X the inverse zero-transfer vertex.  Reads
-    two columns of X: O(N) with no size cap.  ``s`` and ``sp`` are 0 or 1.
+    * sum_{k'} [X]_{k',kf'}, with X the inverse zero-transfer vertex.  X is
+    symmetric, so the two sums are X J_s read at kf and X 1 read at kf':
+    two solves, O(N) with no size cap.  ``s`` and ``sp`` are 0 or 1.
     """
     _check_spins(s, sp)
     solve = _vertex_solver(grid, prof, (0, 0), (0, 0), omega)
     n = grid.kx.size * grid.ky.size
-    kf_f = _flat(grid, kf)
-    kfp_f = _flat(grid, kfp)
-    js = prof.Jcoupling[s].ravel()
-    jsp = prof.Jcoupling[sp].ravel()
-    weighted = complex(solve(kf_f) @ js)
-    plain = float(np.sum(solve(kfp_f)))
-    re_part = (weighted * np.conj(jsp[kfp_f])).real
+    kf, kfp = _flat(grid, [kf, kfp])
+    weighted = complex(solve(prof.Jcoupling[s].ravel())[kf])
+    plain = float(solve(np.ones(n))[kfp])
+    re_part = (weighted * np.conj(prof.Jcoupling[sp].ravel()[kfp])).real
     return -(cav.g ** 2 * cav.gc0 ** 2 / (n * cav.delta_c)) \
         * re_part * plain
 
@@ -572,8 +555,8 @@ def coulomb_mix_selfenergy(grid: BandGrid, prof: InteractionProfile, g,
 
     sum_k Re[V_{k,k,K-k} J_{k}^*]; nonzero through neighboring couplings
     even where J vanishes at K itself.  The N vertices at (k, K - k) are
-    one batch of rank-one solves, each reading column k of its inverse,
-    so O(N^2) in array operations, in chunks of ``VERTEX_CHUNK`` entries.
+    one batch of rank-one solves, one right-hand side each, read at k, so
+    O(N^2) in array operations, in chunks of ``VERTEX_CHUNK`` entries.
     """
     nx, ny = grid.kx.size, grid.ky.size
     k = np.stack(np.divmod(np.arange(nx * ny), ny), axis=1)

@@ -141,9 +141,13 @@ def chebyshev_expm_multiply(twice_x, v, coeffs):
     T_{k+1}(X) v = 2X T_k(X) v - T_{k-1}(X) v runs through scipy's CSR
     kernel, which accumulates y += 2X x into a row preset to -T_{k-1} v:
     two numpy calls per term and one matvec per degree.  ``twice_x`` and
-    ``v`` are complex128; v has unit stride.
+    ``v`` are complex128; v has unit stride.  That kernel checks no bounds,
+    so a ``twice_x`` that is not CSR of shape (n, n), n = len(v), raises
+    ``ValueError`` before it runs.
     """
     n = v.shape[0]
+    if getattr(twice_x, "format", None) != "csr" or twice_x.shape != (n, n):
+        raise ValueError(f"twice_x must be a CSR matrix of shape ({n}, {n})")
     degree = coeffs.shape[0] - 1
     Y = np.empty((degree + 1, n), np.complex128)
     Y[0] = v

@@ -1,6 +1,10 @@
 """Exact propagation, return rates, the mismatch metric, and ED absorbance."""
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,14 @@ def test_evolve_exact_guards():
         evolve_exact(series, psi0, -1.0)
     with pytest.raises(ValueError):
         evolve_exact(series, 2.0 * psi0, 1.0)
+    # a unit start of any other shape than (dim,) = (4,); a shorter one was
+    # read past its end by the CSR kernel before numpy refused the shapes
+    for shape in ((2,), (3,), (5,), (2, 2), (4, 1)):
+        start = np.zeros(shape)
+        start.flat[0] = 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"psi0 must have shape (4,), got {shape}")):
+            evolve_exact(series, start, 1.0)
     # only H0 + 2cos(omega t) D with a Hermitian H0 and a real diagonal D
     # propagates
     for bad, match in ((series._replace(drive=series.static), "diagonal"),
@@ -91,6 +103,34 @@ def test_evolve_exact_guards():
                        (series._replace(omega=-12.0), "omega")):
         with pytest.raises(ValueError, match=match):
             evolve_exact(bad, psi0, 1.0)
+
+
+def test_evolve_exact_refuses_a_long_start_in_a_child_process():
+    # a start longer than dim once made the CSR kernel read and write past
+    # the state, which killed the interpreter (exit 139), so this runs in a
+    # child process that reports each refusal
+    code = ("import numpy as np\n"
+            "from floquet_forge import HubbardParams, build_sector_basis, "
+            "evolve_exact\n"
+            "from floquet_forge.fswt import hubbard_harmonics\n"
+            "b = build_sector_basis(4, 2, 2)\n"
+            "chain = hubbard_harmonics(HubbardParams(L=4, J=1.0, U=3.0, "
+            "g=3.0, omega=12.0), b)\n"
+            "for n in (400, 100_000):\n"
+            "    psi0 = np.zeros(n)\n"
+            "    psi0[0] = 1.0\n"
+            "    try:\n"
+            "        evolve_exact(chain, psi0, 1.0)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "psi0 must have shape (36,), got (400,)",
+        "psi0 must have shape (36,), got (100000,)"]
 
 
 def test_step_cap_refuses_before_the_first_step(monkeypatch):

@@ -148,6 +148,24 @@ def test_chebyshev_series_of_degree_zero_and_one():
                     coeffs[0] * v + coeffs[1] * (x @ v), rtol=0, atol=1e-15)
 
 
+def test_chebyshev_refuses_a_matrix_that_does_not_fit_the_vector():
+    # scipy's CSR kernel checks no bounds: a length-5 vector against a
+    # 36 x 36 matrix gave a silent length-5 result, and a CSC matrix was
+    # read as its transpose
+    rng = np.random.default_rng(36)
+    a = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    twice_x = sparse.csr_matrix((a + a.conj().T) / 36.0)
+    v = np.zeros(36, complex)
+    v[0] = 1.0
+    coeffs = np.array([0.7, 0.2j, -0.1])
+    for bad, vec in ((twice_x, v[:5]), (twice_x, np.zeros(37, complex)),
+                     (twice_x.tocsc(), v), (twice_x.toarray(), v),
+                     (twice_x[:, :35], v)):
+        with pytest.raises(ValueError, match="CSR matrix of shape"):
+            chebyshev_expm_multiply(bad, vec, coeffs)
+    assert chebyshev_expm_multiply(twice_x, v, coeffs).shape == (36,)
+
+
 # -- Lanczos exponential -----------------------------------------------------
 
 def test_lanczos_matches_dense_expm(rng):
